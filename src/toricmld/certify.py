@@ -43,6 +43,7 @@ from .lattices import (
     interior_witness,
     lattice_from_generators,
     lattice_from_quotient_type,
+    scaled_basis,
     superlattices,
     vec,
 )
@@ -302,18 +303,21 @@ def series_membership_lattice(lat: Lattice, t: Rational) -> list[tuple[int, int]
     The zero covector is excluded; each surviving covector identifies
     one series relation. Depends on the lattice only, never on the
     boundary, and is sorted lexicographically.
+
+    Computed from the definition in integers: with the basis
+    ((a, b), (0, d)) scaled by its common denominator D, the covector
+    (i, j) pairs integrally iff D divides i*a + j*b and j*d. No dual
+    lattice and no rationals are built.
     """
     t = Fraction(t)
     if t <= 0:
         raise ValueError("threshold must be positive")
+    denom, a, b, d = scaled_basis(lat)
     bound = math.floor(1 / t)
-    m_lat = dual(lat)
     out: list[tuple[int, int]] = []
     for i in range(bound + 1):
         for j in range(bound + 1):
-            if i == 0 and j == 0:
-                continue
-            if contains(m_lat, vec(i, j)):
+            if (i or j) and (i * a + j * b) % denom == 0 and (j * d) % denom == 0:
                 out.append((i, j))
     return out
 

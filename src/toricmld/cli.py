@@ -15,16 +15,15 @@ import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .certify import (
-    CaseB,
     Contained,
     EqualsIntersection,
     Hit,
     NotTLC,
-    candidate_germs,
     classify_germ_record,
     enumerate_germs,
     lawrence,
@@ -136,49 +135,6 @@ def _boundary_pairs(args) -> list[tuple[Fraction, Fraction]]:
     raise ValueError(f"unknown boundary set: {args.boundary_set!r}")
 
 
-def _classify_payload(payload: tuple[str, str, bool]) -> str:
-    """Worker body: classify one serialized germ, return its JSON line."""
-    germ_json, t_text, include = payload
-    germ = germ_from_json(json.loads(germ_json))
-    t = parse_rational(t_text)
-    record = classify_germ_record(germ, t)
-    if record.mld < t and not include:
-        return ""
-    return dumps(record_to_json(record))
-
-
-def _worker_count(args) -> int:
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    env = os.environ.get("TORICMLD_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"TORICMLD_WORKERS must be an integer: {env!r}") from None
-    return 1
-
-
-def _record_lines(args, t: Fraction) -> Iterator[str]:
-    pairs = _boundary_pairs(args)
-    include = args.include_not_tlc
-    workers = _worker_count(args)
-    if workers == 1:
-        for record in enumerate_germs(args.mode, args.bound, t, pairs, include):
-            yield dumps(record_to_json(record))
-        return
-    from multiprocessing import Pool
-
-    payloads = (
-        (dumps(germ_to_json(germ)), format_rational(t), include)
-        for germ in candidate_germs(args.mode, args.bound, pairs)
-    )
-    with Pool(workers) as pool:
-        for line in pool.imap(_classify_payload, payloads, chunksize=16):
-            if line:
-                yield line
-
-
 def _cmd_mld(args) -> int:
     germ = _germ_from_args(args)
     value, argmin = mld_argmin(germ)
@@ -215,8 +171,7 @@ def _cmd_lawrence(args) -> int:
     return 0
 
 
-def _emit_table(lines, out, fmt) -> None:
-    records = [record_from_json(json.loads(line)) for line in lines]
+def _emit_table(records, out, fmt) -> None:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -236,11 +191,11 @@ def _cmd_enumerate(args) -> int:
     if args.mode == "cyclic":
         if args.r_max is None:
             raise ValueError("mode cyclic needs --r-max")
-        args.bound = args.r_max
+        bound = args.r_max
     else:
         if args.index_max is None:
             raise ValueError("mode all needs --index-max")
-        args.bound = args.index_max
+        bound = args.index_max
 
     if args.resume:
         if not args.out:
@@ -254,27 +209,18 @@ def _cmd_enumerate(args) -> int:
                     line = line.strip()
                     if line:
                         seen.add(dumps(json.loads(line)["germ"]))
-        with open(args.out, "a", encoding="utf-8") as handle:
-            for line in _record_lines(args, t):
-                if dumps(json.loads(line)["germ"]) in seen:
-                    continue
-                handle.write(line + "\n")
-        return 0
 
-    lines = _record_lines(args, t)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            if args.format == "jsonl":
-                for line in lines:
-                    handle.write(line + "\n")
-            else:
-                _emit_table(lines, handle, args.format)
-    else:
+    records = enumerate_germs(args.mode, bound, t, _boundary_pairs(args), args.include_not_tlc)
+    if args.resume:
+        records = (r for r in records if dumps(germ_to_json(r.germ)) not in seen)
+
+    mode = "a" if args.resume else "w"
+    with open(args.out, mode, encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
         if args.format == "jsonl":
-            for line in lines:
-                print(line)
+            for record in records:
+                out.write(dumps(record_to_json(record)) + "\n")
         else:
-            _emit_table(lines, sys.stdout, args.format)
+            _emit_table(records, out, args.format)
     return 0
 
 
@@ -464,11 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--boundary-file", help="JSON array of boundary pairs (with --boundary-set file)")
     p_enum.add_argument("--out", help="output path (default stdout)")
     p_enum.add_argument("--format", default="jsonl", choices=["jsonl", "csv", "markdown"])
-    p_enum.add_argument(
-        "--workers",
-        type=int,
-        help="parallel classification workers (default: TORICMLD_WORKERS or 1); output is identical",
-    )
     p_enum.add_argument("--resume", action="store_true", help="append records missing from --out")
     p_enum.add_argument(
         "--include-not-tlc",

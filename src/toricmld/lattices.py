@@ -238,6 +238,18 @@ def index(lat: Lattice) -> int:
     return int(order)
 
 
+def scaled_basis(lat: Lattice) -> tuple[int, int, int, int]:
+    """(D, a, b, d): a rank-2 basis ((a, b), (0, d)) times its common denominator D."""
+    if lat.rank != 2:
+        raise ValueError("scaled basis needs a full-rank lattice")
+    r1, r2 = lat.basis
+    denom = math.lcm(r1.x1.denominator, r1.x2.denominator, r2.x2.denominator)
+    a = r1.x1.numerator * (denom // r1.x1.denominator)
+    b = r1.x2.numerator * (denom // r1.x2.denominator)
+    d = r2.x2.numerator * (denom // r2.x2.denominator)
+    return denom, a, b, d
+
+
 def residue_numerators(lat: Lattice) -> tuple[int, list[tuple[int, int]]]:
     """Quotient representatives by the integer plane, scaled to integers.
 
@@ -248,10 +260,7 @@ def residue_numerators(lat: Lattice) -> tuple[int, list[tuple[int, int]]]:
     """
     n = index(lat)
     r1, r2 = lat.basis
-    denom = math.lcm(r1.x1.denominator, r1.x2.denominator, r2.x2.denominator)
-    a = r1.x1.numerator * (denom // r1.x1.denominator)
-    b = r1.x2.numerator * (denom // r1.x2.denominator)
-    d = r2.x2.numerator * (denom // r2.x2.denominator)
+    denom, a, b, d = scaled_basis(lat)
     # The unit points lie in the lattice, so r1.x1 = 1/p and r2.x2 = 1/q
     # and i*r1 + j*r2 for 0 <= i < p, 0 <= j < q hit every class once.
     seen: set[tuple[int, int]] = set()

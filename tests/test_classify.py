@@ -36,6 +36,7 @@ from toricmld import (
     points_in_box,
     series_certificate_log,
     series_membership,
+    series_membership_lattice,
     superlattices,
     tlc_oracle,
     vec,
@@ -245,6 +246,20 @@ def test_series_membership():
     ]
     with pytest.raises(ValueError):
         series_membership(FIFTH_GERM, 0)
+
+
+def test_series_membership_matches_its_definition():
+    for lat in superlattices(30):
+        for t in (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(2, 7), Fraction(1, 30)):
+            bound = math.floor(1 / t)
+            expected = [
+                (i, j)
+                for i in range(bound + 1)
+                for j in range(bound + 1)
+                if (i, j) != (0, 0)
+                and all((i * row.x1 + j * row.x2).denominator == 1 for row in lat.basis)
+            ]
+            assert series_membership_lattice(lat, t) == expected, (lat, t)
 
 
 def test_series_certificate_log():

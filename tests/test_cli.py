@@ -1,12 +1,14 @@
 """End-to-end command line behavior, run in process."""
 
+import csv
+import io
 import json
 
 import pytest
 
 from toricmld import superlattices
 from toricmld.cli import main
-from toricmld.records import TABLE_COLUMNS, dumps
+from toricmld.records import TABLE_COLUMNS, dumps, record_from_json, record_table_row
 
 
 def run_cli(capsys, *argv):
@@ -139,21 +141,6 @@ def test_enumerate_resume_is_idempotent(capsys, tmp_path):
     assert run_cli(capsys, *args, "--resume", "--format", "csv")[0] == 1
 
 
-def test_parallel_output_matches_serial(capsys, tmp_path, monkeypatch):
-    serial = tmp_path / "serial.jsonl"
-    flagged = tmp_path / "flagged.jsonl"
-    env = tmp_path / "env.jsonl"
-    base = ("enumerate", "--mode", "all", "--index-max", "4", "--t", "1/3")
-    assert run_cli(capsys, *base, "--out", str(serial))[0] == 0
-    assert run_cli(capsys, *base, "--out", str(flagged), "--workers", "2")[0] == 0
-    monkeypatch.setenv("TORICMLD_WORKERS", "3")
-    assert run_cli(capsys, *base, "--out", str(env))[0] == 0
-    assert serial.read_bytes() == flagged.read_bytes() == env.read_bytes()
-
-    monkeypatch.setenv("TORICMLD_WORKERS", "many")
-    assert run_cli(capsys, *base)[0] == 1
-
-
 def test_enumerate_table_formats(capsys):
     base = ("enumerate", "--mode", "cyclic", "--r-max", "4", "--t", "1")
     code, out, _ = run_cli(capsys, *base, "--format", "csv")
@@ -168,6 +155,24 @@ def test_enumerate_table_formats(capsys):
     assert lines[0] == "| " + " | ".join(TABLE_COLUMNS) + " |"
     assert lines[1] == "|" + "---|" * len(TABLE_COLUMNS)
     assert lines[2].startswith("| smooth |")
+
+    # Index labels and not_tlc rows, checked row by row against the
+    # decoded jsonl records.
+    base = ("enumerate", "--mode", "all", "--index-max", "4", "--boundary-set", "standard",
+            "--t", "1/4", "--include-not-tlc")
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0
+    rows = [record_table_row(record_from_json(json.loads(line))) for line in out.splitlines()]
+    assert any(row[0].startswith("index ") for row in rows)
+    assert any("not_tlc" in row for row in rows)
+
+    code, out, _ = run_cli(capsys, *base, "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out)))[1:] == rows
+
+    code, out, _ = run_cli(capsys, *base, "--format", "markdown")
+    assert code == 0
+    assert out.splitlines()[2:] == ["| " + " | ".join(row) + " |" for row in rows]
 
 
 def test_enumerate_standard_boundaries(capsys):
