@@ -476,22 +476,20 @@ def cyclic_type(lat: Lattice) -> Optional[tuple[int, int, int]]:
     all unit multiples, with weights in [0, r).
     """
     n = index(lat)
-    if n == 1:
-        return (1, 0, 0)
-    denom, points = residue_numerators(lat)
-    for x, y in points:
-        # (x/D, y/D) has order D / gcd(x, y, D) in the quotient.
-        if math.gcd(x, y, denom) * n != denom:
-            continue
-        w1 = x * n // denom % n
-        w2 = y * n // denom % n
-        best = min(
-            ((u * w1) % n, (u * w2) % n)
-            for u in range(1, n)
-            if math.gcd(u, n) == 1
-        )
-        return (n, best[0], best[1])
-    return None
+    denom, a, b, d = scaled_basis(lat)
+    q = denom // d
+    # The basis is ((1/p, b), (0, 1/q)) with n = p*q. A generator's first
+    # coordinate has exact order p, and a unit multiple moves it to 1/p,
+    # so the least first weight is q % n, reached exactly by the points
+    # r1 + j*r2 that generate; (x/D, y/D) has order D / gcd(x, y, D).
+    w2s = [
+        (b + j * d) * n // denom % n
+        for j in range(q)
+        if math.gcd(a, b + j * d, denom) * n == denom
+    ]
+    if not w2s:
+        return None
+    return (n, q % n, min(w2s))
 
 
 def _divisors(n: int) -> list[int]:

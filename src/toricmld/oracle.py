@@ -18,57 +18,29 @@ if TYPE_CHECKING:  # type-only; keeps the oracle import-independent
     from .germs import Germ
 
 
-def _wrap(x: Fraction) -> Fraction:
-    """Integer shift of x into (0, 1]."""
-    n, d = x.numerator, x.denominator
-    rem = n % d
-    return Fraction(rem if rem else d, d)
+def _box_representatives(lat: Lattice) -> tuple[int, set[tuple[int, int]]]:
+    """Quotient representatives in (0, 1]^2 by direct enumeration.
 
-
-def _cyclic_data(lat: Lattice) -> tuple[int, int] | None:
-    """Read (r, w) off a basis of the shape ((1/r, w/r), (0, 1))."""
-    if lat.rank != 2:
-        return None
-    r1, r2 = lat.basis
-    if r2 != Vec2(Fraction(0), Fraction(1)):
-        return None
-    if r1.x1.numerator != 1:
-        return None
-    r = r1.x1.denominator
-    w = r1.x2 * r
-    if w.denominator != 1:
-        return None
-    return r, int(w)
-
-
-def _box_representatives(lat: Lattice) -> list[Vec2]:
-    """Quotient representatives in (0, 1]^2 by direct enumeration."""
+    Returns (D, points): D is the common denominator of the basis and
+    the representatives are the (x/D, y/D) for (x, y) in points. Both
+    basis rows are read in full, so no basis shape is assumed.
+    """
     if lat.rank != 2:
         raise ValueError("representatives need a rank-2 lattice")
-    cyc = _cyclic_data(lat)
-    if cyc is not None:
-        r, w = cyc
-        pts = []
-        for k in range(r):
-            u = k % r
-            v = (k * w) % r
-            pts.append(Vec2(Fraction(u if u else r, r), Fraction(v if v else r, r)))
-        reps = sorted(set(pts))
-    else:
-        r1, r2 = lat.basis
-        n1 = math.lcm(r1.x1.denominator, r1.x2.denominator)
-        n2 = math.lcm(r2.x1.denominator, r2.x2.denominator)
-        seen: set[Vec2] = set()
-        for i in range(n1):
-            for j in range(n2):
-                p1 = i * r1.x1 + j * r2.x1
-                p2 = i * r1.x2 + j * r2.x2
-                seen.add(Vec2(_wrap(p1), _wrap(p2)))
-        reps = sorted(seen)
-    det = lat.basis[0].x1 * lat.basis[1].x2 - lat.basis[0].x2 * lat.basis[1].x1
-    order = 1 / abs(det)
+    r1, r2 = lat.basis
+    coords = (r1.x1, r1.x2, r2.x1, r2.x2)
+    denom = math.lcm(*(c.denominator for c in coords))
+    a1, b1, a2, b2 = (c.numerator * (denom // c.denominator) for c in coords)
+    n1 = math.lcm(r1.x1.denominator, r1.x2.denominator)
+    n2 = math.lcm(r2.x1.denominator, r2.x2.denominator)
+    reps = {
+        ((i * a1 + j * a2 - 1) % denom + 1, (i * b1 + j * b2 - 1) % denom + 1)
+        for i in range(n1)
+        for j in range(n2)
+    }
+    order = 1 / abs(r1.x1 * r2.x2 - r1.x2 * r2.x1)
     assert order.denominator == 1 and len(reps) == int(order)
-    return reps
+    return denom, reps
 
 
 def mld_oracle_lattice(lat: Lattice, psi: Vec2) -> tuple[Rational, list[Vec2]]:
@@ -80,10 +52,15 @@ def mld_oracle_lattice(lat: Lattice, psi: Vec2) -> tuple[Rational, list[Vec2]]:
     """
     if psi.x1 < 0 or psi.x2 < 0:
         raise ValueError("oracle needs a componentwise nonnegative psi")
-    reps = _box_representatives(lat)
-    vals = [(m.x1 * psi.x1 + m.x2 * psi.x2, m) for m in reps]
-    best = min(v for v, _ in vals)
-    return best, sorted(p for v, p in vals if v == best)
+    denom, reps = _box_representatives(lat)
+    scale = math.lcm(psi.x1.denominator, psi.x2.denominator)
+    c1 = psi.x1.numerator * (scale // psi.x1.denominator)
+    c2 = psi.x2.numerator * (scale // psi.x2.denominator)
+    best = min(c1 * x + c2 * y for x, y in reps)
+    argmin = sorted((x, y) for x, y in reps if c1 * x + c2 * y == best)
+    return Fraction(best, denom * scale), [
+        Vec2(Fraction(x, denom), Fraction(y, denom)) for x, y in argmin
+    ]
 
 
 def mld_oracle(germ: "Germ") -> tuple[Rational, list[Vec2]]:

@@ -24,7 +24,7 @@ from .certify import (
     LawrenceResult,
     NotTLC,
 )
-from .geometry import Complement, HyperplaneSection
+from .geometry import Complement
 from .germs import CaseData, CaseTag, Germ
 from .lattices import (
     Lattice,
@@ -239,16 +239,6 @@ def complement_record_to_json(
         out["q"] = q
     out["complement"] = complement_to_json(comp)
     return out
-
-
-def hyperplane_to_json(section: HyperplaneSection) -> dict:
-    return {"hyperplane": {"m": vec_to_json(section.m)}}
-
-
-def hyperplane_from_json(data: Any) -> HyperplaneSection:
-    if not isinstance(data, dict) or "hyperplane" not in data:
-        raise ValueError(f"not a hyperplane record: {data!r}")
-    return HyperplaneSection(vec_from_json(data["hyperplane"]["m"]))
 
 
 def dumps(data: dict) -> str:

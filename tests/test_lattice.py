@@ -363,6 +363,23 @@ def test_cyclic_type_detection():
     assert cyclic_type(half) is None
 
 
+def test_cyclic_type_matches_its_definition():
+    # The definition, longhand: a residue of order n generates the
+    # quotient; take the least weight pair over its unit multiples.
+    for lat in superlattices(40):
+        n = index(lat)
+        expected = None
+        for g in residues(lat):
+            if math.lcm(g.x1.denominator, g.x2.denominator) == n:
+                w1, w2 = int(g.x1 * n) % n, int(g.x2 * n) % n
+                best = min(
+                    ((u * w1) % n, (u * w2) % n) for u in range(n) if math.gcd(u, n) == 1
+                )
+                expected = (n, *best)
+                break
+        assert cyclic_type(lat) == expected
+
+
 def test_sublattice_and_superlattice_counts():
     # The number of index-n sublattices is the divisor sum of n.
     def sigma(n):

@@ -1,10 +1,14 @@
 """Brute-force oracle behavior, checked on hand-computed quotients."""
 
+import ast
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from toricmld import (
+    Lattice,
     STANDARD_LATTICE,
     lattice_from_generators,
     lattice_from_quotient_type,
@@ -13,8 +17,10 @@ from toricmld import (
     mld_argmin,
     mld_oracle,
     mld_oracle_lattice,
+    oracle,
     psi_of,
     residues,
+    superlattices,
     tlc_oracle,
     vec,
 )
@@ -66,21 +72,57 @@ def test_mld_oracle_on_germs():
     assert argmin == [vec(Fraction(1, 5), Fraction(1, 5))]
 
 
-def test_cyclic_fast_path_matches_direct_enumeration():
-    # The oracle special-cases bases of the shape ((1/r, w/r), (0, 1)).
-    # Recompute those quotients longhand and compare.
+def test_oracle_matches_longhand_enumeration():
+    # Recompute each quotient longhand in Fractions from both basis rows
+    # and compare value and minimizers. The sheared bases ((r1, r1 + r2))
+    # are not triangular; the oracle must not assume that shape.
     def wrap(x: Fraction) -> Fraction:
         shifted = x - (x.numerator // x.denominator)
         return shifted if shifted else Fraction(1)
 
-    psi = vec(Fraction(3, 7), Fraction(2))
-    for r, w in ((1, 0), (2, 1), (5, 2), (12, 7), (30, 11)):
-        lat = lattice_from_quotient_type(r, 1, w)
-        expected = min(
-            wrap(Fraction(k, r)) * psi.x1 + wrap(Fraction(k * w, r)) * psi.x2
-            for k in range(r)
-        )
-        assert mld_oracle_lattice(lat, psi)[0] == expected
+    cyclic = [
+        lattice_from_quotient_type(r, 1, w)
+        for r, w in ((1, 0), (2, 1), (5, 2), (12, 7), (30, 11))
+    ]
+    sheared = [Lattice(2, (lat.basis[0], lat.basis[0] + lat.basis[1])) for lat in cyclic]
+    psis = (vec(Fraction(3, 7), Fraction(2)), vec(0, 0), vec(1, 1), vec(Fraction(5, 6), 0))
+    for lat in cyclic + sheared + list(superlattices(24)):
+        r1, r2 = lat.basis
+        n1 = math.lcm(r1.x1.denominator, r1.x2.denominator)
+        n2 = math.lcm(r2.x1.denominator, r2.x2.denominator)
+        reps = {
+            vec(wrap(i * r1.x1 + j * r2.x1), wrap(i * r1.x2 + j * r2.x2))
+            for i in range(n1)
+            for j in range(n2)
+        }
+        for psi in psis:
+            pairings = {m: m.x1 * psi.x1 + m.x2 * psi.x2 for m in reps}
+            best = min(pairings.values())
+            argmin = sorted(m for m, v in pairings.items() if v == best)
+            assert mld_oracle_lattice(lat, psi) == (best, argmin)
+
+
+def test_oracle_shares_no_code_with_the_engine():
+    # Outside TYPE_CHECKING the oracle may take only the plane types
+    # from the package, so an engine bug cannot vouch for itself.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    type_only = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+        for inner in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        if id(node) in type_only:
+            continue
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "toricmld" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "toricmld":
+                continue
+            assert module == "lattices"
+            assert {a.name for a in node.names} <= {"Lattice", "Rational", "Vec2"}
 
 
 def test_general_path_handles_noncyclic_quotients():
