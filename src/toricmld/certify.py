@@ -17,14 +17,15 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import VerificationFailure
 from .germs import (
+    CaseData,
     CaseTag,
     Germ,
-    ResidueScan,
+    Minimum,
     canonical_germ,
     case_analysis_lattice,
     case_analysis_ray,
     psi_of,
-    scan_lattice,
+    sail_minimum,
 )
 from .lattices import (
     E1,
@@ -84,31 +85,36 @@ class Verification(NamedTuple):
 
 
 def classify_tlc_lattice(
-    lat: Lattice, psi: Vec2, t: Rational, scan: Optional[ResidueScan] = None
+    lat: Lattice, psi: Vec2, t: Rational, minimum: Optional[Minimum] = None
 ) -> Certificate:
     """Certificate for a full-rank superlattice of the integer plane.
 
-    `scan` is `scan_lattice(lat, psi)` when the caller already has it.
+    `minimum` is `sail_minimum(lat, psi)` when the caller already has it.
     """
     t = Fraction(t)
     if t <= 0:
         raise ValueError("threshold must be positive")
     if psi.is_zero():
         raise ValueError("threshold classification needs a nonzero psi")
-    if scan is None:
-        scan = scan_lattice(lat, psi)
-    if scan.mld < t:
-        return NotTLC(scan.minimizers[0], scan.mld)
-    data = case_analysis_lattice(lat, psi, scan)
+    if minimum is None:
+        minimum = sail_minimum(lat, psi)
+    if minimum.value < t:
+        return NotTLC(minimum.first, minimum.value)
+    return certificate_from_case_data(case_analysis_lattice(lat, psi, minimum), psi, t)
+
+
+def certificate_from_case_data(data: CaseData, psi: Vec2, t: Rational) -> Certificate:
+    """Covector certificate for a threshold t at or below the minimum data.mld."""
     if data.gamma >= t:
         return CaseA(data.v1)
     # gamma < t <= lam only happens in the split case with positive
     # kernel component; the exact decomposition of psi gives the pair.
-    assert data.tag is CaseTag.SPLIT and data.psi_prime > 0
+    if not (data.tag is CaseTag.SPLIT and data.psi_prime > 0):
+        raise VerificationFailure("gamma < t <= mld outside the split case with psi_prime > 0")
     t2 = (data.mld - data.gamma) / (1 - data.alpha)
     t1 = data.mld - t2
-    assert t1 > 0 and t2 > 0
-    assert data.v1.scaled(t1) + data.v2.scaled(t2) == psi
+    if not (t1 > 0 and t2 > 0 and data.v1.scaled(t1) + data.v2.scaled(t2) == psi):
+        raise VerificationFailure("the adapted pair does not decompose psi with positive weights")
     return CaseB(data.v1, data.v2, t1, t2)
 
 
@@ -266,10 +272,10 @@ def lawrence(lat: Lattice, p: int, q: int) -> LawrenceResult:
     p, q = t.numerator, t.denominator
     psi = vec(1, 1)
 
-    scan = scan_lattice(lat, psi)
-    if scan.mld < t:
-        return Hit(scan.minimizers[0])
-    data = case_analysis_lattice(lat, psi, scan)
+    minimum = sail_minimum(lat, psi)
+    if minimum.value < t:
+        return Hit(minimum.first)
+    data = case_analysis_lattice(lat, psi, minimum)
     if data.gamma >= t:
         m = box_maximal(data.v1, Fraction(q, p))
         assert m.x1.denominator == 1 and m.x2.denominator == 1
@@ -391,22 +397,33 @@ def cyclic_lattices(r_max: int) -> Iterator[tuple[Lattice, tuple[int, int, int]]
                 yield lattice_from_quotient_type(r, 1, w), (r, 1, w)
 
 
-def classify_germ_record(germ: Germ, t: Rational) -> ClassifiedGerm:
+def classify_germ_record(
+    germ: Germ,
+    t: Rational,
+    minimum: Optional[Minimum] = None,
+    data: Optional[CaseData] = None,
+) -> ClassifiedGerm:
     """Classify one germ, verify the certificate, attach series data.
 
     Returns the record, with a NotTLC certificate when the value is
     below the threshold (callers decide whether to stream those).
-    Raises VerificationFailure if the certificate fails its own check.
+    `minimum` and `data` are the germ's `sail_minimum` and case analysis
+    when the caller already has them; the case analysis is computed only
+    when the certificate needs it. Raises VerificationFailure if the
+    certificate fails its own check.
     """
     t = Fraction(t)
     lat = germ.lattice
     psi = psi_of(germ)
-    scan = scan_lattice(lat, psi)
-    value = scan.mld
-    if psi.is_zero():
-        cert: Certificate = NotTLC(scan.minimizers[0], value)
+    if minimum is None:
+        minimum = sail_minimum(lat, psi)
+    value = minimum.value
+    if value < t or psi.is_zero():
+        cert: Certificate = NotTLC(minimum.first, value)
     else:
-        cert = classify_tlc_lattice(lat, psi, t, scan)
+        if data is None:
+            data = case_analysis_lattice(lat, psi, minimum)
+        cert = certificate_from_case_data(data, psi, t)
     outcome = verify_certificate_lattice(lat, psi, t, cert)
     if not outcome:
         raise VerificationFailure(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -32,7 +33,14 @@ from .certify import (
 )
 from .errors import VerificationFailure
 from .geometry import bounded_complement, complement_standard
-from .germs import Germ, case_analysis, germ_from_quotient_type, mld_argmin, psi_of
+from .germs import (
+    Germ,
+    case_analysis_lattice,
+    germ_from_quotient_type,
+    mld_argmin,
+    psi_of,
+    sail_minimum,
+)
 from .lattices import (
     Vec2,
     contains,
@@ -146,11 +154,13 @@ def _cmd_mld(args) -> int:
 def _cmd_classify(args) -> int:
     germ = _germ_from_args(args)
     t = _parse_threshold(args.t)
-    if psi_of(germ).is_zero():
+    lat, psi = germ.lattice, psi_of(germ)
+    if psi.is_zero():
         raise ValueError("threshold classification needs a nonzero psi (boundary below (1,1))")
-    record = classify_germ_record(germ, t)
-    out = record_to_json(record)
-    out["case_data"] = case_data_to_json(case_analysis(germ))
+    minimum = sail_minimum(lat, psi)
+    data = case_analysis_lattice(lat, psi, minimum)
+    out = record_to_json(classify_germ_record(germ, t, minimum, data))
+    out["case_data"] = case_data_to_json(data)
     print(dumps(out))
     return 0
 
@@ -437,9 +447,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `run` and reused by every later one.
+
+    Each parse returns a fresh namespace, so no argument outlives its call.
+    """
+    return build_parser()
+
+
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(list(argv))
+    args = _parser().parse_args(list(argv))
     return args.func(args)
 
 

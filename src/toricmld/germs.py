@@ -7,13 +7,18 @@ discrepancy of a lattice point in the open quadrant is its pairing with
 psi, the componentwise complement of the boundary; the minimal log
 discrepancy (mld) is the infimum of those pairings.
 
-The case analysis below reduces that infimum to closed-form data: the
-best single covector v1, the scale gamma it supports, and, when psi is
-interior, an adapted lattice basis whose slice interval (alpha, beta)
-controls everything else. Each germ is scanned once (`scan_lattice`):
-one pass over the quotient representatives, in integers, gives the
-minimum and its minimizers, and every derived identity is asserted on
-the spot against that scan.
+The minimum and its minimizers come from the Klein sail of the lattice
+(the boundary of the convex hull of its points in the quadrant), walked
+once per germ in O(log index) integer steps with collinear runs kept as
+arithmetic progressions; psi on an axis reads them off the Hermite
+normal form instead. The best single covector v1 and the scale gamma it
+supports come from the sail of the dual lattice the same way. When psi
+is interior, an adapted lattice basis whose slice interval
+(alpha, beta) controls everything else completes the case analysis.
+Every derived identity is checked on the spot against the sail minimum
+and raises VerificationFailure, naming the lattice and psi, when it
+breaks. No step enumerates the quotient: `residues` is used only to
+list the minimizers of zero psi, all of the representatives.
 """
 
 from __future__ import annotations
@@ -22,27 +27,31 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
+from .errors import VerificationFailure
 from .lattices import (
     E1,
     E2,
     Lattice,
     Rational,
+    Sail,
     Vec2,
     contains,
     dot,
     dual,
+    format_rational,
     in_cone,
     in_cone_interior,
+    index,
     interior_witness,
     InteriorPoint,
     is_primitive,
+    klein_sail,
     lattice_from_quotient_type,
     on_cone_boundary,
-    points_in_box,
-    residue_numerators,
-    residues,  # noqa: F401  (kept importable as toricmld.germs.residues)
+    residues,
+    scaled_basis,
     split_along_covector,
     swapped_lattice,
     vec,
@@ -114,62 +123,117 @@ def log_discrepancy(germ: Germ, e: Sequence) -> Rational:
     return dot(psi_of(germ), e)
 
 
-class ResidueScan(NamedTuple):
-    """One pass over the quotient representatives for a fixed psi.
+class Minimum(NamedTuple):
+    """Least pairing of psi over the open quadrant and where it is attained.
 
-    `points` are the representatives scaled by `denominator` (see
-    `residue_numerators`); `mld` is the least pairing with psi and
-    `minimizers` the sorted representatives attaining it.
+    The minimizers in (0,1]^2 are first + k*step for 0 <= k < count, in
+    lexicographic order; a unique minimizer has a zero step. Zero psi is
+    the exception: every representative attains the value 0, count is
+    the index and the full list is `residues(lat)`.
     """
 
-    denominator: int
-    points: list[tuple[int, int]]
-    mld: Rational
-    minimizers: list[Vec2]
-
-    def min_pairing(self, m: Vec2) -> Rational:
-        """Least pairing of the covector m with the scanned representatives."""
-        values, scale = _integer_pairings(self.points, m)
-        return Fraction(min(values), scale * self.denominator)
+    value: Rational
+    first: Vec2
+    step: Vec2
+    count: int
 
 
-def _integer_pairings(points: list[tuple[int, int]], m: Vec2) -> tuple[list[int], int]:
-    """Pairings of m with integer points, scaled by m's common denominator."""
+def _scaled_covector(m: Vec2) -> tuple[int, int, int]:
+    """(s, c1, c2): the covector m times its common denominator s."""
     scale = math.lcm(m.x1.denominator, m.x2.denominator)
-    m1 = m.x1.numerator * (scale // m.x1.denominator)
-    m2 = m.x2.numerator * (scale // m.x2.denominator)
-    return [m1 * x + m2 * y for x, y in points], scale
+    return (
+        scale,
+        m.x1.numerator * (scale // m.x1.denominator),
+        m.x2.numerator * (scale // m.x2.denominator),
+    )
 
 
-def scan_lattice(lat: Lattice, psi: Vec2) -> ResidueScan:
-    """Minimum pairing over the open quadrant, via (0,1]^2 representatives.
+def _open_sail_argmin(sail: Sail, c1: int, c2: int) -> tuple[int, int, int, int, int]:
+    """Least c1*x + c2*y over the lattice points in the open quadrant.
 
-    Valid whenever psi is componentwise nonnegative: shifting any
-    interior point down into the representative box only lowers the
-    pairing, so the minimum is attained among representatives. The
-    pairings are compared as integers; rationals are built only for the
-    minimum and its minimizers.
+    Needs c1, c2 > 0. Every such point lies in a unimodular cone of two
+    consecutive sail points, so the minimizers are sail points other
+    than the two axis points v_0 and v_{s+1}; when there are none the
+    lattice is a grid and its corner is the only minimizer. The pairing
+    is convex along the sail, so the minimizers are the start of the
+    first edge it does not decrease along, or that whole edge when it is
+    constant there. Returns (x, y, dx, dy, count) in the sail's integer
+    coordinates.
     """
-    denom, points = residue_numerators(lat)
-    values, scale = _integer_pairings(points, psi)
-    best = min(values)
-    minimizers = [
-        Vec2(Fraction(x, denom), Fraction(y, denom))
-        for (x, y), value in zip(points, values)
-        if value == best
-    ]
-    return ResidueScan(denom, points, Fraction(best, scale * denom), minimizers)
+    edges = sail.edges
+    last = len(edges) - 1
+    if last == 0 and edges[0].length == 1:
+        corner = edges[0]
+        return corner.dx, corner.y, 0, 0, 1
+    # Without a break, the pairing falls all the way: the last edge's
+    # final interior point wins.
+    for j, edge in enumerate(edges):
+        slope = c1 * edge.dx + c2 * edge.dy
+        if slope >= 0:
+            break
+    lo = 1 if j == 0 else 0
+    hi = edge.length - 1 if j == last else edge.length
+    if slope < 0:
+        t, count = hi, 1
+    else:
+        t, count = lo, (hi - lo + 1 if slope == 0 else 1)
+    step = (edge.dx, edge.dy) if count > 1 else (0, 0)
+    return edge.x + t * edge.dx, edge.y + t * edge.dy, *step, count
+
+
+def sail_minimum(lat: Lattice, psi: Vec2) -> Minimum:
+    """Minimum pairing over the open quadrant, with its minimizers as one run.
+
+    `lat` is a full-rank superlattice of the integer plane and psi is
+    componentwise nonnegative. Interior psi reads the minimum off the
+    Klein sail in O(log index) steps (`klein_sail`). Psi on an axis
+    reads it off the Hermite normal form ((a, b), (0, d)): psi = (c, 0)
+    is least on the first column x = a, psi = (0, c) on the lowest row,
+    y = gcd(b, d). Rationals are built only for the returned value and
+    points.
+    """
+    if not in_cone(psi):
+        raise ValueError("psi must lie in the closed dual quadrant")
+    denom, a, b, d = scaled_basis(lat)
+    scale, c1, c2 = _scaled_covector(psi)
+    if c1 and c2:
+        x, y, dx, dy, count = _open_sail_argmin(klein_sail(lat), c1, c2)
+    elif c2:
+        # Lowest row: i*b + j*d = g exactly when i = u mod d/g, so the row
+        # is a coset of the horizontal axis points, spaced h apart.
+        g = math.gcd(b, d)
+        u = pow(b // g, -1, d // g)
+        h = a * (d // g)
+        x, y, dx, dy = (u * a - 1) % h + 1, g, h, 0
+        count = (denom - x) // h + 1
+    else:
+        # First column, lowest point first; for zero psi that point is
+        # the lexicographically least representative.
+        x, y = a, (b - 1) % d + 1
+        if c1:
+            dx, dy, count = 0, d, (denom - y) // d + 1
+        else:
+            dx, dy, count = 0, 0, index(lat)
+    return Minimum(
+        Fraction(c1 * x + c2 * y, scale * denom),
+        Vec2(Fraction(x, denom), Fraction(y, denom)),
+        Vec2(Fraction(dx, denom), Fraction(dy, denom)),
+        count,
+    )
 
 
 def mld_lattice(lat: Lattice, psi: Vec2) -> Rational:
-    """Minimum pairing over the open quadrant (see `scan_lattice`)."""
-    return scan_lattice(lat, psi).mld
+    """Minimum pairing over the open quadrant (see `sail_minimum`)."""
+    return sail_minimum(lat, psi).value
 
 
 def mld_argmin_lattice(lat: Lattice, psi: Vec2) -> tuple[Rational, list[Vec2]]:
     """Minimum pairing and the sorted list of minimizing representatives."""
-    scan = scan_lattice(lat, psi)
-    return scan.mld, scan.minimizers
+    minimum = sail_minimum(lat, psi)
+    if psi.is_zero():
+        return minimum.value, residues(lat)
+    first, step = minimum.first, minimum.step
+    return minimum.value, [first + step.scaled(Fraction(k)) for k in range(minimum.count)]
 
 
 def mld(germ: Germ) -> Rational:
@@ -202,24 +266,55 @@ def gamma_of(m: Vec2, psi: Vec2) -> Optional[Rational]:
     return best
 
 
+def _checker(lat: Lattice, psi: Vec2) -> Callable[[bool, str], None]:
+    """check(ok, identity) raises VerificationFailure naming lat, psi and the identity."""
+
+    def check(ok: bool, identity: str) -> None:
+        if not ok:
+            raise VerificationFailure(
+                f"{identity} fails for {lat!r} at psi "
+                f"({format_rational(psi.x1)},{format_rational(psi.x2)})"
+            )
+
+    return check
+
+
 def gamma_max_lattice(m_lat: Lattice, psi: Vec2, lam: Rational) -> tuple[Rational, Vec2]:
     """Maximum scale over nonzero dual-lattice quadrant covectors.
 
-    `lam` must be the minimum pairing for the same data; the maximum is
-    at least lam/2, so every maximizer m satisfies psi - (lam/2)m >= 0
-    and lies in the box [0, 2*psi1/lam] x [0, 2*psi2/lam]. Returns the
-    value and the lexicographically least maximizer.
+    Returns the value and the lexicographically least maximizer. The
+    scale only grows when a covector shrinks, so that maximizer is
+    Pareto-minimal in the quadrant, and every Pareto-minimal point lies
+    on the Klein sail of the dual lattice (a point of a unimodular cone
+    of two sail points dominates one of them). Along the sail x rises
+    and y falls, so 1/scale = max(x/psi1, y/psi2) falls until the two
+    terms cross and rises after: the maximum sits at the last point
+    with x*psi2 <= y*psi1 or the one after it. `lam` is the minimum
+    pairing for the same data; the maximum is checked to reach lam/2.
     """
-    assert lam > 0
+    if lam <= 0:
+        raise ValueError("the covector bound needs a positive minimum")
+    sail = klein_sail(m_lat)
+    _, c1, c2 = _scaled_covector(psi)
+    for edge in sail.edges:
+        g0 = edge.x * c2 - edge.y * c1
+        slope = edge.dx * c2 - edge.dy * c1
+        if g0 + edge.length * slope > 0:
+            t = -g0 // slope
+            ts = (t, t + 1)
+            break
+    else:
+        ts = (edge.length,)
     best: Optional[tuple[Rational, Vec2]] = None
-    for m in points_in_box(m_lat, 2 * psi.x1 / lam, 2 * psi.x2 / lam):
-        if m.is_zero():
-            continue
+    for t in ts:
+        m = Vec2(
+            Fraction(edge.x + t * edge.dx, sail.denominator),
+            Fraction(edge.y + t * edge.dy, sail.denominator),
+        )
         gm = gamma_of(m, psi)
-        assert gm is not None
         if best is None or gm > best[0]:
             best = (gm, m)
-    assert best is not None and 2 * best[0] >= lam
+    _checker(m_lat, psi)(2 * best[0] >= lam, "best covector scale >= lam/2")
     return best
 
 
@@ -274,7 +369,9 @@ class CaseData:
     c: Optional[Rational] = None
 
 
-def _slice_interval(e1p: Vec2, e2p: Vec2) -> tuple[Rational, Optional[Rational]]:
+def _slice_interval(
+    e1p: Vec2, e2p: Vec2, check: Callable[[bool, str], None]
+) -> tuple[Rational, Optional[Rational]]:
     """Parameter interval where e1p + t*e2p lies in the open quadrant.
 
     Nonempty because the unit-pairing slice always meets the open
@@ -288,37 +385,38 @@ def _slice_interval(e1p: Vec2, e2p: Vec2) -> tuple[Rational, Optional[Rational]]
         elif step < 0:
             upper.append(-base / step)
         else:
-            assert base > 0
-    assert lower
+            check(base > 0, "slice is parallel to an axis inside the quadrant")
+    check(bool(lower), "slice is bounded below")
     a0 = max(lower)
     b0 = min(upper) if upper else None
-    assert b0 is None or a0 < b0
+    check(b0 is None or a0 < b0, "slice interval is nonempty")
     return a0, b0
 
 
 def case_analysis_lattice(
-    lat: Lattice, psi: Vec2, scan: Optional[ResidueScan] = None
+    lat: Lattice, psi: Vec2, minimum: Optional[Minimum] = None
 ) -> CaseData:
     """Closed-form discrepancy data for a full-rank superlattice.
 
-    `scan` is `scan_lattice(lat, psi)` when the caller already has it.
-    Asserts every derived identity against that residue scan; an
-    assertion here means the closed forms and the brute force disagree,
-    which is a bug, not bad input.
+    `minimum` is `sail_minimum(lat, psi)` when the caller already has
+    it. Every derived identity is checked against that minimum; a
+    failure raises VerificationFailure, because it means the closed
+    forms disagree with each other, which is a bug, not bad input.
     """
     if not in_cone(psi):
         raise ValueError("psi must lie in the closed dual quadrant")
     if psi.is_zero():
         raise ValueError("case analysis needs a nonzero psi")
-    if scan is None:
-        scan = scan_lattice(lat, psi)
-    lam, minimizers = scan.mld, scan.minimizers
+    if minimum is None:
+        minimum = sail_minimum(lat, psi)
+    check = _checker(lat, psi)
+    lam = minimum.value
     gamma, v1 = gamma_max_lattice(dual(lat), psi, lam)
-    assert gamma <= lam <= 2 * gamma
+    check(gamma <= lam <= 2 * gamma, "gamma <= lam <= 2*gamma")
 
     if psi.x1 == 0 or psi.x2 == 0:
         # Boundary psi: the best covector realizes psi exactly.
-        assert lam == gamma and v1.scaled(gamma) == psi
+        check(lam == gamma and v1.scaled(gamma) == psi, "lam*v1 == psi")
         return CaseData(tag=CaseTag.BOUNDARY_PSI, gamma=gamma, v1=v1, mld=lam)
 
     e1p, e2p = split_along_covector(lat, v1)
@@ -331,46 +429,50 @@ def case_analysis_lattice(
         e2p = max(e2p, -e2p)
     psi_prime = pp
 
-    a0, b0 = _slice_interval(e1p, e2p)
+    a0, b0 = _slice_interval(e1p, e2p, check)
     shift = math.floor(a0)
     e1p = e1p + e2p.scaled(Fraction(shift))
     alpha = a0 - shift
     beta = None if b0 is None else b0 - shift
-    assert 0 <= alpha < 1
-    assert dot(v1, e1p) == 1 and dot(v1, e2p) == 0
+    check(0 <= alpha < 1, "0 <= alpha < 1")
+    check(dot(v1, e1p) == 1 and dot(v1, e2p) == 0, "v1 pairs to (1, 0)")
 
     det = e1p.x1 * e2p.x2 - e1p.x2 * e2p.x1
     v2 = Vec2(-e1p.x2 / det, e1p.x1 / det)
-    assert dot(v2, e1p) == 0 and dot(v2, e2p) == 1
+    check(dot(v2, e1p) == 0 and dot(v2, e2p) == 1, "v2 pairs to (0, 1)")
 
     # Residual vanishes along the slice's lower endpoint direction.
     gamma_resid = Vec2(psi.x1 - gamma * v1.x1, psi.x2 - gamma * v1.x2)
-    assert dot(gamma_resid, e1p + e2p.scaled(alpha)) == 0
+    check(dot(gamma_resid, e1p + e2p.scaled(alpha)) == 0, "residual vanishes at the lower end")
 
     if beta is None:
         # v1 on the dual boundary: the slice escapes to infinity.
-        assert on_cone_boundary(v1)
-        assert 0 < psi_prime <= 1
+        check(on_cone_boundary(v1), "unbounded slice has v1 on an axis")
+        check(0 < psi_prime <= 1, "0 < psi_prime <= 1")
         c = None
     else:
-        assert in_cone_interior(v1)
-        assert 0 <= psi_prime < 1
+        check(in_cone_interior(v1), "bounded slice has v1 interior")
+        check(0 <= psi_prime < 1, "0 <= psi_prime < 1")
         c = 1 + psi_prime * (beta - alpha)
-        assert beta >= c and beta > 1
+        check(beta >= c and beta > 1, "beta >= c and beta > 1")
 
     value = gamma * (1 + psi_prime * (1 - alpha))
-    assert value == lam
+    check(value == lam, "gamma*(1 + psi_prime*(1 - alpha)) == lam")
 
     # Positive kernel component forces a unique minimizer (the converse
     # can fail, e.g. on the index-2 diagonal superlattice).
     if psi_prime > 0:
-        assert minimizers == [e1p + e2p]
+        check(minimum.count == 1 and minimum.first == e1p + e2p, "minimizers == [e1p + e2p]")
 
     q_min = alpha.denominator
     lambda_prime = gamma * psi_prime / q_min
-    assert lambda_prime == scan.min_pairing(gamma_resid)
+    residual_min = sail_minimum(lat, gamma_resid).value
+    check(lambda_prime == residual_min, "lambda_prime == mld of the residual psi - gamma*v1")
     if alpha > 0:
-        assert lam == gamma + (q_min - q_min * alpha) * lambda_prime
+        check(
+            lam == gamma + (q_min - q_min * alpha) * lambda_prime,
+            "lam == gamma + q_min*(1 - alpha)*lambda_prime",
+        )
 
     return CaseData(
         tag=CaseTag.SPLIT,
@@ -410,8 +512,9 @@ def case_analysis_ray(lat: Lattice, psi: Vec2) -> CaseData:
     if not isinstance(wit, InteriorPoint):
         raise ValueError("ray analysis needs a generator inside the open quadrant")
     e = wit.point
+    check = _checker(lat, psi)
     lam = dot(psi, e)
-    assert lam > 0
+    check(lam > 0, "interior generator pairs positively")
     v1 = Vec2(psi.x1 / lam, psi.x2 / lam)
-    assert dot(v1, e) == 1
+    check(dot(v1, e) == 1, "v1 pairs to one with the generator")
     return CaseData(tag=CaseTag.RAY, gamma=lam, v1=v1, mld=lam)

@@ -250,13 +250,13 @@ def scaled_basis(lat: Lattice) -> tuple[int, int, int, int]:
     return denom, a, b, d
 
 
-def residue_numerators(lat: Lattice) -> tuple[int, list[tuple[int, int]]]:
-    """Quotient representatives by the integer plane, scaled to integers.
+def residues(lat: Lattice) -> list[Vec2]:
+    """Representatives of the quotient by the integer plane, in (0,1]^2.
 
-    Returns (D, points): D is the common denominator of the basis and
-    points are the integer pairs (x, y) with 0 < x, y <= D such that the
-    points (x/D, y/D) are exactly the representatives in (0,1]^2, one
-    per class, sorted lexicographically.
+    Exactly index(lat) points, sorted lexicographically; the class of
+    zero is represented by (1, 1). The enumeration runs in integers
+    scaled by the basis's common denominator; rationals are built only
+    for the returned points.
     """
     n = index(lat)
     r1, r2 = lat.basis
@@ -269,19 +269,70 @@ def residue_numerators(lat: Lattice) -> tuple[int, list[tuple[int, int]]]:
         for j in range(r2.x2.denominator):
             seen.add((x, (i * b + j * d - 1) % denom + 1))
     assert len(seen) == n
-    return denom, sorted(seen)
+    return [Vec2(Fraction(x, denom), Fraction(y, denom)) for x, y in sorted(seen)]
 
 
-def residues(lat: Lattice) -> list[Vec2]:
-    """Representatives of the quotient by the integer plane, in (0,1]^2.
+class SailEdge(NamedTuple):
+    """Lattice points (x + t*dx, y + t*dy) for 0 <= t <= length, in integers."""
 
-    Exactly index(lat) points, sorted lexicographically; the class of
-    zero is represented by (1, 1). The scan runs in integers scaled by
-    the basis's common denominator (see `residue_numerators`); rationals
-    are built only for the returned points.
+    x: int
+    y: int
+    dx: int
+    dy: int
+    length: int
+
+
+class Sail(NamedTuple):
+    """Klein sail of a full-rank lattice in the closed quadrant.
+
+    The sail is the compact part of the boundary of the convex hull of
+    the nonzero lattice points of the closed quadrant. Its lattice
+    points v_0, ..., v_{s+1} run from the primitive point of the
+    vertical axis to the primitive point of the horizontal axis, with x
+    strictly increasing and y strictly decreasing, and every cone
+    spanned by two consecutive points is unimodular. Coordinates are
+    scaled by `denominator`, the basis's common denominator; `edges`
+    are the maximal straight runs, so collinear points cost nothing.
     """
-    denom, points = residue_numerators(lat)
-    return [Vec2(Fraction(x, denom), Fraction(y, denom)) for x, y in points]
+
+    denominator: int
+    edges: list[SailEdge]
+
+
+def klein_sail(lat: Lattice) -> Sail:
+    """Klein sail of a full-rank lattice, in O(log index) integer steps.
+
+    With the scaled basis ((a, b), (0, d)), v_0 = (0, d) and v_1 = (a, b)
+    form a lattice basis, and d*v_1 - b*v_0 lies on the horizontal axis.
+    The sail points follow the Hirzebruch-Jung recursion
+    v_{i+1} = c_i*v_i - v_{i-1}, where d/b = c_1 - 1/(c_2 - 1/...); only
+    the ratio matters, so no gcd is taken. A run of c_i = 2 continues the
+    current edge; from the remainder n/k it is k // (n - k) terms long
+    and is skipped in one step, so the walk takes O(log index) steps.
+    """
+    denom, a, b, d = scaled_basis(lat)
+    # Invariant: n*(px, py) - k*(previous point) lies on the horizontal axis.
+    n, k = d, b
+    px, py = a, b
+    sx, sy = a, b - d
+    start, length = (0, d), 1
+    edges: list[SailEdge] = []
+    while k:
+        c = -(-n // k)
+        if c == 2:
+            e = n - k
+            run = k // e
+            length += run
+            px, py = px + run * sx, py + run * sy
+            n, k = k - (run - 1) * e, k - run * e
+        else:
+            edges.append(SailEdge(*start, sx, sy, length))
+            start, length = (px, py), 1
+            sx, sy = sx + (c - 2) * px, sy + (c - 2) * py
+            px, py = px + sx, py + sy
+            n, k = k, c * k - n
+    edges.append(SailEdge(*start, sx, sy, length))
+    return Sail(denom, edges)
 
 
 def is_primitive(lat: Lattice, v: Sequence) -> bool:

@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from toricmld import superlattices
+from toricmld import cli, superlattices
 from toricmld.cli import main
 from toricmld.records import TABLE_COLUMNS, dumps, record_from_json, record_table_row
 
@@ -81,6 +85,31 @@ def test_invalid_input_exits_one(capsys):
                 "--boundary-set", "file")[0]
         == 1
     )
+
+
+def test_parser_is_built_once_and_keeps_no_arguments(capsys):
+    # One parser serves every call in a process; each call parses into a
+    # fresh namespace, so a flag given once never reaches a later call.
+    classify = ("classify", "--type", "5,1,1", "--t", "2/5")
+    first = run_cli(capsys, *classify)
+    assert first[0] == 0 and first[2] == ""
+    assert run_cli(capsys, "mld", "--type", "1,0,0", "--boundary", "1/2,0") == (0, "3/2\n(1,1)\n", "")
+    code, out, err = run_cli(capsys, "classify", "--type", "5,1,1", "--t", "2/5", "--no-such-flag")
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert run_cli(capsys, *classify) == first
+    assert cli._parser.cache_info().currsize == 1
+
+
+def test_parser_is_not_built_at_import():
+    probe = "import toricmld.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert proc.stdout == "0\n", proc.stderr
 
 
 def test_enumerate_verify_roundtrip(capsys, tmp_path):
