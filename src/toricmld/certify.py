@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import VerificationFailure
 from .germs import (
@@ -21,7 +21,6 @@ from .germs import (
     CaseTag,
     Germ,
     Minimum,
-    canonical_germ,
     case_analysis_lattice,
     case_analysis_ray,
     psi_of,
@@ -33,8 +32,8 @@ from .lattices import (
     InteriorPoint,
     Lattice,
     Rational,
-    STANDARD_LATTICE,
     Vec2,
+    basis_order,
     contains,
     cyclic_type,
     dot,
@@ -43,9 +42,9 @@ from .lattices import (
     in_cone_interior,
     interior_witness,
     lattice_from_generators,
-    lattice_from_quotient_type,
     scaled_basis,
     superlattices,
+    swapped_lattice,
     vec,
 )
 from .oracle import mld_oracle_lattice
@@ -372,6 +371,10 @@ def series_certificate_log(
     return n, bn
 
 
+# The integer form (D, a, b, d) of a rank-2 lattice, see `Lattice.hnf`.
+_Form = tuple[int, int, int, int]
+
+
 class ClassifiedGerm(NamedTuple):
     """One enumeration record: germ, threshold, value, proof, series."""
 
@@ -382,19 +385,41 @@ class ClassifiedGerm(NamedTuple):
     series: list[tuple[int, int]]
 
 
+def _cyclic_forms(r_max: int) -> Iterator[tuple[_Form, _Form, int]]:
+    """(form, swap form, order) for each cyclic lattice 1/r(1, w), r <= r_max.
+
+    The form of 1/r(1, w) is the integer basis (r, 1, w, r) of
+    ((1/r, w/r), (0, 1)), already canonical. Its swap is 1/r(w, 1), that
+    is 1/r(1, w') with w' the inverse of w mod r, so one modular inverse
+    gives it. Both share the denominator r, so `order`, the sign of
+    `basis_order` of the two lattices, is the sign of w - w'.
+    """
+    if r_max < 1:
+        raise ValueError("order bound must be a positive integer")
+    yield (1, 1, 0, 1), (1, 1, 0, 1), 0
+    for r in range(2, r_max + 1):
+        for w in range(1, r):
+            if math.gcd(w, r) == 1:
+                w_swap = pow(w, -1, r)
+                yield (r, 1, w, r), (r, 1, w_swap, r), (w > w_swap) - (w < w_swap)
+
+
 def cyclic_lattices(r_max: int) -> Iterator[tuple[Lattice, tuple[int, int, int]]]:
     """Cyclic-quotient germ lattices of order up to r_max, with types.
 
     Unit normalization fixes the first weight to 1 for orders above 1,
     so each subgroup appears exactly once before swap deduplication.
     """
-    if r_max < 1:
-        raise ValueError("order bound must be a positive integer")
-    yield STANDARD_LATTICE, (1, 0, 0)
-    for r in range(2, r_max + 1):
-        for w in range(1, r):
-            if math.gcd(w, r) == 1:
-                yield lattice_from_quotient_type(r, 1, w), (r, 1, w)
+    for form, _, _ in _cyclic_forms(r_max):
+        r, _, w, _ = form
+        yield Lattice(2, hnf=form), ((1, 0, 0) if r == 1 else (r, 1, w))
+
+
+def _swap_forms(lattices: Iterable[Lattice]) -> Iterator[tuple[_Form, _Form, int]]:
+    """(form, swap form, order) for each lattice: one `swapped_lattice` per lattice."""
+    for lat in lattices:
+        swap = swapped_lattice(lat)
+        yield lat.hnf, swap.hnf, basis_order(lat, swap)
 
 
 def classify_germ_record(
@@ -441,25 +466,46 @@ def candidate_germs(
 
     mode "cyclic" walks cyclic quotient lattices of order up to the
     bound; mode "all" walks every superlattice of index up to the bound
-    (including ones whose unit points are imprimitive). Germs equal up
-    to the coordinate swap appear once, in first-seen order.
+    (including ones whose unit points are imprimitive). Each germ is
+    replaced by the least of it and its coordinate swap, ordered as in
+    `canonical_germ`, and germs equal up to the swap appear once, in
+    first-seen order. Each lattice is swapped once, not once per
+    boundary pair, and compared with its swap in integers.
     """
     if mode == "cyclic":
-        lattices: Iterator[Lattice] = (lat for lat, _ in cyclic_lattices(bound))
+        forms = _cyclic_forms(bound)
     elif mode == "all":
-        lattices = superlattices(bound)
+        forms = _swap_forms(superlattices(bound))
     else:
         raise ValueError(f"unknown enumeration mode: {mode!r}")
 
-    seen: set[tuple] = set()
-    for lat in lattices:
-        for b1, b2 in boundaries:
-            germ = canonical_germ(Germ(lat, Fraction(b1), Fraction(b2)))
-            key = (germ.lattice.basis, germ.b1, germ.b2)
+    # Each boundary pair and its swap, with small integer ids for the
+    # dedupe keys, and whether the pair is the least of the two.
+    ids: dict[tuple[Rational, Rational], int] = {}
+    plan = []
+    for b1, b2 in boundaries:
+        pair, swapped = (Fraction(b1), Fraction(b2)), (Fraction(b2), Fraction(b1))
+        own, other = ids.setdefault(pair, len(ids)), ids.setdefault(swapped, len(ids))
+        plan.append((pair, own, swapped, other, pair <= swapped))
+
+    # Keys are (integer form of the canonical lattice, boundary id). A
+    # Lattice is built only when a germ is yielded, at most once per form
+    # of the current pair.
+    seen: set[tuple[_Form, int]] = set()
+    for form, swap, order in forms:
+        built: dict[_Form, Lattice] = {}
+        for pair, own, swapped, other, least in plan:
+            if order < 0 or (order == 0 and least):
+                key = (form, own)
+            else:
+                key, pair = (swap, other), swapped
             if key in seen:
                 continue
             seen.add(key)
-            yield germ
+            lat = built.get(key[0])
+            if lat is None:
+                lat = built[key[0]] = Lattice(2, hnf=key[0])
+            yield Germ(lat, *pair)
 
 
 def enumerate_germs(

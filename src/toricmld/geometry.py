@@ -18,10 +18,12 @@ from .germs import (
     CaseTag,
     Germ,
     case_analysis,
+    case_analysis_lattice,
     gamma_of,
     make_germ,
     mld,
     psi_of,
+    sail_minimum,
 )
 from .lattices import (
     Rational,
@@ -203,11 +205,11 @@ def complement_standard(germ: Germ, p: int, q: int) -> Complement:
     if not (is_standard_coefficient(germ.b1) and is_standard_coefficient(germ.b2)):
         raise ValueError("boundary coefficients must be standard")
     t = Fraction(p, q)
-    a = mld(germ)
-    if a < t:
-        raise ValueError("the germ's value is below the target ratio")
     psi = psi_of(germ)
-    data = case_analysis(germ)
+    minimum = sail_minimum(germ.lattice, psi)
+    if minimum.value < t:
+        raise ValueError("the germ's value is below the target ratio")
+    data = case_analysis_lattice(germ.lattice, psi, minimum)
 
     if data.gamma >= t:
         n = q

@@ -37,6 +37,7 @@ from .lattices import (
     Rational,
     Sail,
     Vec2,
+    basis_order,
     contains,
     dot,
     dual,
@@ -102,13 +103,16 @@ def swapped_germ(germ: Germ) -> Germ:
 
 
 def canonical_germ(germ: Germ) -> Germ:
-    """Least of the germ and its coordinate swap, for deduplication."""
+    """Least of the germ and its coordinate swap, for deduplication.
+
+    Germs are ordered by the lattice's `basis` (compared in integers, see
+    `basis_order`), then by (b1, b2).
+    """
     other = swapped_germ(germ)
-
-    def key(g: Germ):
-        return (g.lattice.basis, g.b1, g.b2)
-
-    return germ if key(germ) <= key(other) else other
+    order = basis_order(germ.lattice, other.lattice)
+    if order < 0 or (order == 0 and (germ.b1, germ.b2) <= (other.b1, other.b2)):
+        return germ
+    return other
 
 
 def log_discrepancy(germ: Germ, e: Sequence) -> Rational:

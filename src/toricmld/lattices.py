@@ -1,19 +1,22 @@
 """Exact rational plane lattices with canonical bases.
 
-Scalars are `fractions.Fraction` throughout; nothing in this package
-touches floating point. A subgroup of the rational plane is stored by a
-canonical triangular basis, so structural equality decides subgroup
-equality in constant time. The fixed cone everywhere is the closed
-positive quadrant; its dual is the closed positive quadrant of covectors.
+Scalars are `fractions.Fraction` or integers; nothing in this package
+touches floating point. A full-rank subgroup of the rational plane is
+stored by its canonical triangular basis scaled to integers, so integer
+equality decides subgroup equality in constant time, and membership,
+index, dual and the coordinate swap are computed on those integers.
+The fixed cone everywhere is the closed positive quadrant; its dual is
+the closed positive quadrant of covectors.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+
+from .errors import VerificationFailure
 
 Rational = Fraction
 
@@ -109,25 +112,98 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
 class Lattice:
     """Finitely generated subgroup of the rational plane.
 
-    `basis` is canonical: rank 2 stores ((a, b), (0, d)) with a, d > 0
-    and 0 <= b < d; rank 1 stores a single generator whose leading
-    nonzero coordinate is positive; rank 0 stores nothing. Build through
-    `lattice_from_generators` (or the other constructors here), never by
-    hand, so that `==` keeps meaning subgroup equality.
+    A rank-2 subgroup is identified by `hnf`, its canonical scaled
+    Hermite normal form (D, a, b, d): the basis ((a/D, b/D), (0, d/D))
+    with a, d > 0, 0 <= b < d and gcd(D, a, b, d) = 1, so D is the least
+    common denominator of the subgroup. `==`, hashing and `scaled_basis`
+    read those integers. `basis` is the rational form: rank 2 gives
+    ((a/D, b/D), (0, d/D)), built on first access and kept; rank 1 a
+    single generator whose leading nonzero coordinate is positive; rank
+    0 nothing. Build through `lattice_from_generators` (or the other
+    constructors here), never by hand, so that `basis` stays canonical
+    and `==` keeps meaning subgroup equality at every rank. Instances
+    are immutable by convention; only the cached `basis` is filled in
+    after construction.
     """
 
-    rank: int
-    basis: tuple[Vec2, ...]
+    __slots__ = ("rank", "hnf", "_basis")
+
+    def __init__(
+        self,
+        rank: int,
+        basis: Optional[tuple[Vec2, ...]] = None,
+        *,
+        hnf: Optional[tuple[int, int, int, int]] = None,
+    ):
+        self.rank = rank
+        self._basis = basis
+        if hnf is None and rank == 2:
+            hnf = lattice_from_generators(basis).hnf
+            if hnf is None:
+                raise ValueError("a rank-2 lattice needs a basis spanning the plane")
+        self.hnf = hnf
+
+    @property
+    def basis(self) -> tuple[Vec2, ...]:
+        if self._basis is None:
+            denom, a, b, d = self.hnf
+            self._basis = (
+                Vec2(Fraction(a, denom), Fraction(b, denom)),
+                Vec2(Fraction(0), Fraction(d, denom)),
+            )
+        return self._basis
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        if self.rank != other.rank:
+            return False
+        if self.rank == 2:
+            return self.hnf == other.hnf
+        return self._basis == other._basis
+
+    def __hash__(self) -> int:
+        return hash(self.hnf if self.rank == 2 else (self.rank, self._basis))
 
     def __repr__(self) -> str:
         rows = ", ".join(
             f"({format_rational(g.x1)},{format_rational(g.x2)})" for g in self.basis
         )
         return f"Lattice[{rows}]"
+
+
+def _lattice_from_rows(rows: Iterable[tuple[int, int]], scale: int) -> Lattice:
+    """Canonical subgroup generated by the integer rows divided by scale."""
+    # Fold every row with a nonzero first coordinate into a single lead row;
+    # each fold is unimodular and sheds a pure second-coordinate remainder,
+    # and those remainders generate the vertical part (0, d).
+    lead: Optional[tuple[int, int]] = None
+    d = 0
+    for a, b in rows:
+        if a == 0:
+            d = math.gcd(d, b)
+            continue
+        if lead is None:
+            lead = (a, b) if a > 0 else (-a, -b)
+            continue
+        a1, b1 = lead
+        g, u, v = _xgcd(a1, a)
+        d = math.gcd(d, (a1 // g) * b - (a // g) * b1)
+        lead = (g, u * b1 + v * b)
+
+    if lead is None:
+        if d == 0:
+            return Lattice(0, ())
+        return Lattice(1, (Vec2(Fraction(0), Fraction(d, scale)),))
+    a, b = lead
+    if d == 0:
+        return Lattice(1, (Vec2(Fraction(a, scale), Fraction(b, scale)),))
+    b %= d
+    g = math.gcd(scale, a, b, d)
+    return Lattice(2, hnf=(scale // g, a // g, b // g, d // g))
 
 
 def lattice_from_generators(gens: Iterable[Sequence]) -> Lattice:
@@ -140,43 +216,23 @@ def lattice_from_generators(gens: Iterable[Sequence]) -> Lattice:
     if not pts:
         return Lattice(0, ())
     scale = math.lcm(*[c.denominator for g in pts for c in (g.x1, g.x2)])
-    rows = [(int(g.x1 * scale), int(g.x2 * scale)) for g in pts]
+    return _lattice_from_rows([(int(g.x1 * scale), int(g.x2 * scale)) for g in pts], scale)
 
-    # Fold every row with a nonzero first coordinate into a single lead row;
-    # each fold is unimodular and sheds a pure second-coordinate remainder.
-    lead: Optional[tuple[int, int]] = None
-    tails: list[int] = []
-    for a, b in rows:
-        if a == 0:
-            tails.append(b)
-            continue
-        if lead is None:
-            lead = (a, b) if a > 0 else (-a, -b)
-            continue
-        a1, b1 = lead
-        g, u, v = _xgcd(a1, a)
-        tails.append((a1 // g) * b - (a // g) * b1)
-        lead = (g, u * b1 + v * b)
 
-    d = 0
-    for b in tails:
-        d = math.gcd(d, b)
+def basis_order(lat: Lattice, other: Lattice) -> int:
+    """Sign (-1, 0, 1) of the lexicographic comparison of the two `basis` tuples.
 
-    if lead is None:
-        if d == 0:
-            return Lattice(0, ())
-        return Lattice(1, (Vec2(Fraction(0), Fraction(d, scale)),))
-    a1, b1 = lead
-    if d == 0:
-        return Lattice(1, (Vec2(Fraction(a1, scale), Fraction(b1, scale)),))
-    b1 %= d
-    return Lattice(
-        2,
-        (
-            Vec2(Fraction(a1, scale), Fraction(b1, scale)),
-            Vec2(Fraction(0), Fraction(d, scale)),
-        ),
-    )
+    Rank 2 compares a/D, then b/D, then d/D by cross-multiplying the
+    integer forms, so no rational is built.
+    """
+    if lat.rank == 2 and other.rank == 2:
+        denom, a, b, d = lat.hnf
+        denom2, a2, b2, d2 = other.hnf
+        left = (a * denom2, b * denom2, d * denom2)
+        right = (a2 * denom, b2 * denom, d2 * denom)
+    else:
+        left, right = lat.basis, other.basis
+    return (left > right) - (left < right)
 
 
 STANDARD_LATTICE = lattice_from_generators([E1, E2])
@@ -194,20 +250,34 @@ def lattice_from_quotient_type(r: int, w1: int, w2: int) -> Lattice:
         raise ValueError(f"first weight {w1} shares a factor with the order {r}")
     if math.gcd(w2, r) != 1:
         raise ValueError(f"second weight {w2} shares a factor with the order {r}")
-    return lattice_from_generators([E1, E2, vec(Fraction(w1, r), Fraction(w2, r))])
+    # A unit multiple turns the generator into (1/r, w/r) with w = w2/w1
+    # mod r; the form ((1/r, w/r), (0, 1)) is then already canonical.
+    return Lattice(2, hnf=(r, 1, w2 * pow(w1, -1, r) % r, r))
 
 
-def _coordinates(lat: Lattice, v: Vec2) -> tuple[Rational, Rational]:
-    """Coordinates of v in the rank-2 basis (exact, possibly non-integral)."""
-    r1, r2 = lat.basis
-    x = v.x1 / r1.x1
-    y = (v.x2 - x * r1.x2) / r2.x2
+def _coordinates(lat: Lattice, v: Vec2) -> Optional[tuple[int, int]]:
+    """Integer coordinates of v in the canonical basis; None when v is not in the lattice.
+
+    With v = (n1, n2)/s and the basis ((a, b), (0, d))/D, the coordinates
+    are x = n1*D/(s*a) and y = (n2*D - x*b*s)/(s*d).
+    """
+    denom, a, b, d = lat.hnf
+    s = math.lcm(v.x1.denominator, v.x2.denominator)
+    n1 = v.x1.numerator * (s // v.x1.denominator)
+    n2 = v.x2.numerator * (s // v.x2.denominator)
+    x, rem = divmod(n1 * denom, s * a)
+    if rem:
+        return None
+    y, rem = divmod(n2 * denom - x * b * s, s * d)
+    if rem:
+        return None
     return x, y
 
 
 def contains(lat: Lattice, v: Sequence) -> bool:
     """True iff the point lies in the subgroup (solved against the basis)."""
-    v = vec(v[0], v[1])
+    if not isinstance(v, Vec2):
+        v = vec(v[0], v[1])
     if lat.rank == 0:
         return v.is_zero()
     if lat.rank == 1:
@@ -219,35 +289,38 @@ def contains(lat: Lattice, v: Sequence) -> bool:
                 return False
             c = v.x2 / g.x2
         return c.denominator == 1 and g.scaled(c) == v
-    x, y = _coordinates(lat, v)
-    return x.denominator == 1 and y.denominator == 1
+    return _coordinates(lat, v) is not None
+
+
+def _check(ok: bool, lat: Lattice, identity: str) -> None:
+    """Raise VerificationFailure naming the lattice and the identity unless ok."""
+    if not ok:
+        raise VerificationFailure(f"{identity} fails for {lat!r}")
 
 
 def index(lat: Lattice) -> int:
     """Order of the quotient of the lattice by the standard integer lattice.
 
-    Only defined for full-rank superlattices of the integer plane.
+    Only defined for full-rank superlattices of the integer plane. With
+    the basis ((a, b), (0, d))/D, e2 lies in the lattice iff d divides D
+    and e1 iff a divides D and d divides (D/a)*b; the index is then
+    (D/a)*(D/d), the inverse of the determinant.
     """
     if lat.rank != 2:
         raise ValueError("index needs a rank-2 lattice")
-    if not (contains(lat, E1) and contains(lat, E2)):
+    denom, a, b, d = lat.hnf
+    if denom % a or denom % d or (denom // a * b) % d:
         raise ValueError("index needs a lattice containing the integer plane")
-    r1, r2 = lat.basis
-    order = 1 / (r1.x1 * r2.x2)
-    assert order.denominator == 1
-    return int(order)
+    n = (denom // a) * (denom // d)
+    _check(n * a * d == denom * denom, lat, "index * determinant == 1")
+    return n
 
 
 def scaled_basis(lat: Lattice) -> tuple[int, int, int, int]:
     """(D, a, b, d): a rank-2 basis ((a, b), (0, d)) times its common denominator D."""
     if lat.rank != 2:
         raise ValueError("scaled basis needs a full-rank lattice")
-    r1, r2 = lat.basis
-    denom = math.lcm(r1.x1.denominator, r1.x2.denominator, r2.x2.denominator)
-    a = r1.x1.numerator * (denom // r1.x1.denominator)
-    b = r1.x2.numerator * (denom // r1.x2.denominator)
-    d = r2.x2.numerator * (denom // r2.x2.denominator)
-    return denom, a, b, d
+    return lat.hnf
 
 
 def residues(lat: Lattice) -> list[Vec2]:
@@ -259,16 +332,15 @@ def residues(lat: Lattice) -> list[Vec2]:
     for the returned points.
     """
     n = index(lat)
-    r1, r2 = lat.basis
-    denom, a, b, d = scaled_basis(lat)
-    # The unit points lie in the lattice, so r1.x1 = 1/p and r2.x2 = 1/q
+    denom, a, b, d = lat.hnf
+    # The unit points lie in the lattice, so a/D = 1/p and d/D = 1/q
     # and i*r1 + j*r2 for 0 <= i < p, 0 <= j < q hit every class once.
     seen: set[tuple[int, int]] = set()
-    for i in range(r1.x1.denominator):
+    for i in range(denom // a):
         x = (i * a - 1) % denom + 1
-        for j in range(r2.x2.denominator):
+        for j in range(denom // d):
             seen.add((x, (i * b + j * d - 1) % denom + 1))
-    assert len(seen) == n
+    _check(len(seen) == n, lat, "residue count == index")
     return [Vec2(Fraction(x, denom), Fraction(y, denom)) for x, y in sorted(seen)]
 
 
@@ -346,19 +418,19 @@ def is_primitive(lat: Lattice, v: Sequence) -> bool:
         (g,) = lat.basis
         c = v.x1 / g.x1 if g.x1 != 0 else v.x2 / g.x2
         return abs(c) == 1
-    x, y = _coordinates(lat, v)
-    return math.gcd(int(x), int(y)) == 1
+    return math.gcd(*_coordinates(lat, v)) == 1
 
 
 def dual(lat: Lattice) -> Lattice:
-    """Covectors pairing integrally with a full-rank lattice."""
+    """Covectors pairing integrally with a full-rank lattice.
+
+    The dual basis of ((a, b), (0, d))/D is (D/a, 0) and (-b*D/(a*d), D/d),
+    that is the rows (D*d, 0) and (-b*D, a*D) divided by a*d.
+    """
     if lat.rank != 2:
         raise ValueError("dual as a lattice needs rank 2; see dual_parts")
-    r1, r2 = lat.basis
-    det = r1.x1 * r2.x2 - r1.x2 * r2.x1
-    g1 = Vec2(r2.x2 / det, -r2.x1 / det)
-    g2 = Vec2(-r1.x2 / det, r1.x1 / det)
-    return lattice_from_generators([g1, g2])
+    denom, a, b, d = lat.hnf
+    return _lattice_from_rows([(denom * d, 0), (-b * denom, a * denom)], a * d)
 
 
 def _primitive_integer(v: Vec2) -> Vec2:
@@ -406,7 +478,7 @@ def interior_witness(lat: Lattice) -> Union[InteriorPoint, CoWitness]:
         r1, r2 = lat.basis
         k = math.floor(-r1.x2 / r2.x2) + 1
         p = r1 + r2.scaled(Fraction(k))
-        assert in_cone_interior(p)
+        _check(in_cone_interior(p), lat, "r1 + k*r2 lies in the open quadrant")
         return InteriorPoint(p)
     if lat.rank == 1:
         (g,) = lat.basis
@@ -417,34 +489,13 @@ def interior_witness(lat: Lattice) -> Union[InteriorPoint, CoWitness]:
         w = _primitive_integer(Vec2(-g.x2, g.x1))
         if not in_cone(w):
             w = -w
-        assert in_cone(w) and not w.is_zero()
+        _check(
+            in_cone(w) and not w.is_zero(),
+            lat,
+            "the orthogonal witness is a nonzero quadrant covector",
+        )
         return CoWitness(w)
     return CoWitness(E2)
-
-
-class GapEmpty(NamedTuple):
-    y: Rational
-
-
-class GapHit(NamedTuple):
-    x: Rational
-
-
-def gap_witness_1d(g: Rational, t: Rational) -> Union[GapEmpty, GapHit]:
-    """Decide whether the multiples of g meet the open interval (0, t).
-
-    A miss is certified by a dual element in (0, 1/t]; a hit is returned
-    directly. The zero generator always misses.
-    """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("interval length must be positive")
-    g = abs(Fraction(g))
-    if g == 0:
-        return GapEmpty(1 / t)
-    if g < t:
-        return GapHit(g)
-    return GapEmpty(1 / g)
 
 
 class CovectorSplit(NamedTuple):
@@ -494,28 +545,15 @@ def points_in_box(lat: Lattice, c1: Rational, c2: Rational) -> list[Vec2]:
 
 
 def swapped_lattice(lat: Lattice) -> Lattice:
-    """Image of the subgroup under the coordinate swap."""
-    return lattice_from_generators([g.swapped() for g in lat.basis])
+    """Image of the subgroup under the coordinate swap.
 
-
-def standardize_cone(ray1: Vec2, ray2: Vec2, lat: Lattice) -> Lattice:
-    """Transport a lattice along the map sending two cone rays to the axes.
-
-    The rays must be independent; the linear map taking ray1 to (1,0)
-    and ray2 to (0,1) is applied to the basis. Helper for callers that
-    start from a non-standard strongly convex cone.
+    Rank 2 swaps the rows (a, b) and (0, d) of the integer form and
+    reduces them again; the common denominator D does not change.
     """
-    det = ray1.x1 * ray2.x2 - ray1.x2 * ray2.x1
-    if det == 0:
-        raise ValueError("cone rays must be linearly independent")
-
-    def apply(p: Vec2) -> Vec2:
-        return Vec2(
-            (ray2.x2 * p.x1 - ray2.x1 * p.x2) / det,
-            (-ray1.x2 * p.x1 + ray1.x1 * p.x2) / det,
-        )
-
-    return lattice_from_generators([apply(g) for g in lat.basis])
+    if lat.rank == 2:
+        denom, a, b, d = lat.hnf
+        return _lattice_from_rows([(b, a), (d, 0)], denom)
+    return lattice_from_generators([g.swapped() for g in lat.basis])
 
 
 def cyclic_type(lat: Lattice) -> Optional[tuple[int, int, int]]:
@@ -527,7 +565,7 @@ def cyclic_type(lat: Lattice) -> Optional[tuple[int, int, int]]:
     all unit multiples, with weights in [0, r).
     """
     n = index(lat)
-    denom, a, b, d = scaled_basis(lat)
+    denom, a, b, d = lat.hnf
     q = denom // d
     # The basis is ((1/p, b), (0, 1/q)) with n = p*q. A generator's first
     # coordinate has exact order p, and a unit multiple moves it to 1/p,
@@ -560,7 +598,7 @@ def sublattices_of_standard(n: int) -> list[Lattice]:
     for a in _divisors(n):
         d = n // a
         for b in range(d):
-            out.append(Lattice(2, (vec(a, b), vec(0, d))))
+            out.append(Lattice(2, hnf=(1, a, b, d)))
     return out
 
 

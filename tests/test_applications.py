@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import toricmld.geometry
+import toricmld.germs
 from toricmld import (
     Complement,
     DoubleH,
@@ -140,6 +142,25 @@ def test_complement_standard_examples():
     assert comp == Complement(5, (Fraction(0), Fraction(0)), vec(5, 5))
     comp = complement_standard(SMOOTH, 1, 1)
     assert comp == Complement(1, (Fraction(1), Fraction(0)), vec(0, 1))
+
+
+def test_complement_standard_computes_the_minimum_once(monkeypatch):
+    # One minimum for the germ, passed to the case analysis, plus the one
+    # the case analysis takes of its residual psi - gamma*v1.
+    calls = []
+    original = toricmld.germs.sail_minimum
+
+    def counting(lat, psi):
+        calls.append(psi)
+        return original(lat, psi)
+
+    monkeypatch.setattr(toricmld.germs, "sail_minimum", counting)
+    monkeypatch.setattr(toricmld.geometry, "sail_minimum", counting)
+    germ = germ_from_quotient_type(7, 1, 3)
+    comp = complement_standard(germ, 1, 2)
+    assert len(calls) == 2 and calls[0] == psi_of(germ)
+    monkeypatch.undo()
+    assert comp == complement_standard(germ, 1, 2)
 
 
 def test_complement_standard_rejections():

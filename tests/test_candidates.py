@@ -1,0 +1,118 @@
+"""The canonical candidate stream against its definition.
+
+`candidate_germs` builds cyclic lattices and their swaps from (r, w) and
+compares integer forms; the definition here builds every lattice with
+`lattice_from_generators`, swaps it with `swapped_lattice`, keeps the
+least (basis, b1, b2) key in Fractions and dedupes first-seen.
+Property tests are seeded (`derandomize=True`), so every run draws the
+same examples.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from toricmld.certify import candidate_germs
+from toricmld.cli import STANDARD_BOUNDARY_VALUES
+from toricmld.lattices import (
+    E1,
+    E2,
+    lattice_from_generators,
+    sublattices_of_standard,
+    swapped_lattice,
+)
+
+ZERO = [(Fraction(0), Fraction(0))]
+STANDARD = [(a, b) for a in STANDARD_BOUNDARY_VALUES for b in STANDARD_BOUNDARY_VALUES]
+ASYMMETRIC = [
+    (Fraction(0), Fraction(1, 2)),
+    (Fraction(1, 3), Fraction(0)),
+    (Fraction(1, 2), Fraction(1, 2)),
+]
+
+
+def _lattices(mode, bound):
+    """The lattices of the sweep, in order, built from rational generators."""
+    if mode == "cyclic":
+        return [
+            lattice_from_generators([E1, E2, (Fraction(1, r), Fraction(w, r))])
+            for r in range(1, bound + 1)
+            for w in range(1, r + 1)
+            if math.gcd(w, r) == 1 and (w < r or r == 1)
+        ]
+    out = []
+    for n in range(1, bound + 1):
+        for sub in sublattices_of_standard(n):
+            # Dual of the integer sublattice ((a, b), (0, d)): the covectors
+            # (1/a, 0) and (-b/(a*d), 1/d).
+            (a, b), (_, d) = sub.basis
+            out.append(lattice_from_generators([(1 / a, 0), (-b / (a * d), 1 / d)]))
+    return out
+
+
+def _definition(mode, bound, boundaries):
+    """(lattice, b1, b2) of each canonical germ, in first-seen order."""
+    out, seen = [], set()
+    for lat in _lattices(mode, bound):
+        swap = swapped_lattice(lat)
+        for b1, b2 in boundaries:
+            b1, b2 = Fraction(b1), Fraction(b2)
+            own, swapped = (lat.basis, b1, b2), (swap.basis, b2, b1)
+            key = min(own, swapped)
+            if key not in seen:
+                seen.add(key)
+                out.append((lat, b1, b2) if key == own else (swap, b2, b1))
+    return out
+
+
+def _check_stream(mode, bound, boundaries):
+    got = [(g.lattice, g.b1, g.b2) for g in candidate_germs(mode, bound, boundaries)]
+    expected = _definition(mode, bound, boundaries)
+    assert [(lat.basis, b1, b2) for lat, b1, b2 in got] == [
+        (lat.basis, b1, b2) for lat, b1, b2 in expected
+    ]
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "boundaries", [ZERO, STANDARD, ASYMMETRIC], ids=["zero", "standard", "asymmetric"]
+)
+@pytest.mark.parametrize("mode, bound", [("cyclic", 80), ("all", 10)])
+def test_candidate_stream_matches_its_definition(mode, bound, boundaries):
+    _check_stream(mode, bound, boundaries)
+
+
+COEFFICIENTS = st.sampled_from(
+    [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1)]
+)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.sampled_from([("cyclic", 30), ("all", 6)]),
+    st.lists(st.tuples(COEFFICIENTS, COEFFICIENTS), min_size=1, max_size=6),
+)
+def test_candidate_stream_matches_its_definition_on_drawn_boundaries(sweep, boundaries):
+    _check_stream(*sweep, boundaries)
+
+
+def test_asymmetric_boundaries_reach_both_sides_of_the_swap():
+    # 1/5(1, 2) and 1/5(1, 3) are swaps of each other; with (0, 1/2)
+    # listed but not (1/2, 0), the second yields a germ of its own.
+    germs = list(candidate_germs("cyclic", 5, ASYMMETRIC[:1]))
+    order_five = [g for g in germs if g.lattice.basis[0].x1 == Fraction(1, 5)]
+    assert [(g.lattice.basis[0].x2, g.b1, g.b2) for g in order_five] == [
+        (Fraction(1, 5), 0, Fraction(1, 2)),
+        (Fraction(2, 5), 0, Fraction(1, 2)),
+        (Fraction(2, 5), Fraction(1, 2), 0),
+        (Fraction(4, 5), 0, Fraction(1, 2)),
+    ]

@@ -1,25 +1,26 @@
 """Lattice core: canonical bases, duals, residues, witnesses."""
 
+import ast
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from toricmld import (
     CoWitness,
-    GapEmpty,
-    GapHit,
     InteriorPoint,
     Lattice,
     STANDARD_LATTICE,
+    basis_order,
     contains,
     cyclic_type,
     dot,
     dual,
     dual_parts,
     format_rational,
-    gap_witness_1d,
     index,
     interior_witness,
     is_primitive,
@@ -32,7 +33,6 @@ from toricmld import (
     points_in_box,
     residues,
     split_along_covector,
-    standardize_cone,
     sublattices_of_standard,
     superlattices,
     swapped_lattice,
@@ -268,38 +268,6 @@ def test_interior_witness_property():
                 assert dot(w, g) == 0
 
 
-def test_gap_witness_examples():
-    assert gap_witness_1d(2, 1) == GapEmpty(Fraction(1, 2))
-    assert gap_witness_1d(0, 1) == GapEmpty(Fraction(1))
-    assert gap_witness_1d(Fraction(1, 3), 1) == GapHit(Fraction(1, 3))
-
-
-def test_gap_witness_property():
-    # Tag agrees with direct enumeration of multiples in the open interval.
-    rng = random.Random(105)
-    for _ in range(200):
-        g = Fraction(rng.randint(0, 30), rng.randint(1, 12))
-        t = Fraction(rng.randint(1, 30), rng.randint(1, 12))
-        got = gap_witness_1d(g, t)
-        hits = []
-        if g > 0:
-            k = 1
-            while k * g < t:
-                hits.append(k * g)
-                k += 1
-        if hits:
-            assert isinstance(got, GapHit)
-            assert got.x in hits
-        else:
-            assert isinstance(got, GapEmpty)
-            assert 0 < got.y <= 1 / t
-            # The dual element certifies emptiness: it pairs every multiple
-            # of g to an integer, so none can fall strictly inside (0, t).
-            assert (got.y * g).denominator == 1
-    with pytest.raises(ValueError):
-        gap_witness_1d(1, 0)
-
-
 def test_points_in_box_against_brute_force():
     rng = random.Random(106)
     for _ in range(60):
@@ -342,17 +310,11 @@ def test_split_along_covector_properties():
         split_along_covector(lattice_from_quotient_type(5, 1, 1), vec(1, 0))
 
 
-def test_swap_and_standardize():
+def test_swap_is_an_involution():
     lat = lattice_from_quotient_type(5, 1, 2)
     assert swapped_lattice(swapped_lattice(lat)) == lat
+    assert swapped_lattice(lat) == lattice_from_quotient_type(5, 2, 1)
     assert swapped_lattice(STANDARD_LATTICE) == STANDARD_LATTICE
-    # Transporting the cone spanned by the axes is the identity.
-    assert standardize_cone(vec(1, 0), vec(0, 1), lat) == lat
-    # A unimodular change of rays transports the lattice exactly.
-    moved = standardize_cone(vec(1, 0), vec(1, 1), STANDARD_LATTICE)
-    assert moved == STANDARD_LATTICE
-    with pytest.raises(ValueError):
-        standardize_cone(vec(1, 1), vec(2, 2), lat)
 
 
 def test_cyclic_type_detection():
@@ -396,3 +358,82 @@ def test_sublattice_and_superlattice_counts():
     assert len(set(sup)) == len(sup)
     for lat in sup:
         assert contains(lat, (1, 0)) and contains(lat, (0, 1))
+
+
+def test_lattices_has_no_assert_statement():
+    # Broken identities raise VerificationFailure, which `python -O` keeps.
+    source = Path(__file__).resolve().parent.parent / "src" / "toricmld" / "lattices.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def _fraction_coordinates(lat, v):
+    """Coordinates of v in the rational basis ((a, b), (0, d)), from the definition."""
+    r1, r2 = lat.basis
+    x = v.x1 / r1.x1
+    return x, (v.x2 - x * r1.x2) / r2.x2
+
+
+def _sign(left, right):
+    return (left > right) - (left < right)
+
+
+def test_integer_identity_matches_the_fraction_definitions():
+    # Every superlattice of index <= 30 and its swap, rebuilt from the
+    # rational basis: equality, hashing, order, membership, primitivity,
+    # index, dual and swap against their definitions in Fractions.
+    lattices = []
+    for lat in superlattices(30):
+        swap = lattice_from_generators([g.swapped() for g in lat.basis])
+        assert swapped_lattice(lat) == swap and swapped_lattice(lat).basis == swap.basis
+        lattices += [lat, swap]
+    by_index = defaultdict(list)
+    rng = random.Random(108)
+    for lat in lattices:
+        r1, r2 = lat.basis
+        assert r2.x1 == 0 and r1.x1 > 0 and 0 <= r1.x2 < r2.x2
+        assert index(lat) == 1 / (r1.x1 * r2.x2)
+        det = r1.x1 * r2.x2
+        assert dual(lat) == lattice_from_generators(
+            [(r2.x2 / det, -r2.x1 / det), (-r1.x2 / det, r1.x1 / det)]
+        )
+        assert lattice_from_generators(lat.basis) == lat
+        by_index[index(lat)].append(lat)
+        # Lattice points and points of a twice finer grid, most outside.
+        denom = math.lcm(r1.x1.denominator, r1.x2.denominator, r2.x2.denominator)
+        for _ in range(12):
+            i, j = rng.randint(-4, 4), rng.randint(-4, 4)
+            k, m = rng.randint(-2 * denom, 4 * denom), rng.randint(-2 * denom, 4 * denom)
+            on_lattice = r1.scaled(Fraction(i)) + r2.scaled(Fraction(j))
+            for v in (on_lattice, vec(Fraction(k, 2 * denom), Fraction(m, 2 * denom))):
+                x, y = _fraction_coordinates(lat, v)
+                inside = x.denominator == 1 and y.denominator == 1
+                assert contains(lat, v) == inside
+                if inside and not v.is_zero():
+                    assert is_primitive(lat, v) == (math.gcd(int(x), int(y)) == 1)
+    # Every pair up to index 12, then pairs within each index up to 30
+    # (different indices never share a lattice).
+    small = [lat for n in range(1, 13) for lat in by_index[n]]
+    for group in [small] + [by_index[n] for n in range(13, 31)]:
+        for lat in group:
+            for other in group:
+                same = lat.basis == other.basis
+                assert (lat == other) == same
+                assert not same or hash(lat) == hash(other)
+                assert basis_order(lat, other) == _sign(lat.basis, other.basis)
+    for _ in range(3000):
+        lat, other = rng.choice(lattices), rng.choice(lattices)
+        assert basis_order(lat, other) == _sign(lat.basis, other.basis)
+    assert len(set(lattices)) == len({lat.basis for lat in lattices})
+    # The index needs both unit points; rational lattices missing one.
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        lat = lattice_from_generators(
+            [(rng.randint(1, 6), Fraction(rng.randint(0, 11), k)), (0, Fraction(rng.randint(1, 6), k))]
+        )
+        units = [_fraction_coordinates(lat, e) for e in (vec(1, 0), vec(0, 1))]
+        if all(x.denominator == 1 and y.denominator == 1 for x, y in units):
+            assert index(lat) == 1 / (lat.basis[0].x1 * lat.basis[1].x2)
+        else:
+            with pytest.raises(ValueError):
+                index(lat)
