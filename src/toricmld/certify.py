@@ -22,27 +22,25 @@ from .germs import (
     Germ,
     Minimum,
     case_analysis_lattice,
-    case_analysis_ray,
     psi_of,
     sail_minimum,
 )
 from .lattices import (
     E1,
     E2,
-    InteriorPoint,
     Lattice,
     Rational,
     Vec2,
+    _check,
     basis_order,
     contains,
     cyclic_type,
     dot,
     dual,
+    format_rational,
     in_cone,
     in_cone_interior,
-    interior_witness,
     lattice_from_generators,
-    scaled_basis,
     superlattices,
     swapped_lattice,
     vec,
@@ -122,40 +120,6 @@ def classify_tlc(germ: Germ, t: Rational) -> Certificate:
     return classify_tlc_lattice(germ.lattice, psi_of(germ), t)
 
 
-def classify_tlc_subgroup(lat: Lattice, psi: Vec2, t: Rational) -> Certificate:
-    """Certificate for a subgroup of any rank.
-
-    Rank-2 subgroups must contain the integer plane. A subgroup that
-    misses the open quadrant entirely is certified through a scaled
-    orthogonal covector, which needs psi interior to the dual quadrant.
-    """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("threshold must be positive")
-    if psi.is_zero():
-        raise ValueError("threshold classification needs a nonzero psi")
-    if lat.rank == 2:
-        if not (contains(lat, E1) and contains(lat, E2)):
-            raise ValueError("rank-2 subgroups must contain the integer plane")
-        return classify_tlc_lattice(lat, psi, t)
-    wit = interior_witness(lat)
-    if isinstance(wit, InteriorPoint):
-        data = case_analysis_ray(lat, psi)
-        if data.mld < t:
-            return NotTLC(wit.point, data.mld)
-        return CaseA(data.v1)
-    if not in_cone_interior(psi):
-        raise ValueError(
-            "subgroup misses the open quadrant and psi is on the dual boundary"
-        )
-    m0 = wit.covector
-    k = 1
-    for mi, pi in ((m0.x1, psi.x1), (m0.x2, psi.x2)):
-        if mi > 0:
-            k = max(k, math.ceil(mi / pi))
-    return CaseA(Vec2(m0.x1 / (k * t), m0.x2 / (k * t)))
-
-
 def verify_certificate_lattice(
     lat: Lattice, psi: Vec2, t: Rational, cert: Certificate
 ) -> Verification:
@@ -181,8 +145,6 @@ def verify_certificate_lattice(
         return Verification(True, "single-witness certificate holds")
     if isinstance(cert, CaseB):
         m1, m2, t1, t2 = cert
-        if lat.rank != 2:
-            return Verification(False, "dual-pair certificate needs a full-rank subgroup")
         if not (in_cone(m1) and in_cone(m2)):
             return Verification(False, "pair covectors outside the dual quadrant")
         if m1.x1 * m2.x2 - m1.x2 * m2.x1 == 0:
@@ -219,12 +181,12 @@ def box_maximal(m: Vec2, bound: Rational) -> Vec2:
     """Largest integer multiple of m inside the box [0, bound]^2."""
     if not in_cone(m) or m.is_zero():
         raise ValueError("needs a nonzero covector in the closed dual quadrant")
-    k: Optional[int] = None
-    for mi in (m.x1, m.x2):
-        if mi > 0:
-            ki = math.floor(bound / mi)
-            k = ki if k is None else min(k, ki)
-    assert k is not None and k >= 1
+    k = min(math.floor(bound / mi) for mi in (m.x1, m.x2) if mi > 0)
+    if k < 1:
+        raise VerificationFailure(
+            f"box-maximal multiple >= 1 fails for ({format_rational(m.x1)},"
+            f"{format_rational(m.x2)}) in [0, {format_rational(bound)}]^2"
+        )
     return m.scaled(Fraction(k))
 
 
@@ -265,10 +227,11 @@ def lawrence(lat: Lattice, p: int, q: int) -> LawrenceResult:
     """
     if p < 1 or q < 1:
         raise ValueError("simplex size must be a positive ratio of integers")
-    if lat.rank != 2 or not (contains(lat, E1) and contains(lat, E2)):
-        raise ValueError("needs a full-rank superlattice of the integer plane")
+    if not (contains(lat, E1) and contains(lat, E2)):
+        raise ValueError("needs a superlattice of the integer plane")
     t = Fraction(p, q)
     p, q = t.numerator, t.denominator
+    bound = 1 / t
     psi = vec(1, 1)
 
     minimum = sail_minimum(lat, psi)
@@ -276,29 +239,35 @@ def lawrence(lat: Lattice, p: int, q: int) -> LawrenceResult:
         return Hit(minimum.first)
     data = case_analysis_lattice(lat, psi, minimum)
     if data.gamma >= t:
-        m = box_maximal(data.v1, Fraction(q, p))
-        assert m.x1.denominator == 1 and m.x2.denominator == 1
+        m = box_maximal(data.v1, bound)
+        _check(m.x1.denominator == 1 and m.x2.denominator == 1, lat, "box-maximal m is integral")
         return Contained(m)
 
     scale = 1 / data.gamma
-    assert scale.denominator == 1, "inverse of the best scale must be an integer here"
+    _check(scale.denominator == 1, lat, "1/gamma is an integer")
     scale = int(scale)
     offset = scale * data.alpha
-    assert offset.denominator == 1, "scaled slice offset must be an integer here"
+    _check(offset.denominator == 1, lat, "alpha/gamma is an integer")
     offset = int(offset)
     k1 = q - p * offset
     k2 = scale * p - q
-    assert k1 >= 1 and k2 >= 1
+    _check(k1 >= 1 and k2 >= 1, lat, "k1 >= 1 and k2 >= 1")
     if p == 1 and q > 1 and k1 + k2 == 2 * q:
         # Saturated weights only happen with offset 0 and scale 2q,
         # where the plain average of the pair already lands in the box.
         k1 = k2 = 1
-    assert k1 + k2 <= 2 * q
+    _check(k1 + k2 <= 2 * q, lat, "k1 + k2 <= 2q")
     avg = (data.v1.scaled(Fraction(k1)) + data.v2.scaled(Fraction(k2))).scaled(
         Fraction(1, k1 + k2)
     )
-    assert 0 <= avg.x1 <= Fraction(q, p) and 0 <= avg.x2 <= Fraction(q, p)
-    assert dual(lattice_from_generators([data.v1, data.v2])) == lat
+    _check(
+        0 <= avg.x1 <= bound and 0 <= avg.x2 <= bound, lat, "weighted average lies in [0, q/p]^2"
+    )
+    _check(
+        dual(lattice_from_generators([data.v1, data.v2])) == lat,
+        lat,
+        "the pair's integrality locus is the lattice",
+    )
     return EqualsIntersection(data.v1, data.v2, k1, k2)
 
 
@@ -317,7 +286,7 @@ def series_membership_lattice(lat: Lattice, t: Rational) -> list[tuple[int, int]
     t = Fraction(t)
     if t <= 0:
         raise ValueError("threshold must be positive")
-    denom, a, b, d = scaled_basis(lat)
+    denom, a, b, d = lat.hnf
     bound = math.floor(1 / t)
     out: list[tuple[int, int]] = []
     for i in range(bound + 1):
@@ -371,7 +340,7 @@ def series_certificate_log(
     return n, bn
 
 
-# The integer form (D, a, b, d) of a rank-2 lattice, see `Lattice.hnf`.
+# The integer form (D, a, b, d) of a lattice, see `Lattice.hnf`.
 _Form = tuple[int, int, int, int]
 
 
@@ -412,7 +381,7 @@ def cyclic_lattices(r_max: int) -> Iterator[tuple[Lattice, tuple[int, int, int]]
     """
     for form, _, _ in _cyclic_forms(r_max):
         r, _, w, _ = form
-        yield Lattice(2, hnf=form), ((1, 0, 0) if r == 1 else (r, 1, w))
+        yield Lattice(hnf=form), ((1, 0, 0) if r == 1 else (r, 1, w))
 
 
 def _swap_forms(lattices: Iterable[Lattice]) -> Iterator[tuple[_Form, _Form, int]]:
@@ -504,7 +473,7 @@ def candidate_germs(
             seen.add(key)
             lat = built.get(key[0])
             if lat is None:
-                lat = built[key[0]] = Lattice(2, hnf=key[0])
+                lat = built[key[0]] = Lattice(hnf=key[0])
             yield Germ(lat, *pair)
 
 

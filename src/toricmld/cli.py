@@ -307,16 +307,17 @@ def _verify_lawrence(data: dict, line_no: int) -> None:
             "containment witness escapes the box",
         )
         return
-    assert isinstance(result, EqualsIntersection)
+    _require(isinstance(result, EqualsIntersection), line_no, "unrecognized avoidance result")
     _require(result.k1 >= 1 and result.k2 >= 1, line_no, "weights must be positive")
     _require(result.k1 + result.k2 <= 2 * q, line_no, "weights exceed twice the denominator")
-    span = lattice_from_generators([result.m1, result.m2])
-    _require(span.rank == 2, line_no, "pair covectors are dependent")
+    m1, m2 = result.m1, result.m2
+    _require(m1.x1 * m2.x2 - m1.x2 * m2.x1 != 0, line_no, "pair covectors are dependent")
+    span = lattice_from_generators([m1, m2])
     _require(dual(span) == lat, line_no, "subgroup is not the pair's integrality locus")
     total = result.k1 + result.k2
-    avg = (
-        result.m1.scaled(Fraction(result.k1)) + result.m2.scaled(Fraction(result.k2))
-    ).scaled(Fraction(1, total))
+    avg = (m1.scaled(Fraction(result.k1)) + m2.scaled(Fraction(result.k2))).scaled(
+        Fraction(1, total)
+    )
     _require(
         0 <= avg.x1 <= Fraction(q, p) and 0 <= avg.x2 <= Fraction(q, p),
         line_no,

@@ -17,6 +17,7 @@ from .errors import VerificationFailure
 from .germs import (
     CaseTag,
     Germ,
+    _checker,
     case_analysis,
     case_analysis_lattice,
     gamma_of,
@@ -61,8 +62,9 @@ def lct_invariant(germ: Germ, section: HyperplaneSection) -> Rational:
     Componentwise binding constraint, so this is exactly the largest
     scale of the section covector under psi.
     """
-    value = gamma_of(section.m, psi_of(germ))
-    assert value is not None
+    psi = psi_of(germ)
+    value = gamma_of(section.m, psi)
+    _checker(germ.lattice, psi)(value is not None, "a nonzero section has a finite scale")
     return value
 
 
@@ -93,13 +95,17 @@ def classify_mld_ge_one(germ: Germ) -> Union[ProductCase, QuotientCase, NotAppli
     a = mld(germ)
     if a < 1:
         return NotApplicable()
+    check = _checker(germ.lattice, psi_of(germ))
     if germ.lattice == STANDARD_LATTICE:
-        assert a == 2 - germ.b1 - germ.b2 and germ.b1 + germ.b2 <= 1
+        check(
+            a == 2 - germ.b1 - germ.b2 and germ.b1 + germ.b2 <= 1,
+            "mld == 2 - b1 - b2 and b1 + b2 <= 1",
+        )
         return ProductCase(a)
     if germ.b1 == 0 and germ.b2 == 0:
         ty = cyclic_type(germ.lattice)
         if ty is not None and ty[1] == 1 and ty[2] == ty[0] - 1:
-            assert a == 1
+            check(a == 1, "mld of 1/r(1, r-1) == 1")
             return QuotientCase(ty[0] - 1)
     raise VerificationFailure("value-one families are not exhaustive for this germ")
 
@@ -132,19 +138,20 @@ def hyperplane_dichotomy(germ: Germ) -> Union[SingleH, DoubleH]:
     if psi.is_zero():
         raise ValueError("dichotomy needs a nonzero psi")
     data = case_analysis(germ)
+    check = _checker(germ.lattice, psi)
     a = data.mld
     if data.gamma == a:
         section = HyperplaneSection(data.v1)
         # psi = a * v1 here, so the pushed boundary is the full one.
         residual = psi - data.v1.scaled(a)
-        assert residual.is_zero()
-        assert mld_oracle_lattice(germ.lattice, residual)[0] == 0
+        check(residual.is_zero(), "psi == mld*v1")
+        check(mld_oracle_lattice(germ.lattice, residual)[0] == 0, "oracle mld of zero psi == 0")
         return SingleH(section, a)
-    assert data.tag is CaseTag.SPLIT
+    check(data.tag is CaseTag.SPLIT, "gamma < mld only in the split case")
     g2 = (a - data.gamma) / (1 - data.alpha)
     g1 = a - g2
-    assert g1 > 0 and g2 > 0
-    assert data.v1.scaled(g1) + data.v2.scaled(g2) == psi
+    check(g1 > 0 and g2 > 0, "g1 > 0 and g2 > 0")
+    check(data.v1.scaled(g1) + data.v2.scaled(g2) == psi, "g1*v1 + g2*v2 == psi")
     return DoubleH(HyperplaneSection(data.v1), HyperplaneSection(data.v2), g1, g2)
 
 
@@ -167,9 +174,11 @@ def half_mld_section(germ: Germ) -> HyperplaneSection:
             section = outcome.h2
         else:
             section = min(outcome.h1, outcome.h2)
-    pushed = psi_of(germ) - section.m.scaled(a / 2)
-    assert in_cone(pushed)
-    assert mld_oracle_lattice(germ.lattice, pushed)[0] >= 0
+    psi = psi_of(germ)
+    check = _checker(germ.lattice, psi)
+    pushed = psi - section.m.scaled(a / 2)
+    check(in_cone(pushed), "psi - (mld/2)*m lies in the dual quadrant")
+    check(mld_oracle_lattice(germ.lattice, pushed)[0] >= 0, "oracle mld of the pushed psi >= 0")
     return section
 
 
@@ -210,6 +219,7 @@ def complement_standard(germ: Germ, p: int, q: int) -> Complement:
     if minimum.value < t:
         raise ValueError("the germ's value is below the target ratio")
     data = case_analysis_lattice(germ.lattice, psi, minimum)
+    check = _checker(germ.lattice, psi)
 
     if data.gamma >= t:
         n = q
@@ -217,25 +227,25 @@ def complement_standard(germ: Germ, p: int, q: int) -> Complement:
         s = 1
     else:
         scale = 1 / data.gamma
-        assert scale.denominator == 1, "inverse best scale must be integral for standard coefficients"
+        check(scale.denominator == 1, "1/gamma is an integer for standard coefficients")
         scale = int(scale)
         offset = scale * data.alpha
-        assert offset.denominator == 1, "scaled slice offset must be integral for standard coefficients"
+        check(offset.denominator == 1, "alpha/gamma is an integer for standard coefficients")
         offset = int(offset)
         s = scale - offset
         z1 = q - p * offset
         z2 = scale * p - q
-        assert z1 >= 1 and z2 >= 1
-        assert z1 + z2 == p * s
+        check(z1 >= 1 and z2 >= 1, "z1 >= 1 and z2 >= 1")
+        check(z1 + z2 == p * s, "z1 + z2 == p*s")
         n = s * q
         witness = data.v1.scaled(Fraction(z1)) + data.v2.scaled(Fraction(z2))
-    assert 1 <= s and s * p <= 2 * q
+    check(1 <= s and s * p <= 2 * q, "1 <= s <= 2q/p")
     bn = (1 - witness.x1 / n, 1 - witness.x2 / n)
-    assert witness.x1.denominator == 1 and witness.x2.denominator == 1
-    assert contains(dual(germ.lattice), witness)
-    assert germ.b1 <= bn[0] <= 1 and germ.b2 <= bn[1] <= 1
-    check = mld_oracle_lattice(germ.lattice, Vec2(witness.x1 / n, witness.x2 / n))[0]
-    if check < t:
+    check(witness.x1.denominator == 1 and witness.x2.denominator == 1, "witness is integral")
+    check(contains(dual(germ.lattice), witness), "witness lies in the dual lattice")
+    check(germ.b1 <= bn[0] <= 1 and germ.b2 <= bn[1] <= 1, "b <= complement boundary <= 1")
+    value = mld_oracle_lattice(germ.lattice, Vec2(witness.x1 / n, witness.x2 / n))[0]
+    if value < t:
         raise VerificationFailure("complement boundary drops below the target ratio")
     return Complement(n, bn, witness)
 

@@ -45,14 +45,11 @@ from .lattices import (
     in_cone,
     in_cone_interior,
     index,
-    interior_witness,
-    InteriorPoint,
     is_primitive,
     klein_sail,
     lattice_from_quotient_type,
     on_cone_boundary,
     residues,
-    scaled_basis,
     split_along_covector,
     swapped_lattice,
     vec,
@@ -76,8 +73,8 @@ class Germ:
 def make_germ(lattice: Lattice, b1, b2) -> Germ:
     """Validated germ constructor."""
     b1, b2 = Fraction(b1), Fraction(b2)
-    if lattice.rank != 2 or not (contains(lattice, E1) and contains(lattice, E2)):
-        raise ValueError("germ lattice must be a full-rank superlattice of the integer plane")
+    if not (contains(lattice, E1) and contains(lattice, E2)):
+        raise ValueError("germ lattice must be a superlattice of the integer plane")
     for name, e in (("e1", E1), ("e2", E2)):
         if not is_primitive(lattice, e):
             raise ValueError(f"unit point {name} is not primitive in the germ lattice")
@@ -198,7 +195,7 @@ def sail_minimum(lat: Lattice, psi: Vec2) -> Minimum:
     """
     if not in_cone(psi):
         raise ValueError("psi must lie in the closed dual quadrant")
-    denom, a, b, d = scaled_basis(lat)
+    denom, a, b, d = lat.hnf
     scale, c1, c2 = _scaled_covector(psi)
     if c1 and c2:
         x, y, dx, dy, count = _open_sail_argmin(klein_sail(lat), c1, c2)
@@ -335,13 +332,11 @@ class CaseTag(Enum):
     """Shape of the case analysis output.
 
     BOUNDARY_PSI: psi sits on the dual quadrant boundary, where the
-    best covector already tells the whole story. RAY: rank-1 subgroup
-    through the open quadrant. SPLIT: interior psi over a full-rank
-    lattice, analyzed through an adapted basis.
+    best covector already tells the whole story. SPLIT: interior psi,
+    analyzed through an adapted basis.
     """
 
     BOUNDARY_PSI = "boundary_psi"
-    RAY = "ray"
     SPLIT = "split"
 
 
@@ -400,7 +395,7 @@ def _slice_interval(
 def case_analysis_lattice(
     lat: Lattice, psi: Vec2, minimum: Optional[Minimum] = None
 ) -> CaseData:
-    """Closed-form discrepancy data for a full-rank superlattice.
+    """Closed-form discrepancy data for a superlattice of the integer plane.
 
     `minimum` is `sail_minimum(lat, psi)` when the caller already has
     it. Every derived identity is checked against that minimum; a
@@ -498,27 +493,3 @@ def case_analysis_lattice(
 def case_analysis(germ: Germ) -> CaseData:
     """Case analysis of a germ; rejects zero psi."""
     return case_analysis_lattice(germ.lattice, psi_of(germ))
-
-
-def case_analysis_ray(lat: Lattice, psi: Vec2) -> CaseData:
-    """Discrepancy data for a rank-1 subgroup meeting the open quadrant.
-
-    The generator inside the quadrant is the unique minimizer and the
-    best covector is psi rescaled to pair to one with it.
-    """
-    if not in_cone(psi):
-        raise ValueError("psi must lie in the closed dual quadrant")
-    if psi.is_zero():
-        raise ValueError("case analysis needs a nonzero psi")
-    if lat.rank != 1:
-        raise ValueError("ray analysis needs a rank-1 subgroup")
-    wit = interior_witness(lat)
-    if not isinstance(wit, InteriorPoint):
-        raise ValueError("ray analysis needs a generator inside the open quadrant")
-    e = wit.point
-    check = _checker(lat, psi)
-    lam = dot(psi, e)
-    check(lam > 0, "interior generator pairs positively")
-    v1 = Vec2(psi.x1 / lam, psi.x2 / lam)
-    check(dot(v1, e) == 1, "v1 pairs to one with the generator")
-    return CaseData(tag=CaseTag.RAY, gamma=lam, v1=v1, mld=lam)

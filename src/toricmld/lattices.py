@@ -1,10 +1,12 @@
 """Exact rational plane lattices with canonical bases.
 
 Scalars are `fractions.Fraction` or integers; nothing in this package
-touches floating point. A full-rank subgroup of the rational plane is
-stored by its canonical triangular basis scaled to integers, so integer
-equality decides subgroup equality in constant time, and membership,
-index, dual and the coordinate swap are computed on those integers.
+touches floating point. A lattice is a full-rank subgroup of the
+rational plane, stored by its canonical triangular basis scaled to
+integers, so integer equality decides lattice equality in constant
+time, and membership, index, dual and the coordinate swap are computed
+on those integers. Generators that do not span the plane are invalid
+input.
 The fixed cone everywhere is the closed positive quadrant; its dual is
 the closed positive quadrant of covectors.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import VerificationFailure
 
@@ -113,38 +115,29 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class Lattice:
-    """Finitely generated subgroup of the rational plane.
+    """Full-rank lattice in the rational plane.
 
-    A rank-2 subgroup is identified by `hnf`, its canonical scaled
-    Hermite normal form (D, a, b, d): the basis ((a/D, b/D), (0, d/D))
-    with a, d > 0, 0 <= b < d and gcd(D, a, b, d) = 1, so D is the least
-    common denominator of the subgroup. `==`, hashing and `scaled_basis`
-    read those integers. `basis` is the rational form: rank 2 gives
-    ((a/D, b/D), (0, d/D)), built on first access and kept; rank 1 a
-    single generator whose leading nonzero coordinate is positive; rank
-    0 nothing. Build through `lattice_from_generators` (or the other
-    constructors here), never by hand, so that `basis` stays canonical
-    and `==` keeps meaning subgroup equality at every rank. Instances
-    are immutable by convention; only the cached `basis` is filled in
-    after construction.
+    Identified by `hnf`, its canonical scaled Hermite normal form
+    (D, a, b, d): the basis ((a/D, b/D), (0, d/D)) with a, d > 0,
+    0 <= b < d and gcd(D, a, b, d) = 1, so D is the least common
+    denominator of the lattice. `==` and hashing read those integers.
+    `basis` is the rational form ((a/D, b/D), (0, d/D)), built on first
+    access and kept. `Lattice(basis)` keeps the rows it is given as
+    `basis` and reduces them to `hnf`, raising ValueError when they do
+    not span the plane. Instances are immutable by convention; only the
+    cached `basis` is filled in after construction.
     """
 
-    __slots__ = ("rank", "hnf", "_basis")
+    __slots__ = ("hnf", "_basis")
 
     def __init__(
         self,
-        rank: int,
         basis: Optional[tuple[Vec2, ...]] = None,
         *,
         hnf: Optional[tuple[int, int, int, int]] = None,
     ):
-        self.rank = rank
         self._basis = basis
-        if hnf is None and rank == 2:
-            hnf = lattice_from_generators(basis).hnf
-            if hnf is None:
-                raise ValueError("a rank-2 lattice needs a basis spanning the plane")
-        self.hnf = hnf
+        self.hnf = lattice_from_generators(basis).hnf if hnf is None else hnf
 
     @property
     def basis(self) -> tuple[Vec2, ...]:
@@ -159,14 +152,10 @@ class Lattice:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lattice):
             return NotImplemented
-        if self.rank != other.rank:
-            return False
-        if self.rank == 2:
-            return self.hnf == other.hnf
-        return self._basis == other._basis
+        return self.hnf == other.hnf
 
     def __hash__(self) -> int:
-        return hash(self.hnf if self.rank == 2 else (self.rank, self._basis))
+        return hash(self.hnf)
 
     def __repr__(self) -> str:
         rows = ", ".join(
@@ -176,7 +165,7 @@ class Lattice:
 
 
 def _lattice_from_rows(rows: Iterable[tuple[int, int]], scale: int) -> Lattice:
-    """Canonical subgroup generated by the integer rows divided by scale."""
+    """Canonical lattice generated by the integer rows divided by scale."""
     # Fold every row with a nonzero first coordinate into a single lead row;
     # each fold is unimodular and sheds a pure second-coordinate remainder,
     # and those remainders generate the vertical part (0, d).
@@ -194,44 +183,34 @@ def _lattice_from_rows(rows: Iterable[tuple[int, int]], scale: int) -> Lattice:
         d = math.gcd(d, (a1 // g) * b - (a // g) * b1)
         lead = (g, u * b1 + v * b)
 
-    if lead is None:
-        if d == 0:
-            return Lattice(0, ())
-        return Lattice(1, (Vec2(Fraction(0), Fraction(d, scale)),))
+    if lead is None or d == 0:
+        raise ValueError("lattice generators do not span the plane")
     a, b = lead
-    if d == 0:
-        return Lattice(1, (Vec2(Fraction(a, scale), Fraction(b, scale)),))
     b %= d
     g = math.gcd(scale, a, b, d)
-    return Lattice(2, hnf=(scale // g, a // g, b // g, d // g))
+    return Lattice(hnf=(scale // g, a // g, b // g, d // g))
 
 
 def lattice_from_generators(gens: Iterable[Sequence]) -> Lattice:
-    """Canonical basis of the subgroup generated by the given points.
+    """Canonical basis of the lattice generated by the given points.
 
-    An empty list (or all-zero generators) yields the trivial subgroup.
+    Raises ValueError unless the points span the plane.
     """
     pts = [vec(g[0], g[1]) for g in gens]
-    pts = [g for g in pts if not g.is_zero()]
-    if not pts:
-        return Lattice(0, ())
     scale = math.lcm(*[c.denominator for g in pts for c in (g.x1, g.x2)])
     return _lattice_from_rows([(int(g.x1 * scale), int(g.x2 * scale)) for g in pts], scale)
 
 
 def basis_order(lat: Lattice, other: Lattice) -> int:
-    """Sign (-1, 0, 1) of the lexicographic comparison of the two `basis` tuples.
+    """Sign (-1, 0, 1) of the lexicographic comparison of the two canonical bases.
 
-    Rank 2 compares a/D, then b/D, then d/D by cross-multiplying the
-    integer forms, so no rational is built.
+    Compares a/D, then b/D, then d/D by cross-multiplying the integer
+    forms, so no rational is built.
     """
-    if lat.rank == 2 and other.rank == 2:
-        denom, a, b, d = lat.hnf
-        denom2, a2, b2, d2 = other.hnf
-        left = (a * denom2, b * denom2, d * denom2)
-        right = (a2 * denom, b2 * denom, d2 * denom)
-    else:
-        left, right = lat.basis, other.basis
+    denom, a, b, d = lat.hnf
+    denom2, a2, b2, d2 = other.hnf
+    left = (a * denom2, b * denom2, d * denom2)
+    right = (a2 * denom, b2 * denom, d2 * denom)
     return (left > right) - (left < right)
 
 
@@ -252,7 +231,7 @@ def lattice_from_quotient_type(r: int, w1: int, w2: int) -> Lattice:
         raise ValueError(f"second weight {w2} shares a factor with the order {r}")
     # A unit multiple turns the generator into (1/r, w/r) with w = w2/w1
     # mod r; the form ((1/r, w/r), (0, 1)) is then already canonical.
-    return Lattice(2, hnf=(r, 1, w2 * pow(w1, -1, r) % r, r))
+    return Lattice(hnf=(r, 1, w2 * pow(w1, -1, r) % r, r))
 
 
 def _coordinates(lat: Lattice, v: Vec2) -> Optional[tuple[int, int]]:
@@ -275,20 +254,9 @@ def _coordinates(lat: Lattice, v: Vec2) -> Optional[tuple[int, int]]:
 
 
 def contains(lat: Lattice, v: Sequence) -> bool:
-    """True iff the point lies in the subgroup (solved against the basis)."""
+    """True iff the point lies in the lattice (solved against the basis)."""
     if not isinstance(v, Vec2):
         v = vec(v[0], v[1])
-    if lat.rank == 0:
-        return v.is_zero()
-    if lat.rank == 1:
-        (g,) = lat.basis
-        if g.x1 != 0:
-            c = v.x1 / g.x1
-        else:
-            if v.x1 != 0:
-                return False
-            c = v.x2 / g.x2
-        return c.denominator == 1 and g.scaled(c) == v
     return _coordinates(lat, v) is not None
 
 
@@ -301,26 +269,17 @@ def _check(ok: bool, lat: Lattice, identity: str) -> None:
 def index(lat: Lattice) -> int:
     """Order of the quotient of the lattice by the standard integer lattice.
 
-    Only defined for full-rank superlattices of the integer plane. With
-    the basis ((a, b), (0, d))/D, e2 lies in the lattice iff d divides D
-    and e1 iff a divides D and d divides (D/a)*b; the index is then
+    Only defined for superlattices of the integer plane. With the basis
+    ((a, b), (0, d))/D, e2 lies in the lattice iff d divides D and e1
+    iff a divides D and d divides (D/a)*b; the index is then
     (D/a)*(D/d), the inverse of the determinant.
     """
-    if lat.rank != 2:
-        raise ValueError("index needs a rank-2 lattice")
     denom, a, b, d = lat.hnf
     if denom % a or denom % d or (denom // a * b) % d:
         raise ValueError("index needs a lattice containing the integer plane")
     n = (denom // a) * (denom // d)
     _check(n * a * d == denom * denom, lat, "index * determinant == 1")
     return n
-
-
-def scaled_basis(lat: Lattice) -> tuple[int, int, int, int]:
-    """(D, a, b, d): a rank-2 basis ((a, b), (0, d)) times its common denominator D."""
-    if lat.rank != 2:
-        raise ValueError("scaled basis needs a full-rank lattice")
-    return lat.hnf
 
 
 def residues(lat: Lattice) -> list[Vec2]:
@@ -355,7 +314,7 @@ class SailEdge(NamedTuple):
 
 
 class Sail(NamedTuple):
-    """Klein sail of a full-rank lattice in the closed quadrant.
+    """Klein sail of a lattice in the closed quadrant.
 
     The sail is the compact part of the boundary of the convex hull of
     the nonzero lattice points of the closed quadrant. Its lattice
@@ -372,7 +331,7 @@ class Sail(NamedTuple):
 
 
 def klein_sail(lat: Lattice) -> Sail:
-    """Klein sail of a full-rank lattice, in O(log index) integer steps.
+    """Klein sail of a lattice, in O(log index) integer steps.
 
     With the scaled basis ((a, b), (0, d)), v_0 = (0, d) and v_1 = (a, b)
     form a lattice basis, and d*v_1 - b*v_0 lies on the horizontal axis.
@@ -382,7 +341,7 @@ def klein_sail(lat: Lattice) -> Sail:
     current edge; from the remainder n/k it is k // (n - k) terms long
     and is skipped in one step, so the walk takes O(log index) steps.
     """
-    denom, a, b, d = scaled_basis(lat)
+    denom, a, b, d = lat.hnf
     # Invariant: n*(px, py) - k*(previous point) lies on the horizontal axis.
     n, k = d, b
     px, py = a, b
@@ -408,94 +367,23 @@ def klein_sail(lat: Lattice) -> Sail:
 
 
 def is_primitive(lat: Lattice, v: Sequence) -> bool:
-    """True iff no proper integer fraction of v stays in the subgroup."""
+    """True iff no proper integer fraction of v stays in the lattice."""
     v = vec(v[0], v[1])
     if v.is_zero():
         raise ValueError("primitivity is undefined for the zero vector")
     if not contains(lat, v):
         raise ValueError("vector lies outside the lattice")
-    if lat.rank == 1:
-        (g,) = lat.basis
-        c = v.x1 / g.x1 if g.x1 != 0 else v.x2 / g.x2
-        return abs(c) == 1
     return math.gcd(*_coordinates(lat, v)) == 1
 
 
 def dual(lat: Lattice) -> Lattice:
-    """Covectors pairing integrally with a full-rank lattice.
+    """Covectors pairing integrally with the lattice.
 
     The dual basis of ((a, b), (0, d))/D is (D/a, 0) and (-b*D/(a*d), D/d),
     that is the rows (D*d, 0) and (-b*D, a*D) divided by a*d.
     """
-    if lat.rank != 2:
-        raise ValueError("dual as a lattice needs rank 2; see dual_parts")
     denom, a, b, d = lat.hnf
     return _lattice_from_rows([(denom * d, 0), (-b * denom, a * denom)], a * d)
-
-
-def _primitive_integer(v: Vec2) -> Vec2:
-    """Shortest integer vector on the ray of v (v nonzero)."""
-    s = math.lcm(v.x1.denominator, v.x2.denominator)
-    a, b = int(v.x1 * s), int(v.x2 * s)
-    g = math.gcd(a, b)
-    return vec(a // g, b // g)
-
-
-def dual_parts(lat: Lattice) -> tuple[Lattice, tuple[Vec2, ...]]:
-    """Dual subgroup split as (lattice part, basis of the linear part).
-
-    The dual of a rank-deficient subgroup contains a whole linear
-    subspace of covectors vanishing on it; the discrete remainder is
-    reported inside the span of the input.
-    """
-    if lat.rank == 2:
-        return dual(lat), ()
-    if lat.rank == 1:
-        (g,) = lat.basis
-        perp = _primitive_integer(Vec2(-g.x2, g.x1))
-        if perp < -perp:
-            perp = -perp
-        along = g.scaled(1 / dot(g, g))
-        return lattice_from_generators([along]), (perp,)
-    return Lattice(0, ()), (E1, E2)
-
-
-class InteriorPoint(NamedTuple):
-    point: Vec2
-
-
-class CoWitness(NamedTuple):
-    covector: Vec2
-
-
-def interior_witness(lat: Lattice) -> Union[InteriorPoint, CoWitness]:
-    """A subgroup point inside the open quadrant, if one exists.
-
-    Otherwise returns a nonzero quadrant covector pairing to zero with
-    the whole subgroup, which proves no interior point can exist.
-    """
-    if lat.rank == 2:
-        r1, r2 = lat.basis
-        k = math.floor(-r1.x2 / r2.x2) + 1
-        p = r1 + r2.scaled(Fraction(k))
-        _check(in_cone_interior(p), lat, "r1 + k*r2 lies in the open quadrant")
-        return InteriorPoint(p)
-    if lat.rank == 1:
-        (g,) = lat.basis
-        if in_cone_interior(g):
-            return InteriorPoint(g)
-        if in_cone_interior(-g):
-            return InteriorPoint(-g)
-        w = _primitive_integer(Vec2(-g.x2, g.x1))
-        if not in_cone(w):
-            w = -w
-        _check(
-            in_cone(w) and not w.is_zero(),
-            lat,
-            "the orthogonal witness is a nonzero quadrant covector",
-        )
-        return CoWitness(w)
-    return CoWitness(E2)
 
 
 class CovectorSplit(NamedTuple):
@@ -510,8 +398,6 @@ def split_along_covector(lat: Lattice, m: Vec2) -> CovectorSplit:
     the generator of the image and e2p generates the kernel sublattice
     (primitive there). Together they form a basis of the lattice.
     """
-    if lat.rank != 2:
-        raise ValueError("splitting needs a rank-2 lattice")
     r1, r2 = lat.basis
     p1, p2 = dot(m, r1), dot(m, r2)
     if p1.denominator != 1 or p2.denominator != 1:
@@ -527,8 +413,6 @@ def split_along_covector(lat: Lattice, m: Vec2) -> CovectorSplit:
 
 def points_in_box(lat: Lattice, c1: Rational, c2: Rational) -> list[Vec2]:
     """All lattice points in the box [0, c1] x [0, c2], sorted."""
-    if lat.rank != 2:
-        raise ValueError("box enumeration needs a rank-2 lattice")
     if c1 < 0 or c2 < 0:
         return []
     r1, r2 = lat.basis
@@ -545,21 +429,19 @@ def points_in_box(lat: Lattice, c1: Rational, c2: Rational) -> list[Vec2]:
 
 
 def swapped_lattice(lat: Lattice) -> Lattice:
-    """Image of the subgroup under the coordinate swap.
+    """Image of the lattice under the coordinate swap.
 
-    Rank 2 swaps the rows (a, b) and (0, d) of the integer form and
-    reduces them again; the common denominator D does not change.
+    Swaps the rows (a, b) and (0, d) of the integer form and reduces
+    them again; the common denominator D does not change.
     """
-    if lat.rank == 2:
-        denom, a, b, d = lat.hnf
-        return _lattice_from_rows([(b, a), (d, 0)], denom)
-    return lattice_from_generators([g.swapped() for g in lat.basis])
+    denom, a, b, d = lat.hnf
+    return _lattice_from_rows([(b, a), (d, 0)], denom)
 
 
 def cyclic_type(lat: Lattice) -> Optional[tuple[int, int, int]]:
     """Canonical quotient type (r, w1, w2) when the quotient is cyclic.
 
-    Requires a full-rank superlattice of the integer plane. Returns None
+    Requires a superlattice of the integer plane. Returns None
     for non-cyclic quotients; the identity lattice reports (1, 0, 0).
     The representative is the lexicographically least generator among
     all unit multiples, with weights in [0, r).
@@ -590,7 +472,7 @@ def sublattices_of_standard(n: int) -> list[Lattice]:
     """Integer sublattices of the standard plane of index n.
 
     Enumerated by triangular bases ((a, b), (0, d)) with a*d = n and
-    0 <= b < d, each subgroup exactly once, ordered by (a, b).
+    0 <= b < d, each sublattice exactly once, ordered by (a, b).
     """
     if n < 1:
         raise ValueError("index must be a positive integer")
@@ -598,7 +480,7 @@ def sublattices_of_standard(n: int) -> list[Lattice]:
     for a in _divisors(n):
         d = n // a
         for b in range(d):
-            out.append(Lattice(2, hnf=(1, a, b, d)))
+            out.append(Lattice(hnf=(1, a, b, d)))
     return out
 
 

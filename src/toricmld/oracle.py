@@ -25,8 +25,6 @@ def _box_representatives(lat: Lattice) -> tuple[int, set[tuple[int, int]]]:
     the representatives are the (x/D, y/D) for (x, y) in points. Both
     basis rows are read in full, so no basis shape is assumed.
     """
-    if lat.rank != 2:
-        raise ValueError("representatives need a rank-2 lattice")
     r1, r2 = lat.basis
     coords = (r1.x1, r1.x2, r2.x1, r2.x2)
     denom = math.lcm(*(c.denominator for c in coords))

@@ -62,7 +62,7 @@ def germ_to_json(germ: Germ) -> dict:
         "lattice": lattice_to_json(germ.lattice),
         "boundary": [format_rational(germ.b1), format_rational(germ.b2)],
     }
-    ty = cyclic_type(germ.lattice) if germ.lattice.rank == 2 else None
+    ty = cyclic_type(germ.lattice)
     if ty is not None:
         out["type"] = list(ty)
     return out
@@ -248,7 +248,7 @@ def dumps(data: dict) -> str:
 
 def germ_label(germ: Germ) -> str:
     """Short human-readable lattice label for tables."""
-    ty = cyclic_type(germ.lattice) if germ.lattice.rank == 2 else None
+    ty = cyclic_type(germ.lattice)
     if ty is None:
         return f"index {index(germ.lattice)}"
     r, w1, w2 = ty

@@ -21,7 +21,6 @@ from toricmld import (
     candidate_germs,
     classify_germ_record,
     classify_tlc,
-    classify_tlc_subgroup,
     cyclic_lattices,
     dot,
     dual,
@@ -156,33 +155,6 @@ def test_classify_completeness_against_oracle(random_corpus):
         assert isinstance(cert, NotTLC) == (not tlc_oracle(germ.lattice, psi, t))
 
 
-def test_classify_subgroup_ranks():
-    # Rank-1 subgroup through the open quadrant.
-    ray = lattice_from_generators([(1, 1)])
-    cert = classify_tlc_subgroup(ray, vec(1, 1), 2)
-    assert cert == CaseA(vec(Fraction(1, 2), Fraction(1, 2)))
-    assert verify_certificate_lattice(ray, vec(1, 1), 2, cert)
-    cert = classify_tlc_subgroup(ray, vec(1, 1), 3)
-    assert cert == NotTLC(vec(1, 1), Fraction(2))
-    assert verify_certificate_lattice(ray, vec(1, 1), 3, cert)
-
-    # Rank-1 subgroup missing the quadrant: certified at any threshold.
-    axis = lattice_from_generators([(1, 0)])
-    for t in (Fraction(1, 2), Fraction(5)):
-        cert = classify_tlc_subgroup(axis, vec(1, 1), t)
-        assert isinstance(cert, CaseA)
-        assert verify_certificate_lattice(axis, vec(1, 1), t, cert)
-    cert = classify_tlc_subgroup(lattice_from_generators([(1, -1)]), vec(1, 1), 7)
-    assert verify_certificate_lattice(lattice_from_generators([(1, -1)]), vec(1, 1), 7, cert)
-
-    with pytest.raises(ValueError):
-        classify_tlc_subgroup(lattice_from_generators([(2, 0), (0, 1)]), vec(1, 1), 1)
-    with pytest.raises(ValueError):
-        classify_tlc_subgroup(lattice_from_generators([(1, 0)]), vec(1, 0), 1)
-    # Full-rank subgroups route to the main classifier.
-    assert classify_tlc_subgroup(STANDARD_LATTICE, vec(1, 1), 1) == CaseA(vec(0, 1))
-
-
 def test_box_maximal():
     assert box_maximal(vec(0, 1), 1) == vec(0, 1)
     assert box_maximal(vec(0, 1), 2) == vec(0, 2)
@@ -190,6 +162,9 @@ def test_box_maximal():
     assert box_maximal(vec(1, 1), Fraction(5, 2)) == vec(2, 2)
     with pytest.raises(ValueError):
         box_maximal(vec(0, 0), 1)
+    # No positive multiple fits: the caller broke the box identity.
+    with pytest.raises(VerificationFailure, match=r"box-maximal multiple >= 1 fails for \(3,1\)"):
+        box_maximal(vec(3, 1), 2)
 
 
 def test_lawrence_examples():

@@ -1,17 +1,19 @@
 """End-to-end command line behavior, run in process."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from toricmld import cli, superlattices
+from toricmld import certify, cli, format_rational, geometry, parse_rational, superlattices
 from toricmld.cli import main
 from toricmld.records import TABLE_COLUMNS, dumps, record_from_json, record_table_row
 
@@ -150,6 +152,56 @@ def test_verify_rejects_malformed_lines(capsys, tmp_path):
     assert run_cli(capsys, "verify", "--in", str(bad))[0] == 1
     bad.write_text("not json\n")
     assert run_cli(capsys, "verify", "--in", str(bad))[0] == 1
+
+
+@pytest.mark.parametrize("rows", [1, 0])
+def test_verify_rejects_a_lattice_that_does_not_span_the_plane(capsys, tmp_path, rows):
+    # Lattices are full rank; fewer basis rows are invalid input (exit 1).
+    path = tmp_path / "short.jsonl"
+    for argv in (
+        ("classify", "--type", "5,1,1", "--t", "2/5"),
+        ("lawrence", "--type", "5,1,1", "--p", "1", "--q", "2"),
+    ):
+        data = json.loads(run_cli(capsys, *argv)[1])
+        lattice = data["germ"]["lattice"] if "germ" in data else data["lattice"]
+        del lattice[rows:]
+        path.write_text(dumps(data) + "\n")
+        code, out, err = run_cli(capsys, "verify", "--in", str(path))
+        assert (code, out) == (1, "") and err.startswith("error: "), argv
+
+
+def test_verify_rejects_a_dependent_pair(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "lawrence", "--index-max", "10", "--p", "1", "--q", "2")
+    assert code == 0
+    data = next(
+        record
+        for record in map(json.loads, out.splitlines())
+        if record["lawrence"]["kind"] == "equals_intersection"
+    )
+    result = data["lawrence"]
+    result["m2"] = [format_rational(2 * parse_rational(x)) for x in result["m1"]]
+    path = tmp_path / "dependent.jsonl"
+    path.write_text(dumps(data) + "\n")
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("verification failure: line 1: ") and "dependent" in err
+
+
+@pytest.mark.parametrize("command", ["lawrence", "complement"])
+def test_broken_identity_exits_two(monkeypatch, capsys, command):
+    # A wrong slice offset breaks an integrality identity of the split case.
+    real = certify.case_analysis_lattice
+
+    def skewed(lat, psi, minimum=None):
+        data = real(lat, psi, minimum)
+        return dataclasses.replace(data, alpha=data.alpha + Fraction(1, 7))
+
+    for module in (certify, geometry):
+        monkeypatch.setattr(module, "case_analysis_lattice", skewed)
+    code, out, err = run_cli(capsys, command, "--type", "5,1,1", "--p", "2", "--q", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("verification failure: alpha/gamma is an integer")
+    assert "fails for Lattice[(1/5,1/5), (0,1)]" in err
 
 
 def test_enumerate_resume_is_idempotent(capsys, tmp_path):

@@ -12,7 +12,6 @@ from toricmld import (
     canonical_germ,
     case_analysis,
     case_analysis_lattice,
-    case_analysis_ray,
     contains,
     dot,
     dual,
@@ -229,19 +228,6 @@ def test_case_analysis_rejections():
         case_analysis(make_germ(STANDARD_LATTICE, 1, 1))
     with pytest.raises(ValueError):
         case_analysis_lattice(STANDARD_LATTICE, vec(-1, 1))
-
-
-def test_case_analysis_ray():
-    lat = lattice_from_generators([(1, 1)])
-    data = case_analysis_ray(lat, vec(1, 1))
-    assert data.tag is CaseTag.RAY
-    assert data.mld == 2 and data.gamma == 2
-    assert data.v1 == vec(Fraction(1, 2), Fraction(1, 2))
-    assert dot(data.v1, vec(1, 1)) == 1
-    with pytest.raises(ValueError):
-        case_analysis_ray(lattice_from_generators([(1, 0)]), vec(1, 1))
-    with pytest.raises(ValueError):
-        case_analysis_ray(lattice_from_generators([(1, -2)]), vec(1, 1))
 
 
 def _check_slice_direction(data, psi):

@@ -84,7 +84,7 @@ def test_oracle_matches_longhand_enumeration():
         lattice_from_quotient_type(r, 1, w)
         for r, w in ((1, 0), (2, 1), (5, 2), (12, 7), (30, 11))
     ]
-    sheared = [Lattice(2, (lat.basis[0], lat.basis[0] + lat.basis[1])) for lat in cyclic]
+    sheared = [Lattice((lat.basis[0], lat.basis[0] + lat.basis[1])) for lat in cyclic]
     psis = (vec(Fraction(3, 7), Fraction(2)), vec(0, 0), vec(1, 1), vec(Fraction(5, 6), 0))
     for lat in cyclic + sheared + list(superlattices(24)):
         r1, r2 = lat.basis
