@@ -21,6 +21,7 @@ from .germs import (
     CaseTag,
     Germ,
     Minimum,
+    _checker,
     case_analysis_lattice,
     psi_of,
     sail_minimum,
@@ -97,21 +98,23 @@ def classify_tlc_lattice(
         minimum = sail_minimum(lat, psi)
     if minimum.value < t:
         return NotTLC(minimum.first, minimum.value)
-    return certificate_from_case_data(case_analysis_lattice(lat, psi, minimum), psi, t)
+    return certificate_from_case_data(lat, case_analysis_lattice(lat, psi, minimum), psi, t)
 
 
-def certificate_from_case_data(data: CaseData, psi: Vec2, t: Rational) -> Certificate:
-    """Covector certificate for a threshold t at or below the minimum data.mld."""
+def certificate_from_case_data(
+    lat: Lattice, data: CaseData, psi: Vec2, t: Rational
+) -> Certificate:
+    """Covector certificate for t <= data.mld; at t = data.mld, the section dichotomy."""
     if data.gamma >= t:
         return CaseA(data.v1)
     # gamma < t <= lam only happens in the split case with positive
     # kernel component; the exact decomposition of psi gives the pair.
-    if not (data.tag is CaseTag.SPLIT and data.psi_prime > 0):
-        raise VerificationFailure("gamma < t <= mld outside the split case with psi_prime > 0")
+    check = _checker(lat, psi)
+    check(data.tag is CaseTag.SPLIT and data.psi_prime > 0, "split case with psi_prime > 0")
     t2 = (data.mld - data.gamma) / (1 - data.alpha)
     t1 = data.mld - t2
-    if not (t1 > 0 and t2 > 0 and data.v1.scaled(t1) + data.v2.scaled(t2) == psi):
-        raise VerificationFailure("the adapted pair does not decompose psi with positive weights")
+    check(t1 > 0 and t2 > 0, "t1 > 0 and t2 > 0")
+    check(data.v1.scaled(t1) + data.v2.scaled(t2) == psi, "t1*v1 + t2*v2 == psi")
     return CaseB(data.v1, data.v2, t1, t2)
 
 
@@ -214,6 +217,22 @@ class Hit(NamedTuple):
 LawrenceResult = Union[Contained, EqualsIntersection, Hit]
 
 
+def pair_weights(lat: Lattice, data: CaseData, p: int, q: int) -> tuple[int, int]:
+    """Integer weights k1 = q - p*alpha/gamma, k2 = p/gamma - q of the pair at p/q.
+
+    For gamma < p/q <= mld; both quotients by gamma are integers, both
+    weights at least 1, and k1 + k2 = p*(1 - alpha)/gamma.
+    """
+    scale = 1 / data.gamma
+    _check(scale.denominator == 1, lat, "1/gamma is an integer")
+    offset = scale * data.alpha
+    _check(offset.denominator == 1, lat, "alpha/gamma is an integer")
+    k1 = q - p * int(offset)
+    k2 = int(scale) * p - q
+    _check(k1 >= 1 and k2 >= 1, lat, "k1 >= 1 and k2 >= 1")
+    return k1, k2
+
+
 def lawrence(lat: Lattice, p: int, q: int) -> LawrenceResult:
     """Decide whether the subgroup avoids the open simplex x+y < p/q, x,y > 0.
 
@@ -243,15 +262,7 @@ def lawrence(lat: Lattice, p: int, q: int) -> LawrenceResult:
         _check(m.x1.denominator == 1 and m.x2.denominator == 1, lat, "box-maximal m is integral")
         return Contained(m)
 
-    scale = 1 / data.gamma
-    _check(scale.denominator == 1, lat, "1/gamma is an integer")
-    scale = int(scale)
-    offset = scale * data.alpha
-    _check(offset.denominator == 1, lat, "alpha/gamma is an integer")
-    offset = int(offset)
-    k1 = q - p * offset
-    k2 = scale * p - q
-    _check(k1 >= 1 and k2 >= 1, lat, "k1 >= 1 and k2 >= 1")
+    k1, k2 = pair_weights(lat, data, p, q)
     if p == 1 and q > 1 and k1 + k2 == 2 * q:
         # Saturated weights only happen with offset 0 and scale 2q,
         # where the plain average of the pair already lands in the box.
@@ -334,9 +345,8 @@ def series_certificate_log(
         w = 1 / (n * t)
         if not (bn[0] >= (1 - w) + w * germ.b1 and bn[1] >= (1 - w) + w * germ.b2):
             return None
-    check = mld_oracle_lattice(germ.lattice, Vec2(m.x1 / n, m.x2 / n))[0]
-    if check < Fraction(1, n):
-        raise VerificationFailure("accepted series certificate violates its own level")
+    value = mld_oracle_lattice(germ.lattice, Vec2(m.x1 / n, m.x2 / n))[0]
+    _checker(germ.lattice, psi)(value >= Fraction(1, n), "oracle mld at level n >= 1/n")
     return n, bn
 
 
@@ -417,7 +427,7 @@ def classify_germ_record(
     else:
         if data is None:
             data = case_analysis_lattice(lat, psi, minimum)
-        cert = certificate_from_case_data(data, psi, t)
+        cert = certificate_from_case_data(lat, data, psi, t)
     outcome = verify_certificate_lattice(lat, psi, t, cert)
     if not outcome:
         raise VerificationFailure(

@@ -21,6 +21,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .certify import (
+    CaseA,
+    Certificate,
     Contained,
     EqualsIntersection,
     Hit,
@@ -44,20 +46,19 @@ from .germs import (
 from .lattices import (
     Vec2,
     contains,
-    dot,
     dual,
     format_rational,
-    in_cone,
-    in_cone_interior,
     lattice_from_generators,
     lattice_from_quotient_type,
     parse_rational,
     superlattices,
+    vec,
 )
 from .oracle import lawrence_oracle, mld_oracle_lattice
 from .records import (
     TABLE_COLUMNS,
     case_data_to_json,
+    complement_from_json,
     complement_record_to_json,
     dumps,
     germ_from_json,
@@ -215,10 +216,13 @@ def _cmd_enumerate(args) -> int:
         seen: set[str] = set()
         if os.path.exists(args.out):
             with open(args.out, encoding="utf-8") as handle:
-                for line in handle:
+                for line_no, line in enumerate(handle, start=1):
                     line = line.strip()
                     if line:
-                        seen.add(dumps(json.loads(line)["germ"]))
+                        try:
+                            seen.add(dumps(json.loads(line)["germ"]))
+                        except _MALFORMED as exc:
+                            raise _malformed(line_no, exc) from None
 
     records = enumerate_germs(args.mode, bound, t, _boundary_pairs(args), args.include_not_tlc)
     if args.resume:
@@ -252,6 +256,16 @@ def _require(ok: bool, line_no: int, reason: str) -> None:
         raise VerificationFailure(f"line {line_no}: {reason}")
 
 
+# What decoding a malformed record raises: a missing key, a wrong type, a bad value.
+_MALFORMED = (LookupError, TypeError, ValueError, ZeroDivisionError)
+
+
+def _malformed(line_no: int, exc: Exception) -> ValueError:
+    """Invalid input (exit 1) naming the line of the malformed record."""
+    reason = f"record misses key {exc}" if isinstance(exc, KeyError) else exc
+    return ValueError(f"line {line_no}: {reason}")
+
+
 def _verify_classification(data: dict, line_no: int) -> None:
     record = record_from_json(data)
     lat = record.germ.lattice
@@ -274,50 +288,36 @@ def _verify_classification(data: dict, line_no: int) -> None:
 
 
 def _verify_lawrence(data: dict, line_no: int) -> None:
+    """Hits and containments are NotTLC and CaseA certificates at psi = (1, 1), t = p/q."""
     lat = lattice_from_json(data["lattice"])
-    p, q = int(data["p"]), int(data["q"])
-    t = Fraction(p, q)
+    t = Fraction(int(data["p"]), int(data["q"]))
     p, q = t.numerator, t.denominator
     result = lawrence_result_from_json(data["lawrence"])
     avoids = lawrence_oracle(lat, p, q)
     if isinstance(result, Hit):
         _require(not avoids, line_no, "hit recorded but the oracle finds no point")
-        e = result.e
-        _require(contains(lat, e), line_no, "hit point lies outside the subgroup")
-        _require(in_cone_interior(e), line_no, "hit point is not interior")
-        _require(e.x1 + e.x2 < t, line_no, "hit point misses the open simplex")
-        return
-    _require(avoids, line_no, "avoidance recorded but the oracle finds a point")
+        cert: Certificate = NotTLC(result.e, result.e.x1 + result.e.x2)
+    else:
+        _require(avoids, line_no, "avoidance recorded but the oracle finds a point")
     if isinstance(result, Contained):
         m = result.m
-        _require(not m.is_zero() and in_cone(m), line_no, "containment witness degenerate")
         _require(
             m.x1.denominator == 1 and m.x2.denominator == 1,
             line_no,
             "containment witness is not integral",
         )
-        _require(
-            all(dot(m, row).denominator == 1 for row in lat.basis),
-            line_no,
-            "subgroup does not pair integrally with the containment witness",
-        )
-        _require(
-            m.x1 <= Fraction(q, p) and m.x2 <= Fraction(q, p),
-            line_no,
-            "containment witness escapes the box",
-        )
+        cert = CaseA(m)
+    if not isinstance(result, EqualsIntersection):
+        outcome = verify_certificate_lattice(lat, vec(1, 1), t, cert)
+        _require(bool(outcome), line_no, f"certificate rejected: {outcome.reason}")
         return
-    _require(isinstance(result, EqualsIntersection), line_no, "unrecognized avoidance result")
-    _require(result.k1 >= 1 and result.k2 >= 1, line_no, "weights must be positive")
-    _require(result.k1 + result.k2 <= 2 * q, line_no, "weights exceed twice the denominator")
-    m1, m2 = result.m1, result.m2
+    m1, m2, k1, k2 = result
+    _require(k1 >= 1 and k2 >= 1, line_no, "weights must be positive")
+    _require(k1 + k2 <= 2 * q, line_no, "weights exceed twice the denominator")
     _require(m1.x1 * m2.x2 - m1.x2 * m2.x1 != 0, line_no, "pair covectors are dependent")
     span = lattice_from_generators([m1, m2])
     _require(dual(span) == lat, line_no, "subgroup is not the pair's integrality locus")
-    total = result.k1 + result.k2
-    avg = (m1.scaled(Fraction(result.k1)) + m2.scaled(Fraction(result.k2))).scaled(
-        Fraction(1, total)
-    )
+    avg = (m1.scaled(Fraction(k1)) + m2.scaled(Fraction(k2))).scaled(Fraction(1, k1 + k2))
     _require(
         0 <= avg.x1 <= Fraction(q, p) and 0 <= avg.x2 <= Fraction(q, p),
         line_no,
@@ -327,11 +327,8 @@ def _verify_lawrence(data: dict, line_no: int) -> None:
 
 def _verify_complement(data: dict, line_no: int) -> None:
     germ = germ_from_json(data["germ"])
-    comp = data["complement"]
-    n = int(comp["n"])
+    n, (b1, b2), witness = complement_from_json(data["complement"])
     _require(n >= 1, line_no, "level must be positive")
-    b1, b2 = (parse_rational(x) for x in comp["boundary"])
-    witness = Vec2(parse_rational(comp["witness"][0]), parse_rational(comp["witness"][1]))
     _require(
         witness == Vec2(n * (1 - b1), n * (1 - b2)),
         line_no,
@@ -369,14 +366,17 @@ def _cmd_verify(args) -> int:
                 raise ValueError(f"line {line_no}: not JSON: {exc}") from None
             if not isinstance(data, dict):
                 raise ValueError(f"line {line_no}: not a JSON object")
-            if "certificate" in data:
-                _verify_classification(data, line_no)
-            elif "lawrence" in data:
-                _verify_lawrence(data, line_no)
-            elif "complement" in data:
-                _verify_complement(data, line_no)
-            else:
-                raise ValueError(f"line {line_no}: unrecognized record shape")
+            try:
+                if "certificate" in data:
+                    _verify_classification(data, line_no)
+                elif "lawrence" in data:
+                    _verify_lawrence(data, line_no)
+                elif "complement" in data:
+                    _verify_complement(data, line_no)
+                else:
+                    raise ValueError("unrecognized record shape")
+            except _MALFORMED as exc:
+                raise _malformed(line_no, exc) from None
             count += 1
     print(f"verified {count} records")
     return 0

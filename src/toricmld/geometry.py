@@ -13,9 +13,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .errors import VerificationFailure
+from .certify import CaseB, certificate_from_case_data, pair_weights
 from .germs import (
-    CaseTag,
     Germ,
     _checker,
     case_analysis,
@@ -102,12 +101,13 @@ def classify_mld_ge_one(germ: Germ) -> Union[ProductCase, QuotientCase, NotAppli
             "mld == 2 - b1 - b2 and b1 + b2 <= 1",
         )
         return ProductCase(a)
-    if germ.b1 == 0 and germ.b2 == 0:
-        ty = cyclic_type(germ.lattice)
-        if ty is not None and ty[1] == 1 and ty[2] == ty[0] - 1:
-            check(a == 1, "mld of 1/r(1, r-1) == 1")
-            return QuotientCase(ty[0] - 1)
-    raise VerificationFailure("value-one families are not exhaustive for this germ")
+    ty = cyclic_type(germ.lattice) if germ.b1 == 0 and germ.b2 == 0 else None
+    check(
+        ty is not None and ty[1] == 1 and ty[2] == ty[0] - 1,
+        "mld >= 1 only on the product or a boundary-free 1/r(1, r-1)",
+    )
+    check(a == 1, "mld of 1/r(1, r-1) == 1")
+    return QuotientCase(ty[0] - 1)
 
 
 class SingleH(NamedTuple):
@@ -138,21 +138,16 @@ def hyperplane_dichotomy(germ: Germ) -> Union[SingleH, DoubleH]:
     if psi.is_zero():
         raise ValueError("dichotomy needs a nonzero psi")
     data = case_analysis(germ)
+    cert = certificate_from_case_data(germ.lattice, data, psi, data.mld)
+    if isinstance(cert, CaseB):
+        return DoubleH(HyperplaneSection(cert.m1), HyperplaneSection(cert.m2), cert.t1, cert.t2)
     check = _checker(germ.lattice, psi)
     a = data.mld
-    if data.gamma == a:
-        section = HyperplaneSection(data.v1)
-        # psi = a * v1 here, so the pushed boundary is the full one.
-        residual = psi - data.v1.scaled(a)
-        check(residual.is_zero(), "psi == mld*v1")
-        check(mld_oracle_lattice(germ.lattice, residual)[0] == 0, "oracle mld of zero psi == 0")
-        return SingleH(section, a)
-    check(data.tag is CaseTag.SPLIT, "gamma < mld only in the split case")
-    g2 = (a - data.gamma) / (1 - data.alpha)
-    g1 = a - g2
-    check(g1 > 0 and g2 > 0, "g1 > 0 and g2 > 0")
-    check(data.v1.scaled(g1) + data.v2.scaled(g2) == psi, "g1*v1 + g2*v2 == psi")
-    return DoubleH(HyperplaneSection(data.v1), HyperplaneSection(data.v2), g1, g2)
+    # gamma == mld here, so psi = a * v1 and the pushed boundary is the full one.
+    residual = psi - cert.m.scaled(a)
+    check(residual.is_zero(), "psi == mld*v1")
+    check(mld_oracle_lattice(germ.lattice, residual)[0] == 0, "oracle mld of zero psi == 0")
+    return SingleH(HyperplaneSection(cert.m), a)
 
 
 def half_mld_section(germ: Germ) -> HyperplaneSection:
@@ -226,27 +221,18 @@ def complement_standard(germ: Germ, p: int, q: int) -> Complement:
         witness = data.v1.scaled(Fraction(p))
         s = 1
     else:
-        scale = 1 / data.gamma
-        check(scale.denominator == 1, "1/gamma is an integer for standard coefficients")
-        scale = int(scale)
-        offset = scale * data.alpha
-        check(offset.denominator == 1, "alpha/gamma is an integer for standard coefficients")
-        offset = int(offset)
-        s = scale - offset
-        z1 = q - p * offset
-        z2 = scale * p - q
-        check(z1 >= 1 and z2 >= 1, "z1 >= 1 and z2 >= 1")
-        check(z1 + z2 == p * s, "z1 + z2 == p*s")
+        k1, k2 = pair_weights(germ.lattice, data, p, q)
+        s, rest = divmod(k1 + k2, p)
+        check(rest == 0, "k1 + k2 == p*s")
         n = s * q
-        witness = data.v1.scaled(Fraction(z1)) + data.v2.scaled(Fraction(z2))
+        witness = data.v1.scaled(Fraction(k1)) + data.v2.scaled(Fraction(k2))
     check(1 <= s and s * p <= 2 * q, "1 <= s <= 2q/p")
     bn = (1 - witness.x1 / n, 1 - witness.x2 / n)
     check(witness.x1.denominator == 1 and witness.x2.denominator == 1, "witness is integral")
     check(contains(dual(germ.lattice), witness), "witness lies in the dual lattice")
     check(germ.b1 <= bn[0] <= 1 and germ.b2 <= bn[1] <= 1, "b <= complement boundary <= 1")
     value = mld_oracle_lattice(germ.lattice, Vec2(witness.x1 / n, witness.x2 / n))[0]
-    if value < t:
-        raise VerificationFailure("complement boundary drops below the target ratio")
+    check(value >= t, "oracle mld of the complement >= p/q")
     return Complement(n, bn, witness)
 
 
@@ -268,16 +254,21 @@ def bounded_complement(germ: Germ, strict_floor: bool = False) -> Complement:
     psi = psi_of(germ)
     m_lat = dual(germ.lattice)
     n_max = math.floor(2 / a) if strict_floor else math.ceil(2 / a)
-    for n in range(1, n_max + 1):
-        for m in points_in_box(m_lat, n * psi.x1, n * psi.x2):
-            if m.is_zero():
-                continue
-            bn = (1 - m.x1 / Fraction(n), 1 - m.x2 / Fraction(n))
-            if strict_floor and not _floor_bound_ok(germ, n, bn):
-                continue
-            if mld_oracle_lattice(germ.lattice, Vec2(m.x1 / n, m.x2 / n))[0] > 0:
-                return Complement(n, bn, m)
-    raise VerificationFailure("bounded complement search exhausted below the level bound")
+
+    def complements():
+        for n in range(1, n_max + 1):
+            for m in points_in_box(m_lat, n * psi.x1, n * psi.x2):
+                if m.is_zero():
+                    continue
+                bn = (1 - m.x1 / Fraction(n), 1 - m.x2 / Fraction(n))
+                if strict_floor and not _floor_bound_ok(germ, n, bn):
+                    continue
+                if mld_oracle_lattice(germ.lattice, Vec2(m.x1 / n, m.x2 / n))[0] > 0:
+                    yield Complement(n, bn, m)
+
+    found = next(complements(), None)
+    _checker(germ.lattice, psi)(found is not None, f"a complement of level <= {n_max} exists")
+    return found
 
 
 def _floor_bound_ok(germ: Germ, n: int, bn: tuple[Rational, Rational]) -> bool:

@@ -122,22 +122,22 @@ class Lattice:
     0 <= b < d and gcd(D, a, b, d) = 1, so D is the least common
     denominator of the lattice. `==` and hashing read those integers.
     `basis` is the rational form ((a/D, b/D), (0, d/D)), built on first
-    access and kept. `Lattice(basis)` keeps the rows it is given as
-    `basis` and reduces them to `hnf`, raising ValueError when they do
-    not span the plane. Instances are immutable by convention; only the
-    cached `basis` is filled in after construction.
+    access and kept, so equal lattices have equal bases. `Lattice(rows)`
+    reduces the rows to `hnf`, raising ValueError when they do not span
+    the plane. Instances are immutable by convention; only the cached
+    `basis` is filled in after construction.
     """
 
     __slots__ = ("hnf", "_basis")
 
     def __init__(
         self,
-        basis: Optional[tuple[Vec2, ...]] = None,
+        rows: Optional[tuple[Vec2, ...]] = None,
         *,
         hnf: Optional[tuple[int, int, int, int]] = None,
     ):
-        self._basis = basis
-        self.hnf = lattice_from_generators(basis).hnf if hnf is None else hnf
+        self._basis: Optional[tuple[Vec2, ...]] = None
+        self.hnf = lattice_from_generators(rows).hnf if hnf is None else hnf
 
     @property
     def basis(self) -> tuple[Vec2, ...]:
@@ -276,7 +276,7 @@ def index(lat: Lattice) -> int:
     """
     denom, a, b, d = lat.hnf
     if denom % a or denom % d or (denom // a * b) % d:
-        raise ValueError("index needs a lattice containing the integer plane")
+        raise ValueError("lattice does not contain the integer plane")
     n = (denom // a) * (denom // d)
     _check(n * a * d == denom * denom, lat, "index * determinant == 1")
     return n

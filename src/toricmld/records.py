@@ -5,7 +5,8 @@ integers); vectors as two-element arrays of such strings; lattices as
 arrays of basis rows. Dict key order is fixed by construction, so
 serialized output is byte-stable. Parsing reconstructs lattices through
 the canonical constructor, which makes records robust against
-reordered or redundant generator rows.
+reordered or redundant generator rows, and rejects a lattice that misses
+the integer plane, which every germ lattice contains.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ def lattice_to_json(lat: Lattice) -> list[list[str]]:
 def lattice_from_json(data: Any) -> Lattice:
     if not isinstance(data, list):
         raise ValueError(f"not a lattice: {data!r}")
-    return lattice_from_generators([vec_from_json(row) for row in data])
+    lat = lattice_from_generators([vec_from_json(row) for row in data])
+    index(lat)  # raises ValueError unless the lattice contains the integer plane
+    return lat
 
 
 def germ_to_json(germ: Germ) -> dict:
@@ -71,14 +74,8 @@ def germ_to_json(germ: Germ) -> dict:
 def germ_from_json(data: Any) -> Germ:
     if not isinstance(data, dict) or "lattice" not in data or "boundary" not in data:
         raise ValueError(f"not a germ record: {data!r}")
-    b = data["boundary"]
-    if not isinstance(b, (list, tuple)) or len(b) != 2:
-        raise ValueError(f"not a boundary pair: {b!r}")
-    return Germ(
-        lattice_from_json(data["lattice"]),
-        parse_rational(b[0]),
-        parse_rational(b[1]),
-    )
+    b1, b2 = vec_from_json(data["boundary"])
+    return Germ(lattice_from_json(data["lattice"]), b1, b2)
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -222,10 +219,9 @@ def complement_to_json(comp: Complement) -> dict:
 def complement_from_json(data: Any) -> Complement:
     if not isinstance(data, dict):
         raise ValueError(f"not a complement record: {data!r}")
-    b = data["boundary"]
     return Complement(
         int(data["n"]),
-        (parse_rational(b[0]), parse_rational(b[1])),
+        tuple(vec_from_json(data["boundary"])),
         vec_from_json(data["witness"]),
     )
 

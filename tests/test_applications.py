@@ -4,12 +4,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import toricmld.certify
 import toricmld.geometry
 import toricmld.germs
 from toricmld import (
+    CaseB,
     Complement,
     DoubleH,
+    EqualsIntersection,
     Germ,
     NotApplicable,
     ProductCase,
@@ -18,7 +23,9 @@ from toricmld import (
     SingleH,
     VerificationFailure,
     bounded_complement,
+    case_analysis,
     classify_mld_ge_one,
+    classify_tlc,
     complement_standard,
     contains,
     dual,
@@ -29,11 +36,13 @@ from toricmld import (
     in_cone,
     is_standard_coefficient,
     lattice_from_generators,
+    lawrence,
     lct_invariant,
     make_germ,
     mld,
     mld_oracle_lattice,
     psi_of,
+    series_certificate_log,
     vec,
 )
 
@@ -219,3 +228,61 @@ def test_bounded_complement_boundary_is_valid(standard_corpus):
             comp.witness_m.x1 / Fraction(comp.n), comp.witness_m.x2 / Fraction(comp.n)
         )
         assert mld_oracle_lattice(germ.lattice, level_psi)[0] > 0
+
+
+@st.composite
+def cyclic_germs(draw):
+    r = draw(st.integers(2, 60))
+    w = draw(st.integers(1, r - 1).filter(lambda w: math.gcd(w, r) == 1))
+    return germ_from_quotient_type(r, 1, w)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(cyclic_germs(), st.integers(1, 12))
+def test_pair_witness_is_shared(germ, twelfths):
+    # The dichotomy is the certificate at t = mld, and the standard
+    # complement recombines the pair with lawrence's weights.
+    a = mld(germ)
+    outcome = hyperplane_dichotomy(germ)
+    cert = classify_tlc(germ, a)
+    if isinstance(cert, CaseB):
+        assert outcome == DoubleH(
+            hyperplane_section(germ, cert.m1), hyperplane_section(germ, cert.m2), cert.t1, cert.t2
+        )
+    else:
+        assert outcome == SingleH(hyperplane_section(germ, cert.m), a)
+    # A threshold in (gamma, mld], where the pair is needed.
+    gamma = case_analysis(germ).gamma
+    t = gamma + (a - gamma) * Fraction(twelfths, 12)
+    p, q = t.numerator, t.denominator
+    result = lawrence(germ.lattice, p, q)
+    if isinstance(result, EqualsIntersection) and not (p == 1 and result.k1 == result.k2 == 1):
+        witness = result.m1.scaled(Fraction(result.k1)) + result.m2.scaled(Fraction(result.k2))
+        assert complement_standard(germ, p, q).witness_m == witness
+
+
+def test_engine_failures_name_the_lattice(monkeypatch):
+    # An oracle that finds value 0 everywhere breaks the closing identity
+    # of each construction; the failure names the lattice it broke on.
+    def zero(lat, psi):
+        return Fraction(0), []
+
+    monkeypatch.setattr(toricmld.certify, "mld_oracle_lattice", zero)
+    monkeypatch.setattr(toricmld.geometry, "mld_oracle_lattice", zero)
+    monkeypatch.setattr(toricmld.geometry, "cyclic_type", lambda lat: None)
+    germ = germ_from_quotient_type(5, 1, 1)
+    broken = (
+        lambda: series_certificate_log(germ, vec(2, 3), Fraction(1, 5)),
+        lambda: classify_mld_ge_one(CHAIN3),
+        lambda: complement_standard(germ, 1, 3),
+        lambda: bounded_complement(germ),
+    )
+    for call in broken:
+        with pytest.raises(VerificationFailure, match=r"fails for Lattice\["):
+            call()

@@ -167,7 +167,114 @@ def test_verify_rejects_a_lattice_that_does_not_span_the_plane(capsys, tmp_path,
         del lattice[rows:]
         path.write_text(dumps(data) + "\n")
         code, out, err = run_cli(capsys, "verify", "--in", str(path))
-        assert (code, out) == (1, "") and err.startswith("error: "), argv
+        assert (code, out) == (1, "") and err.startswith("error: line 1: "), argv
+
+
+def test_verify_rejects_a_lattice_without_the_integer_plane(capsys, tmp_path):
+    # Germ lattices contain the integer plane; the oracle assumes it.
+    path = tmp_path / "coarse.jsonl"
+    for argv in (
+        ("classify", "--type", "5,1,1", "--t", "2/5"),
+        ("lawrence", "--type", "1,0,0", "--p", "1", "--q", "2"),
+        ("complement", "--type", "5,1,1", "--p", "1", "--q", "3"),
+    ):
+        data = json.loads(run_cli(capsys, *argv)[1])
+        (data["germ"] if "germ" in data else data)["lattice"] = [["2", "0"], ["0", "1"]]
+        path.write_text(dumps(data) + "\n")
+        code, out, err = run_cli(capsys, "verify", "--in", str(path))
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: line 1: lattice does not contain the integer plane"), argv
+
+
+def two_line_file(tmp_path, capsys, argv, mutate):
+    """A file whose first record is argv's output and whose second is a mutated copy."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    mutate(data)
+    path = tmp_path / "mutated.jsonl"
+    path.write_text(out + dumps(data) + "\n")
+    return path
+
+
+def test_verify_names_the_line_of_a_malformed_record(capsys, tmp_path):
+    # A contained result without its covector is invalid input: exit 1
+    # with the line, no traceback.
+    path = two_line_file(
+        tmp_path,
+        capsys,
+        ("lawrence", "--type", "1,0,0", "--p", "1", "--q", "2"),
+        lambda data: data["lawrence"].pop("m"),
+    )
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: record misses key 'm'\n"
+
+
+def test_resume_names_the_line_of_a_malformed_record(capsys, tmp_path):
+    out_path = tmp_path / "resume.jsonl"
+    out_path.write_text('{"germ": {"lattice": []}}\n{"t": "1/2"}\n')
+    code, out, err = run_cli(
+        capsys, "enumerate", "--mode", "cyclic", "--r-max", "3", "--t", "1/2",
+        "--out", str(out_path), "--resume",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: record misses key 'germ'\n"
+
+
+def _set(record, key, value):
+    def mutate(data):
+        data[record][key] = value
+
+    return mutate
+
+
+# (argv whose output is mutated, which field gets which value), one per
+# check of a non-classification record that a mutation must trip.
+NEGATIVE_CONTROLS = {
+    "hit off the lattice": (
+        ("lawrence", "--type", "5,1,2", "--p", "4", "--q", "5"),
+        _set("lawrence", "e", ["1/10", "1/10"]),
+    ),
+    "hit on the simplex edge": (
+        ("lawrence", "--type", "5,1,2", "--p", "4", "--q", "5"),
+        _set("lawrence", "e", ["3/5", "1/5"]),
+    ),
+    "contained outside the box": (
+        ("lawrence", "--type", "1,0,0", "--p", "1", "--q", "2"),
+        _set("lawrence", "m", ["0", "4"]),
+    ),
+    "contained non-integral": (
+        ("lawrence", "--type", "1,0,0", "--p", "1", "--q", "2"),
+        _set("lawrence", "m", ["0", "3/2"]),
+    ),
+    "complement witness non-integral": (
+        ("complement", "--type", "1,0,0", "--p", "1", "--q", "1"),
+        _set("complement", "witness", ["0", "1/2"]),
+    ),
+    "complement boundary above one": (
+        ("complement", "--type", "1,0,0", "--p", "1", "--q", "1"),
+        _set("complement", "witness", ["0", "-1"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_CONTROLS)
+def test_verify_rejects_a_mutated_record(capsys, tmp_path, name):
+    argv, mutate = NEGATIVE_CONTROLS[name]
+
+    def consistent(data):
+        # Keep boundary = 1 - witness/n, so only the mutated check fails.
+        mutate(data)
+        comp = data.get("complement")
+        if comp is not None:
+            witness = map(parse_rational, comp["witness"])
+            comp["boundary"] = [format_rational(1 - x / comp["n"]) for x in witness]
+
+    path = two_line_file(tmp_path, capsys, argv, consistent)
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("verification failure: line 2: ")
 
 
 def test_verify_rejects_a_dependent_pair(capsys, tmp_path):

@@ -1,6 +1,8 @@
 """Lattice core: canonical bases, duals, residues, witnesses."""
 
 import ast
+import importlib
+import inspect
 import math
 import random
 from collections import defaultdict
@@ -34,6 +36,7 @@ from toricmld import (
     swapped_lattice,
     vec,
 )
+from toricmld.records import lattice_to_json
 
 
 def test_rational_grammar_accepts():
@@ -231,6 +234,17 @@ def test_points_in_box_against_brute_force():
     assert points_in_box(STANDARD_LATTICE, -1, 5) == []
 
 
+def test_equal_lattices_share_one_basis():
+    # A lattice given by sheared rows is the same lattice, so everything
+    # read off its basis (box points, the JSON rows) must agree too.
+    lat = lattice_from_quotient_type(5, 1, 2)
+    sheared = Lattice((lat.basis[0], lat.basis[0] + lat.basis[1]))
+    assert sheared == lat and sheared.basis == lat.basis
+    assert points_in_box(sheared, 1, 1) == points_in_box(lat, 1, 1)
+    assert all(contains(lat, p) for p in points_in_box(sheared, 1, 1))
+    assert lattice_to_json(sheared) == lattice_to_json(lat) == [["1/5", "2/5"], ["0", "1"]]
+
+
 def test_split_along_covector_properties():
     rng = random.Random(107)
     for _ in range(150):
@@ -314,6 +328,23 @@ def test_module_has_no_assert_statement(module):
     # Broken identities raise VerificationFailure, which `python -O` keeps.
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_bench_traced_names_resolve():
+    # The benchmark's tracer wraps these by name and only lists a missing
+    # one as absent, so a rename in the package would blind it. bench/ is
+    # parsed here, not imported.
+    tree = ast.parse((PACKAGE.parent.parent / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    names = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "FUNCTIONS"
+    )
+    assert names
+    for qual in names:
+        module, name = qual.split(".")
+        function = getattr(importlib.import_module(f"toricmld.{module}"), name, None)
+        assert callable(function) and not inspect.isgeneratorfunction(function), qual
 
 
 def _fraction_coordinates(lat, v):

@@ -74,8 +74,9 @@ def test_mld_oracle_on_germs():
 
 def test_oracle_matches_longhand_enumeration():
     # Recompute each quotient longhand in Fractions from both basis rows
-    # and compare value and minimizers. The sheared bases ((r1, r1 + r2))
-    # are not triangular; the oracle must not assume that shape.
+    # and compare value and minimizers. `Lattice(rows)` must reduce the
+    # sheared rows (r1, r1 + r2) to the canonical basis, so the sheared
+    # entries are checked against the triangular rows of their lattice.
     def wrap(x: Fraction) -> Fraction:
         shifted = x - (x.numerator // x.denominator)
         return shifted if shifted else Fraction(1)
@@ -85,6 +86,7 @@ def test_oracle_matches_longhand_enumeration():
         for r, w in ((1, 0), (2, 1), (5, 2), (12, 7), (30, 11))
     ]
     sheared = [Lattice((lat.basis[0], lat.basis[0] + lat.basis[1])) for lat in cyclic]
+    assert [lat.basis for lat in sheared] == [lat.basis for lat in cyclic]
     psis = (vec(Fraction(3, 7), Fraction(2)), vec(0, 0), vec(1, 1), vec(Fraction(5, 6), 0))
     for lat in cyclic + sheared + list(superlattices(24)):
         r1, r2 = lat.basis
