@@ -21,18 +21,16 @@ from .germs import (
     CaseTag,
     Germ,
     Minimum,
-    _checker,
+    boundary_pair,
     case_analysis_lattice,
     psi_of,
     sail_minimum,
 )
 from .lattices import (
-    E1,
-    E2,
     Lattice,
     Rational,
     Vec2,
-    _check,
+    _checker,
     basis_order,
     contains,
     cyclic_type,
@@ -41,7 +39,10 @@ from .lattices import (
     format_rational,
     in_cone,
     in_cone_interior,
+    index,
     lattice_from_generators,
+    positive_threshold,
+    simplex_ratio,
     superlattices,
     swapped_lattice,
     vec,
@@ -89,9 +90,7 @@ def classify_tlc_lattice(
 
     `minimum` is `sail_minimum(lat, psi)` when the caller already has it.
     """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("threshold must be positive")
+    t = positive_threshold(Fraction(t))
     if psi.is_zero():
         raise ValueError("threshold classification needs a nonzero psi")
     if minimum is None:
@@ -223,13 +222,14 @@ def pair_weights(lat: Lattice, data: CaseData, p: int, q: int) -> tuple[int, int
     For gamma < p/q <= mld; both quotients by gamma are integers, both
     weights at least 1, and k1 + k2 = p*(1 - alpha)/gamma.
     """
+    check = _checker(lat)
     scale = 1 / data.gamma
-    _check(scale.denominator == 1, lat, "1/gamma is an integer")
+    check(scale.denominator == 1, "1/gamma is an integer")
     offset = scale * data.alpha
-    _check(offset.denominator == 1, lat, "alpha/gamma is an integer")
+    check(offset.denominator == 1, "alpha/gamma is an integer")
     k1 = q - p * int(offset)
     k2 = int(scale) * p - q
-    _check(k1 >= 1 and k2 >= 1, lat, "k1 >= 1 and k2 >= 1")
+    check(k1 >= 1 and k2 >= 1, "k1 >= 1 and k2 >= 1")
     return k1, k2
 
 
@@ -244,11 +244,8 @@ def lawrence(lat: Lattice, p: int, q: int) -> LawrenceResult:
 
     The ratio p/q is reduced internally before any use.
     """
-    if p < 1 or q < 1:
-        raise ValueError("simplex size must be a positive ratio of integers")
-    if not (contains(lat, E1) and contains(lat, E2)):
-        raise ValueError("needs a superlattice of the integer plane")
-    t = Fraction(p, q)
+    t = simplex_ratio(p, q)
+    index(lat)  # raises ValueError unless the lattice contains the integer plane
     p, q = t.numerator, t.denominator
     bound = 1 / t
     psi = vec(1, 1)
@@ -257,9 +254,10 @@ def lawrence(lat: Lattice, p: int, q: int) -> LawrenceResult:
     if minimum.value < t:
         return Hit(minimum.first)
     data = case_analysis_lattice(lat, psi, minimum)
+    check = _checker(lat)
     if data.gamma >= t:
         m = box_maximal(data.v1, bound)
-        _check(m.x1.denominator == 1 and m.x2.denominator == 1, lat, "box-maximal m is integral")
+        check(m.x1.denominator == 1 and m.x2.denominator == 1, "box-maximal m is integral")
         return Contained(m)
 
     k1, k2 = pair_weights(lat, data, p, q)
@@ -267,16 +265,13 @@ def lawrence(lat: Lattice, p: int, q: int) -> LawrenceResult:
         # Saturated weights only happen with offset 0 and scale 2q,
         # where the plain average of the pair already lands in the box.
         k1 = k2 = 1
-    _check(k1 + k2 <= 2 * q, lat, "k1 + k2 <= 2q")
+    check(k1 + k2 <= 2 * q, "k1 + k2 <= 2q")
     avg = (data.v1.scaled(Fraction(k1)) + data.v2.scaled(Fraction(k2))).scaled(
         Fraction(1, k1 + k2)
     )
-    _check(
-        0 <= avg.x1 <= bound and 0 <= avg.x2 <= bound, lat, "weighted average lies in [0, q/p]^2"
-    )
-    _check(
+    check(0 <= avg.x1 <= bound and 0 <= avg.x2 <= bound, "weighted average lies in [0, q/p]^2")
+    check(
         dual(lattice_from_generators([data.v1, data.v2])) == lat,
-        lat,
         "the pair's integrality locus is the lattice",
     )
     return EqualsIntersection(data.v1, data.v2, k1, k2)
@@ -294,11 +289,8 @@ def series_membership_lattice(lat: Lattice, t: Rational) -> list[tuple[int, int]
     (i, j) pairs integrally iff D divides i*a + j*b and j*d. No dual
     lattice and no rationals are built.
     """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("threshold must be positive")
+    bound = math.floor(1 / positive_threshold(Fraction(t)))
     denom, a, b, d = lat.hnf
-    bound = math.floor(1 / t)
     out: list[tuple[int, int]] = []
     for i in range(bound + 1):
         for j in range(bound + 1):
@@ -323,9 +315,7 @@ def series_certificate_log(
     Returns None when no level works; the accepted boundary is checked
     against the oracle to keep discrepancies at or above 1/n.
     """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("threshold must be positive")
+    t = positive_threshold(Fraction(t))
     if m.is_zero() or not in_cone(m) or m.x1.denominator != 1 or m.x2.denominator != 1:
         raise ValueError("witness must be a nonzero integer covector in the dual quadrant")
     if not contains(dual(germ.lattice), m):
@@ -449,7 +439,8 @@ def candidate_germs(
     replaced by the least of it and its coordinate swap, ordered as in
     `canonical_germ`, and germs equal up to the swap appear once, in
     first-seen order. Each lattice is swapped once, not once per
-    boundary pair, and compared with its swap in integers.
+    boundary pair, and compared with its swap in integers. The mode and
+    each boundary pair are checked on the call, before the first germ.
     """
     if mode == "cyclic":
         forms = _cyclic_forms(bound)
@@ -463,28 +454,32 @@ def candidate_germs(
     ids: dict[tuple[Rational, Rational], int] = {}
     plan = []
     for b1, b2 in boundaries:
-        pair, swapped = (Fraction(b1), Fraction(b2)), (Fraction(b2), Fraction(b1))
+        pair = boundary_pair(Fraction(b1), Fraction(b2))
+        swapped = pair[::-1]
         own, other = ids.setdefault(pair, len(ids)), ids.setdefault(swapped, len(ids))
         plan.append((pair, own, swapped, other, pair <= swapped))
 
-    # Keys are (integer form of the canonical lattice, boundary id). A
-    # Lattice is built only when a germ is yielded, at most once per form
-    # of the current pair.
-    seen: set[tuple[_Form, int]] = set()
-    for form, swap, order in forms:
-        built: dict[_Form, Lattice] = {}
-        for pair, own, swapped, other, least in plan:
-            if order < 0 or (order == 0 and least):
-                key = (form, own)
-            else:
-                key, pair = (swap, other), swapped
-            if key in seen:
-                continue
-            seen.add(key)
-            lat = built.get(key[0])
-            if lat is None:
-                lat = built[key[0]] = Lattice(hnf=key[0])
-            yield Germ(lat, *pair)
+    def stream() -> Iterator[Germ]:
+        # Keys are (integer form of the canonical lattice, boundary id). A
+        # Lattice is built only when a germ is yielded, at most once per
+        # form of the current pair.
+        seen: set[tuple[_Form, int]] = set()
+        for form, swap, order in forms:
+            built: dict[_Form, Lattice] = {}
+            for pair, own, swapped, other, least in plan:
+                if order < 0 or (order == 0 and least):
+                    key = (form, own)
+                else:
+                    key, pair = (swap, other), swapped
+                if key in seen:
+                    continue
+                seen.add(key)
+                lat = built.get(key[0])
+                if lat is None:
+                    lat = built[key[0]] = Lattice(hnf=key[0])
+                yield Germ(lat, *pair)
+
+    return stream()
 
 
 def enumerate_germs(
@@ -497,16 +492,12 @@ def enumerate_germs(
     """Classified canonical germs, each with a verified certificate.
 
     Records with value below t are withheld unless include_not_tlc is
-    set (those carry a NotTLC certificate).
+    set (those carry a NotTLC certificate). The threshold, the mode and
+    the boundary pairs are checked on the call, before the first record.
     """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("threshold must be positive")
-    for germ in candidate_germs(mode, bound, boundaries):
-        record = classify_germ_record(germ, t)
-        if record.mld < t and not include_not_tlc:
-            continue
-        yield record
+    t = positive_threshold(Fraction(t))
+    records = (classify_germ_record(germ, t) for germ in candidate_germs(mode, bound, boundaries))
+    return (record for record in records if include_not_tlc or record.mld >= t)
 
 
 def quotient_type_of(germ: Germ) -> Optional[tuple[int, int, int]]:

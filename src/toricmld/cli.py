@@ -51,6 +51,8 @@ from .lattices import (
     lattice_from_generators,
     lattice_from_quotient_type,
     parse_rational,
+    positive_threshold,
+    simplex_ratio,
     superlattices,
     vec,
 )
@@ -108,13 +110,6 @@ def _parse_boundary(text: str) -> tuple[Fraction, Fraction]:
     return b1, b2
 
 
-def _parse_threshold(text: str) -> Fraction:
-    t = parse_rational(text)
-    if t <= 0:
-        raise ValueError(f"threshold must be positive: {text!r}")
-    return t
-
-
 def _germ_from_args(args) -> Germ:
     r, w1, w2 = _parse_type(args.type)
     b1, b2 = _parse_boundary(args.boundary) if args.boundary else (Fraction(0), Fraction(0))
@@ -122,6 +117,8 @@ def _germ_from_args(args) -> Germ:
 
 
 def _boundary_pairs(args) -> list[tuple[Fraction, Fraction]]:
+    if args.boundary_file and args.boundary_set != "file":
+        raise ValueError("--boundary-file needs --boundary-set file")
     if args.boundary_set == "zero":
         return [(Fraction(0), Fraction(0))]
     if args.boundary_set == "standard":
@@ -154,7 +151,7 @@ def _cmd_mld(args) -> int:
 
 def _cmd_classify(args) -> int:
     germ = _germ_from_args(args)
-    t = _parse_threshold(args.t)
+    t = positive_threshold(parse_rational(args.t))
     lat, psi = germ.lattice, psi_of(germ)
     if psi.is_zero():
         raise ValueError("threshold classification needs a nonzero psi (boundary below (1,1))")
@@ -169,8 +166,7 @@ def _cmd_classify(args) -> int:
 def _cmd_lawrence(args) -> int:
     if (args.type is None) == (args.index_max is None):
         raise ValueError("exactly one of --type and --index-max is needed")
-    if args.p < 1 or args.q < 1:
-        raise ValueError("p and q must be positive integers")
+    simplex_ratio(args.p, args.q)
     if args.type is not None:
         r, w1, w2 = _parse_type(args.type)
         lattices = [lattice_from_quotient_type(r, w1, w2)]
@@ -198,7 +194,6 @@ def _emit_table(records, out, fmt) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    t = _parse_threshold(args.t)
     if args.mode == "cyclic":
         if args.r_max is None:
             raise ValueError("mode cyclic needs --r-max")
@@ -207,6 +202,10 @@ def _cmd_enumerate(args) -> int:
         if args.index_max is None:
             raise ValueError("mode all needs --index-max")
         bound = args.index_max
+    # Checks the threshold and every boundary pair before any output.
+    records = enumerate_germs(
+        args.mode, bound, parse_rational(args.t), _boundary_pairs(args), args.include_not_tlc
+    )
 
     if args.resume:
         if not args.out:
@@ -223,9 +222,6 @@ def _cmd_enumerate(args) -> int:
                             seen.add(dumps(json.loads(line)["germ"]))
                         except _MALFORMED as exc:
                             raise _malformed(line_no, exc) from None
-
-    records = enumerate_germs(args.mode, bound, t, _boundary_pairs(args), args.include_not_tlc)
-    if args.resume:
         records = (r for r in records if dumps(germ_to_json(r.germ)) not in seen)
 
     mode = "a" if args.resume else "w"
@@ -244,8 +240,6 @@ def _cmd_complement(args) -> int:
         comp = bounded_complement(germ)
         print(dumps(complement_record_to_json(germ, comp)))
         return 0
-    if args.p < 1 or args.q < 1:
-        raise ValueError("p and q must be positive integers")
     comp = complement_standard(germ, args.p, args.q)
     print(dumps(complement_record_to_json(germ, comp, args.p, args.q)))
     return 0
@@ -290,7 +284,7 @@ def _verify_classification(data: dict, line_no: int) -> None:
 def _verify_lawrence(data: dict, line_no: int) -> None:
     """Hits and containments are NotTLC and CaseA certificates at psi = (1, 1), t = p/q."""
     lat = lattice_from_json(data["lattice"])
-    t = Fraction(int(data["p"]), int(data["q"]))
+    t = simplex_ratio(int(data["p"]), int(data["q"]))
     p, q = t.numerator, t.denominator
     result = lawrence_result_from_json(data["lawrence"])
     avoids = lawrence_oracle(lat, p, q)
@@ -347,7 +341,7 @@ def _verify_complement(data: dict, line_no: int) -> None:
     _require(germ.b1 <= b1 <= 1 and germ.b2 <= b2 <= 1, line_no, "boundary out of range")
     value = mld_oracle_lattice(germ.lattice, Vec2(witness.x1 / n, witness.x2 / n))[0]
     if "p" in data and "q" in data:
-        target = Fraction(int(data["p"]), int(data["q"]))
+        target = simplex_ratio(int(data["p"]), int(data["q"]))
         _require(value >= target, line_no, "oracle value below the target ratio")
     else:
         _require(value > 0, line_no, "oracle value is not positive")

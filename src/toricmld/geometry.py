@@ -16,7 +16,6 @@ from typing import NamedTuple, Union
 from .certify import CaseB, certificate_from_case_data, pair_weights
 from .germs import (
     Germ,
-    _checker,
     case_analysis,
     case_analysis_lattice,
     gamma_of,
@@ -29,11 +28,13 @@ from .lattices import (
     Rational,
     STANDARD_LATTICE,
     Vec2,
+    _checker,
     contains,
     cyclic_type,
     dual,
     in_cone,
     points_in_box,
+    simplex_ratio,
 )
 from .oracle import mld_oracle_lattice
 
@@ -135,8 +136,6 @@ def hyperplane_dichotomy(germ: Germ) -> Union[SingleH, DoubleH]:
     exact weights summing to the minimum.
     """
     psi = psi_of(germ)
-    if psi.is_zero():
-        raise ValueError("dichotomy needs a nonzero psi")
     data = case_analysis(germ)
     cert = certificate_from_case_data(germ.lattice, data, psi, data.mld)
     if isinstance(cert, CaseB):
@@ -204,11 +203,9 @@ def complement_standard(germ: Germ, p: int, q: int) -> Complement:
     the coefficients makes the needed quantities integral, and the
     level is q*s with s at most 2q/p.
     """
-    if p < 1 or q < 1:
-        raise ValueError("target ratio must be positive")
+    t = simplex_ratio(p, q)
     if not (is_standard_coefficient(germ.b1) and is_standard_coefficient(germ.b2)):
         raise ValueError("boundary coefficients must be standard")
-    t = Fraction(p, q)
     psi = psi_of(germ)
     minimum = sail_minimum(germ.lattice, psi)
     if minimum.value < t:
@@ -243,10 +240,16 @@ def bounded_complement(germ: Germ, strict_floor: bool = False) -> Complement:
     dual covectors in the box m <= n*psi in lexicographic order; the
     first candidate whose induced boundary keeps the value positive
     wins. Exhaustion would contradict the level bound and raises.
+    strict_floor caps the level at floor(2/a) instead.
 
-    strict_floor additionally requires the stronger rounding bound
-    (boundary at least floor(B) + floor((n+1)*frac(B))/n) and caps the
-    level at floor(2/a).
+    Every candidate meets the rounding bound b' >= floor(b) +
+    floor((n+1)*frac(b))/n for each coefficient b and its complement
+    b' = 1 - m_i/n, so no candidate is filtered; the bound is checked
+    once on the result. Proof: m_i is an integer, since the dual of a
+    superlattice of the integer plane lies in it. For b = 1, psi_i = 0
+    forces m_i = 0 and b' = 1. For b in [0, 1), 0 <= m_i <= n*(1 - b)
+    gives n*b' = n - m_i >= ceil(n*b) >= floor(n*b + b) = floor((n+1)*b),
+    the middle step because b < 1.
     """
     a = mld(germ)
     if a == 0:
@@ -260,21 +263,17 @@ def bounded_complement(germ: Germ, strict_floor: bool = False) -> Complement:
             for m in points_in_box(m_lat, n * psi.x1, n * psi.x2):
                 if m.is_zero():
                     continue
-                bn = (1 - m.x1 / Fraction(n), 1 - m.x2 / Fraction(n))
-                if strict_floor and not _floor_bound_ok(germ, n, bn):
-                    continue
                 if mld_oracle_lattice(germ.lattice, Vec2(m.x1 / n, m.x2 / n))[0] > 0:
+                    bn = (1 - m.x1 / Fraction(n), 1 - m.x2 / Fraction(n))
                     yield Complement(n, bn, m)
 
     found = next(complements(), None)
-    _checker(germ.lattice, psi)(found is not None, f"a complement of level <= {n_max} exists")
-    return found
-
-
-def _floor_bound_ok(germ: Germ, n: int, bn: tuple[Rational, Rational]) -> bool:
-    for b, c in ((germ.b1, bn[0]), (germ.b2, bn[1])):
+    check = _checker(germ.lattice, psi)
+    check(found is not None, f"a complement of level <= {n_max} exists")
+    for b, c in zip((germ.b1, germ.b2), found.boundary):
         whole = math.floor(b)
-        lower = whole + Fraction(math.floor((n + 1) * (b - whole)), n)
-        if c < lower:
-            return False
-    return True
+        check(
+            found.n * (c - whole) >= math.floor((found.n + 1) * (b - whole)),
+            "complement boundary >= floor(b) + floor((n+1)*frac(b))/n",
+        )
+    return found

@@ -29,7 +29,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import VerificationFailure
 from .lattices import (
     E1,
     E2,
@@ -37,6 +36,7 @@ from .lattices import (
     Rational,
     Sail,
     Vec2,
+    _checker,
     basis_order,
     contains,
     dot,
@@ -70,18 +70,23 @@ class Germ:
     b2: Rational
 
 
+def boundary_pair(b1: Rational, b2: Rational) -> tuple[Rational, Rational]:
+    """The parsed boundary coefficients, unchanged; ValueError unless both lie in [0, 1]."""
+    for name, b in (("b1", b1), ("b2", b2)):
+        if not 0 <= b.numerator <= b.denominator:  # 0 <= b <= 1, in integers: cheaper per record
+            raise ValueError(
+                f"boundary coefficient {name} must lie in [0, 1]: {format_rational(b)}"
+            )
+    return b1, b2
+
+
 def make_germ(lattice: Lattice, b1, b2) -> Germ:
     """Validated germ constructor."""
-    b1, b2 = Fraction(b1), Fraction(b2)
-    if not (contains(lattice, E1) and contains(lattice, E2)):
-        raise ValueError("germ lattice must be a superlattice of the integer plane")
+    index(lattice)  # raises ValueError unless the lattice contains the integer plane
     for name, e in (("e1", E1), ("e2", E2)):
         if not is_primitive(lattice, e):
             raise ValueError(f"unit point {name} is not primitive in the germ lattice")
-    for name, b in (("b1", b1), ("b2", b2)):
-        if not 0 <= b <= 1:
-            raise ValueError(f"boundary coefficient {name} must lie in [0, 1]")
-    return Germ(lattice, b1, b2)
+    return Germ(lattice, *boundary_pair(Fraction(b1), Fraction(b2)))
 
 
 def germ_from_quotient_type(r: int, w1: int, w2: int, b1=0, b2=0) -> Germ:
@@ -267,19 +272,6 @@ def gamma_of(m: Vec2, psi: Vec2) -> Optional[Rational]:
     return best
 
 
-def _checker(lat: Lattice, psi: Vec2) -> Callable[[bool, str], None]:
-    """check(ok, identity) raises VerificationFailure naming lat, psi and the identity."""
-
-    def check(ok: bool, identity: str) -> None:
-        if not ok:
-            raise VerificationFailure(
-                f"{identity} fails for {lat!r} at psi "
-                f"({format_rational(psi.x1)},{format_rational(psi.x2)})"
-            )
-
-    return check
-
-
 def gamma_max_lattice(m_lat: Lattice, psi: Vec2, lam: Rational) -> tuple[Rational, Vec2]:
     """Maximum scale over nonzero dual-lattice quadrant covectors.
 
@@ -293,8 +285,8 @@ def gamma_max_lattice(m_lat: Lattice, psi: Vec2, lam: Rational) -> tuple[Rationa
     with x*psi2 <= y*psi1 or the one after it. `lam` is the minimum
     pairing for the same data; the maximum is checked to reach lam/2.
     """
-    if lam <= 0:
-        raise ValueError("the covector bound needs a positive minimum")
+    if psi.is_zero():
+        raise ValueError("the covector bound needs a nonzero psi")
     sail = klein_sail(m_lat)
     _, c1, c2 = _scaled_covector(psi)
     for edge in sail.edges:
@@ -321,11 +313,7 @@ def gamma_max_lattice(m_lat: Lattice, psi: Vec2, lam: Rational) -> tuple[Rationa
 
 def gamma_max(germ: Germ) -> tuple[Rational, Vec2]:
     """Best single covector bound for a germ: (value, least maximizer)."""
-    psi = psi_of(germ)
-    if psi.is_zero():
-        raise ValueError("the covector bound needs a nonzero psi")
-    lam = mld(germ)
-    return gamma_max_lattice(dual(germ.lattice), psi, lam)
+    return gamma_max_lattice(dual(germ.lattice), psi_of(germ), mld(germ))
 
 
 class CaseTag(Enum):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import VerificationFailure
 
@@ -30,6 +30,20 @@ def parse_rational(text: str) -> Rational:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(text)
+
+
+def positive_threshold(t: Rational) -> Rational:
+    """The parsed threshold t, unchanged; ValueError unless t > 0."""
+    if t <= 0:
+        raise ValueError(f"threshold must be positive: {format_rational(t)}")
+    return t
+
+
+def simplex_ratio(p: int, q: int) -> Rational:
+    """The ratio p/q, reduced; ValueError unless p and q are positive integers."""
+    if p < 1 or q < 1:
+        raise ValueError(f"p and q must be positive integers: {p}/{q}")
+    return Fraction(p, q)
 
 
 def format_rational(x: Rational) -> str:
@@ -260,10 +274,17 @@ def contains(lat: Lattice, v: Sequence) -> bool:
     return _coordinates(lat, v) is not None
 
 
-def _check(ok: bool, lat: Lattice, identity: str) -> None:
-    """Raise VerificationFailure naming the lattice and the identity unless ok."""
-    if not ok:
-        raise VerificationFailure(f"{identity} fails for {lat!r}")
+def _checker(lat: Lattice, psi: Optional[Vec2] = None) -> Callable[[bool, str], None]:
+    """check(ok, identity) raises VerificationFailure naming lat, psi if given, and the identity."""
+
+    def check(ok: bool, identity: str) -> None:
+        if not ok:
+            where = repr(lat)
+            if psi is not None:
+                where += f" at psi ({format_rational(psi.x1)},{format_rational(psi.x2)})"
+            raise VerificationFailure(f"{identity} fails for {where}")
+
+    return check
 
 
 def index(lat: Lattice) -> int:
@@ -278,7 +299,8 @@ def index(lat: Lattice) -> int:
     if denom % a or denom % d or (denom // a * b) % d:
         raise ValueError("lattice does not contain the integer plane")
     n = (denom // a) * (denom // d)
-    _check(n * a * d == denom * denom, lat, "index * determinant == 1")
+    if n * a * d != denom * denom:  # checker built only on failure: index runs once per record
+        _checker(lat)(False, "index * determinant == 1")
     return n
 
 
@@ -299,7 +321,7 @@ def residues(lat: Lattice) -> list[Vec2]:
         x = (i * a - 1) % denom + 1
         for j in range(denom // d):
             seen.add((x, (i * b + j * d - 1) % denom + 1))
-    _check(len(seen) == n, lat, "residue count == index")
+    _checker(lat)(len(seen) == n, "residue count == index")
     return [Vec2(Fraction(x, denom), Fraction(y, denom)) for x, y in sorted(seen)]
 
 

@@ -6,7 +6,8 @@ arrays of basis rows. Dict key order is fixed by construction, so
 serialized output is byte-stable. Parsing reconstructs lattices through
 the canonical constructor, which makes records robust against
 reordered or redundant generator rows, and rejects a lattice that misses
-the integer plane, which every germ lattice contains.
+the integer plane, which every germ lattice contains, a boundary
+coefficient outside [0, 1] and a threshold that is not positive.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .certify import (
     NotTLC,
 )
 from .geometry import Complement
-from .germs import CaseData, CaseTag, Germ
+from .germs import CaseData, CaseTag, Germ, boundary_pair
 from .lattices import (
     Lattice,
     Vec2,
@@ -35,6 +36,7 @@ from .lattices import (
     index,
     lattice_from_generators,
     parse_rational,
+    positive_threshold,
 )
 
 
@@ -75,7 +77,7 @@ def germ_from_json(data: Any) -> Germ:
     if not isinstance(data, dict) or "lattice" not in data or "boundary" not in data:
         raise ValueError(f"not a germ record: {data!r}")
     b1, b2 = vec_from_json(data["boundary"])
-    return Germ(lattice_from_json(data["lattice"]), b1, b2)
+    return Germ(lattice_from_json(data["lattice"]), *boundary_pair(b1, b2))
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -156,7 +158,7 @@ def record_from_json(data: Any) -> ClassifiedGerm:
         series.append((int(m[0]), int(m[1])))
     return ClassifiedGerm(
         germ_from_json(data["germ"]),
-        parse_rational(data["t"]),
+        positive_threshold(parse_rational(data["t"])),
         parse_rational(data["mld"]),
         certificate_from_json(data["certificate"]),
         series,

@@ -13,9 +13,27 @@ from pathlib import Path
 
 import pytest
 
-from toricmld import certify, cli, format_rational, geometry, parse_rational, superlattices
+from toricmld import (
+    Germ,
+    certify,
+    classify_germ_record,
+    cli,
+    format_rational,
+    geometry,
+    lattice_from_quotient_type,
+    parse_rational,
+    superlattices,
+)
 from toricmld.cli import main
-from toricmld.records import TABLE_COLUMNS, dumps, record_from_json, record_table_row
+from toricmld.records import (
+    TABLE_COLUMNS,
+    dumps,
+    record_from_json,
+    record_table_row,
+    record_to_json,
+)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +108,32 @@ def test_invalid_input_exits_one(capsys):
     )
 
 
+OUT_OF_RANGE = "boundary coefficient b1 must lie in [0, 1]"
+NEEDS_FILE_SET = "--boundary-file needs --boundary-set file"
+
+
+@pytest.mark.parametrize(
+    "pairs, flags, message",
+    [
+        ('[["-1","0"]]', ("--boundary-set", "file"), f"{OUT_OF_RANGE}: -1"),
+        ('[["2","0"]]', ("--boundary-set", "file"), f"{OUT_OF_RANGE}: 2"),
+        ('[["0","1/2"]]', (), NEEDS_FILE_SET),
+        ('[["0","1/2"]]', ("--boundary-set", "standard"), NEEDS_FILE_SET),
+    ],
+)
+def test_enumerate_rejects_a_bad_boundary_file(capsys, tmp_path, pairs, flags, message):
+    path = tmp_path / "pairs.json"
+    path.write_text(pairs)
+    out_path = tmp_path / "kept.jsonl"
+    out_path.write_text("kept\n")
+    base = ("enumerate", "--mode", "cyclic", "--r-max", "4", "--t", "1/2",
+            "--boundary-file", str(path))
+    assert run_cli(capsys, *base, *flags) == (1, "", f"error: {message}\n")
+    # Checked before the output file is opened.
+    assert run_cli(capsys, *base, *flags, "--out", str(out_path))[0] == 1
+    assert out_path.read_text() == "kept\n"
+
+
 def test_parser_is_built_once_and_keeps_no_arguments(capsys):
     # One parser serves every call in a process; each call parses into a
     # fresh namespace, so a flag given once never reaches a later call.
@@ -110,9 +154,34 @@ def test_parser_is_not_built_at_import():
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.stdout == "0\n", proc.stderr
+
+
+def test_checks_survive_python_O(tmp_path):
+    # Every check raises, never asserts, so -O changes neither output nor exit codes.
+    def toricmld(*flags_and_argv):
+        return subprocess.run(
+            [sys.executable, *flags_and_argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+
+    sweep = ("-m", "toricmld", "enumerate", "--mode", "cyclic", "--r-max", "30", "--t", "1/2")
+    plain, optimized = toricmld(*sweep), toricmld("-O", *sweep)
+    assert (plain.returncode, optimized.returncode) == (0, 0), optimized.stderr
+    assert plain.stdout and optimized.stdout == plain.stdout
+
+    data = json.loads(plain.stdout.splitlines()[0])
+    data["mld"] = "17"
+    path = tmp_path / "wrong_mld.jsonl"
+    path.write_text(dumps(data) + "\n")
+    proc = toricmld("-O", "-m", "toricmld", "verify", "--in", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("verification failure: line 1: recorded mld disagrees")
 
 
 def test_enumerate_verify_roundtrip(capsys, tmp_path):
@@ -211,6 +280,68 @@ def test_verify_names_the_line_of_a_malformed_record(capsys, tmp_path):
     assert err == "error: line 2: record misses key 'm'\n"
 
 
+def _put(key, value):
+    def mutate(data):
+        data[key] = value
+
+    return mutate
+
+
+# (argv whose output is mutated, the mutation, the error), one per domain
+# rule a decoded record must meet.
+OUT_OF_DOMAIN = {
+    "threshold zero": (
+        ("classify", "--type", "5,1,1", "--t", "2/5"),
+        _put("t", "0"),
+        "threshold must be positive: 0",
+    ),
+    "threshold negative": (
+        ("classify", "--type", "5,1,1", "--t", "2/5"),
+        _put("t", "-1/2"),
+        "threshold must be positive: -1/2",
+    ),
+    "lawrence q zero": (
+        ("lawrence", "--type", "5,1,1", "--p", "1", "--q", "2"),
+        _put("q", 0),
+        "p and q must be positive integers: 1/0",
+    ),
+    "complement p zero": (
+        ("complement", "--type", "5,1,1", "--p", "1", "--q", "3"),
+        _put("p", 0),
+        "p and q must be positive integers: 0/3",
+    ),
+    "complement p negative": (
+        ("complement", "--type", "5,1,1", "--p", "1", "--q", "3"),
+        _put("p", -1),
+        "p and q must be positive integers: -1/3",
+    ),
+    "complement q zero": (
+        ("complement", "--type", "5,1,1", "--p", "1", "--q", "3"),
+        _put("q", 0),
+        "p and q must be positive integers: 1/0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_DOMAIN)
+def test_verify_rejects_a_record_outside_the_domain(capsys, tmp_path, name):
+    argv, mutate, message = OUT_OF_DOMAIN[name]
+    path = two_line_file(tmp_path, capsys, argv, mutate)
+    assert run_cli(capsys, "verify", "--in", str(path)) == (1, "", f"error: line 2: {message}\n")
+
+
+def test_verify_rejects_a_consistent_record_with_a_negative_boundary(capsys, tmp_path):
+    # Certificate, mld and series all match this germ; only its boundary is out of range.
+    germ = Germ(lattice_from_quotient_type(5, 1, 1), Fraction(-1), Fraction(0))
+    path = tmp_path / "negative.jsonl"
+    path.write_text(dumps(record_to_json(classify_germ_record(germ, Fraction(1, 2)))) + "\n")
+    assert run_cli(capsys, "verify", "--in", str(path)) == (
+        1,
+        "",
+        "error: line 1: boundary coefficient b1 must lie in [0, 1]: -1\n",
+    )
+
+
 def test_resume_names_the_line_of_a_malformed_record(capsys, tmp_path):
     out_path = tmp_path / "resume.jsonl"
     out_path.write_text('{"germ": {"lattice": []}}\n{"t": "1/2"}\n')
@@ -255,6 +386,15 @@ NEGATIVE_CONTROLS = {
     "complement boundary above one": (
         ("complement", "--type", "1,0,0", "--p", "1", "--q", "1"),
         _set("complement", "witness", ["0", "-1"]),
+    ),
+    # 1/8(1,5) is the joint integrality locus of (1,3) and (3,1), weights 1 and 1.
+    "pair with another locus": (
+        ("lawrence", "--type", "8,1,5", "--p", "1", "--q", "2"),
+        _set("lawrence", "m1", ["1", "1"]),
+    ),
+    "pair average outside the box": (
+        ("lawrence", "--type", "8,1,5", "--p", "1", "--q", "2"),
+        _set("lawrence", "k1", 3),
     ),
 }
 
@@ -405,15 +545,21 @@ def test_enumerate_include_not_tlc(capsys):
 
 
 def test_lawrence_sweep_verifies(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "lawrence", "--index-max", "3", "--p", "1", "--q", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == len(list(superlattices(3)))
-    sweep = tmp_path / "lawrence.jsonl"
-    sweep.write_text(out)
-    code, out, _ = run_cli(capsys, "verify", "--in", str(sweep))
-    assert code == 0
-    assert out == f"verified {len(lines)} records\n"
+    # The index <= 10 sweep holds pair (equals_intersection) records; index <= 3 none.
+    for index_max in (3, 10):
+        code, out, _ = run_cli(
+            capsys, "lawrence", "--index-max", str(index_max), "--p", "1", "--q", "2"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == len(list(superlattices(index_max)))
+        kinds = {json.loads(line)["lawrence"]["kind"] for line in lines}
+        assert ("equals_intersection" in kinds) == (index_max == 10)
+        sweep = tmp_path / "lawrence.jsonl"
+        sweep.write_text(out)
+        code, out, _ = run_cli(capsys, "verify", "--in", str(sweep))
+        assert code == 0
+        assert out == f"verified {len(lines)} records\n"
 
 
 def test_lawrence_single_type(capsys):
