@@ -239,42 +239,65 @@ def lawrence(lat: Lattice, p: int, q: int) -> LawrenceResult:
     Avoidance is certified either by a single integer covector (the
     subgroup is contained in its integrality locus, with the box-maximal
     multiple reported) or by an exact presentation of the subgroup as a
-    joint integrality locus with small weights: k1 + k2 <= 2q and the
-    weighted average of the pair lies in [0, q/p]^2.
-
-    The ratio p/q is reduced internally before any use.
+    joint integrality locus with small weights. The ratio p/q is reduced
+    before any use; the result passes `verify_lawrence_result`.
     """
     t = simplex_ratio(p, q)
     index(lat)  # raises ValueError unless the lattice contains the integer plane
     p, q = t.numerator, t.denominator
-    bound = 1 / t
     psi = vec(1, 1)
 
     minimum = sail_minimum(lat, psi)
     if minimum.value < t:
-        return Hit(minimum.first)
-    data = case_analysis_lattice(lat, psi, minimum)
-    check = _checker(lat)
-    if data.gamma >= t:
-        m = box_maximal(data.v1, bound)
-        check(m.x1.denominator == 1 and m.x2.denominator == 1, "box-maximal m is integral")
-        return Contained(m)
+        result: LawrenceResult = Hit(minimum.first)
+    else:
+        data = case_analysis_lattice(lat, psi, minimum)
+        if data.gamma >= t:
+            result = Contained(box_maximal(data.v1, 1 / t))
+        else:
+            k1, k2 = pair_weights(lat, data, p, q)
+            if p == 1 and q > 1 and k1 + k2 == 2 * q:
+                # Saturated weights only happen with offset 0 and scale 2q,
+                # where the plain average of the pair already lands in the box.
+                k1 = k2 = 1
+            result = EqualsIntersection(data.v1, data.v2, k1, k2)
+    outcome = verify_lawrence_result(lat, p, q, result)
+    _checker(lat)(outcome.ok, f"verify_lawrence_result ({outcome.reason})")
+    return result
 
-    k1, k2 = pair_weights(lat, data, p, q)
-    if p == 1 and q > 1 and k1 + k2 == 2 * q:
-        # Saturated weights only happen with offset 0 and scale 2q,
-        # where the plain average of the pair already lands in the box.
-        k1 = k2 = 1
-    check(k1 + k2 <= 2 * q, "k1 + k2 <= 2q")
-    avg = (data.v1.scaled(Fraction(k1)) + data.v2.scaled(Fraction(k2))).scaled(
-        Fraction(1, k1 + k2)
-    )
-    check(0 <= avg.x1 <= bound and 0 <= avg.x2 <= bound, "weighted average lies in [0, q/p]^2")
-    check(
-        dual(lattice_from_generators([data.v1, data.v2])) == lat,
-        "the pair's integrality locus is the lattice",
-    )
-    return EqualsIntersection(data.v1, data.v2, k1, k2)
+
+def verify_lawrence_result(lat: Lattice, p: int, q: int, result: LawrenceResult) -> Verification:
+    """Re-check a simplex-avoidance result from the lattice and the result only.
+
+    At psi = (1, 1) and t = p/q, a hit is `NotTLC(e, e.x1 + e.x2)` and a
+    containment an integral `CaseA(m)` for `verify_certificate_lattice`.
+    A pair needs k1, k2 >= 1, k1 + k2 <= 2q (q reduced), independent
+    covectors whose joint integrality locus is the lattice, and a
+    weighted average in [0, q/p]^2.
+    """
+    t = simplex_ratio(p, q)
+    psi = vec(1, 1)
+    if isinstance(result, Hit):
+        return verify_certificate_lattice(lat, psi, t, NotTLC(result.e, result.e.x1 + result.e.x2))
+    if isinstance(result, Contained):
+        if result.m.x1.denominator != 1 or result.m.x2.denominator != 1:
+            return Verification(False, "containment witness is not integral")
+        return verify_certificate_lattice(lat, psi, t, CaseA(result.m))
+    if not isinstance(result, EqualsIntersection):
+        return Verification(False, "unrecognized simplex-avoidance result")
+    m1, m2, k1, k2 = result
+    if k1 < 1 or k2 < 1:
+        return Verification(False, "weights must be positive")
+    if k1 + k2 > 2 * t.denominator:
+        return Verification(False, "weights exceed twice the denominator")
+    if m1.x1 * m2.x2 - m1.x2 * m2.x1 == 0:
+        return Verification(False, "pair covectors are dependent")
+    if dual(lattice_from_generators([m1, m2])) != lat:
+        return Verification(False, "subgroup is not the pair's integrality locus")
+    avg = (m1.scaled(Fraction(k1)) + m2.scaled(Fraction(k2))).scaled(Fraction(1, k1 + k2))
+    if not (0 <= avg.x1 <= 1 / t and 0 <= avg.x2 <= 1 / t):
+        return Verification(False, "weighted average escapes the box")
+    return Verification(True, "pair presents the subgroup")
 
 
 def series_membership_lattice(lat: Lattice, t: Rational) -> list[tuple[int, int]]:
@@ -361,16 +384,21 @@ def _cyclic_forms(r_max: int) -> Iterator[tuple[_Form, _Form, int]]:
     ((1/r, w/r), (0, 1)), already canonical. Its swap is 1/r(w, 1), that
     is 1/r(1, w') with w' the inverse of w mod r, so one modular inverse
     gives it. Both share the denominator r, so `order`, the sign of
-    `basis_order` of the two lattices, is the sign of w - w'.
+    `basis_order` of the two lattices, is the sign of w - w'. Raises
+    ValueError on the call unless r_max >= 1.
     """
     if r_max < 1:
-        raise ValueError("order bound must be a positive integer")
-    yield (1, 1, 0, 1), (1, 1, 0, 1), 0
-    for r in range(2, r_max + 1):
-        for w in range(1, r):
-            if math.gcd(w, r) == 1:
-                w_swap = pow(w, -1, r)
-                yield (r, 1, w, r), (r, 1, w_swap, r), (w > w_swap) - (w < w_swap)
+        raise ValueError(f"order bound must be a positive integer: {r_max}")
+
+    def forms() -> Iterator[tuple[_Form, _Form, int]]:
+        yield (1, 1, 0, 1), (1, 1, 0, 1), 0
+        for r in range(2, r_max + 1):
+            for w in range(1, r):
+                if math.gcd(w, r) == 1:
+                    w_swap = pow(w, -1, r)
+                    yield (r, 1, w, r), (r, 1, w_swap, r), (w > w_swap) - (w < w_swap)
+
+    return forms()
 
 
 def cyclic_lattices(r_max: int) -> Iterator[tuple[Lattice, tuple[int, int, int]]]:
@@ -439,8 +467,9 @@ def candidate_germs(
     replaced by the least of it and its coordinate swap, ordered as in
     `canonical_germ`, and germs equal up to the swap appear once, in
     first-seen order. Each lattice is swapped once, not once per
-    boundary pair, and compared with its swap in integers. The mode and
-    each boundary pair are checked on the call, before the first germ.
+    boundary pair, and compared with its swap in integers. The mode, the
+    bound and each boundary pair are checked on the call, before the
+    first germ.
     """
     if mode == "cyclic":
         forms = _cyclic_forms(bound)

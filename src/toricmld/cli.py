@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -21,10 +20,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .certify import (
-    CaseA,
-    Certificate,
-    Contained,
-    EqualsIntersection,
     Hit,
     NotTLC,
     classify_germ_record,
@@ -32,9 +27,10 @@ from .certify import (
     lawrence,
     series_membership_lattice,
     verify_certificate_lattice,
+    verify_lawrence_result,
 )
 from .errors import VerificationFailure
-from .geometry import bounded_complement, complement_standard
+from .geometry import bounded_complement, complement_standard, verify_complement
 from .germs import (
     Germ,
     case_analysis_lattice,
@@ -44,33 +40,27 @@ from .germs import (
     sail_minimum,
 )
 from .lattices import (
-    Vec2,
-    contains,
-    dual,
     format_rational,
-    lattice_from_generators,
     lattice_from_quotient_type,
     parse_rational,
     positive_threshold,
     simplex_ratio,
     superlattices,
-    vec,
 )
 from .oracle import lawrence_oracle, mld_oracle_lattice
 from .records import (
     TABLE_COLUMNS,
     case_data_to_json,
-    complement_from_json,
+    complement_record_from_json,
     complement_record_to_json,
     dumps,
-    germ_from_json,
     germ_to_json,
-    lattice_from_json,
+    lawrence_record_from_json,
     lawrence_record_to_json,
-    lawrence_result_from_json,
     record_from_json,
     record_table_row,
     record_to_json,
+    type_label_agrees,
 )
 
 STANDARD_BOUNDARY_VALUES = (
@@ -180,12 +170,9 @@ def _cmd_lawrence(args) -> int:
 
 def _emit_table(records, out, fmt) -> None:
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(TABLE_COLUMNS)
-        for record in records:
-            writer.writerow(record_table_row(record))
-        out.write(buf.getvalue())
+        writer.writerows(record_table_row(record) for record in records)
     else:
         out.write("| " + " | ".join(TABLE_COLUMNS) + " |\n")
         out.write("|" + "---|" * len(TABLE_COLUMNS) + "\n")
@@ -194,14 +181,10 @@ def _emit_table(records, out, fmt) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.mode == "cyclic":
-        if args.r_max is None:
-            raise ValueError("mode cyclic needs --r-max")
-        bound = args.r_max
-    else:
-        if args.index_max is None:
-            raise ValueError("mode all needs --index-max")
-        bound = args.index_max
+    cyclic = args.mode == "cyclic"
+    bound = args.r_max if cyclic else args.index_max
+    if bound is None:
+        raise ValueError(f"mode {args.mode} needs {'--r-max' if cyclic else '--index-max'}")
     # Checks the threshold and every boundary pair before any output.
     records = enumerate_germs(
         args.mode, bound, parse_rational(args.t), _boundary_pairs(args), args.include_not_tlc
@@ -237,11 +220,13 @@ def _cmd_enumerate(args) -> int:
 def _cmd_complement(args) -> int:
     germ = _germ_from_args(args)
     if args.bounded:
-        comp = bounded_complement(germ)
-        print(dumps(complement_record_to_json(germ, comp)))
+        if args.p is not None or args.q is not None:
+            raise ValueError("--bounded takes no --p or --q")
+        print(dumps(complement_record_to_json(germ, bounded_complement(germ))))
         return 0
-    comp = complement_standard(germ, args.p, args.q)
-    print(dumps(complement_record_to_json(germ, comp, args.p, args.q)))
+    p, q = (1 if x is None else x for x in (args.p, args.q))
+    comp = complement_standard(germ, p, q)
+    print(dumps(complement_record_to_json(germ, comp, p, q)))
     return 0
 
 
@@ -263,14 +248,14 @@ def _malformed(line_no: int, exc: Exception) -> ValueError:
 def _verify_classification(data: dict, line_no: int) -> None:
     record = record_from_json(data)
     lat = record.germ.lattice
+    _require(type_label_agrees(data, lat), line_no, "type label disagrees with the lattice")
     psi = psi_of(record.germ)
     value, _ = mld_oracle_lattice(lat, psi)
     _require(value == record.mld, line_no, "recorded mld disagrees with the oracle")
     outcome = verify_certificate_lattice(lat, psi, record.t, record.certificate)
-    _require(bool(outcome), line_no, f"certificate rejected: {outcome.reason}")
-    is_not_tlc = isinstance(record.certificate, NotTLC)
+    _require(outcome.ok, line_no, f"certificate rejected: {outcome.reason}")
     _require(
-        is_not_tlc == (value < record.t),
+        isinstance(record.certificate, NotTLC) == (value < record.t),
         line_no,
         "certificate side disagrees with the oracle threshold test",
     )
@@ -282,69 +267,19 @@ def _verify_classification(data: dict, line_no: int) -> None:
 
 
 def _verify_lawrence(data: dict, line_no: int) -> None:
-    """Hits and containments are NotTLC and CaseA certificates at psi = (1, 1), t = p/q."""
-    lat = lattice_from_json(data["lattice"])
-    t = simplex_ratio(int(data["p"]), int(data["q"]))
-    p, q = t.numerator, t.denominator
-    result = lawrence_result_from_json(data["lawrence"])
+    lat, p, q, result = lawrence_record_from_json(data)
+    _require(type_label_agrees(data, lat), line_no, "type label disagrees with the lattice")
     avoids = lawrence_oracle(lat, p, q)
-    if isinstance(result, Hit):
-        _require(not avoids, line_no, "hit recorded but the oracle finds no point")
-        cert: Certificate = NotTLC(result.e, result.e.x1 + result.e.x2)
-    else:
-        _require(avoids, line_no, "avoidance recorded but the oracle finds a point")
-    if isinstance(result, Contained):
-        m = result.m
-        _require(
-            m.x1.denominator == 1 and m.x2.denominator == 1,
-            line_no,
-            "containment witness is not integral",
-        )
-        cert = CaseA(m)
-    if not isinstance(result, EqualsIntersection):
-        outcome = verify_certificate_lattice(lat, vec(1, 1), t, cert)
-        _require(bool(outcome), line_no, f"certificate rejected: {outcome.reason}")
-        return
-    m1, m2, k1, k2 = result
-    _require(k1 >= 1 and k2 >= 1, line_no, "weights must be positive")
-    _require(k1 + k2 <= 2 * q, line_no, "weights exceed twice the denominator")
-    _require(m1.x1 * m2.x2 - m1.x2 * m2.x1 != 0, line_no, "pair covectors are dependent")
-    span = lattice_from_generators([m1, m2])
-    _require(dual(span) == lat, line_no, "subgroup is not the pair's integrality locus")
-    avg = (m1.scaled(Fraction(k1)) + m2.scaled(Fraction(k2))).scaled(Fraction(1, k1 + k2))
-    _require(
-        0 <= avg.x1 <= Fraction(q, p) and 0 <= avg.x2 <= Fraction(q, p),
-        line_no,
-        "weighted average escapes the box",
-    )
+    _require(avoids != isinstance(result, Hit), line_no, "recorded side disagrees with the oracle")
+    outcome = verify_lawrence_result(lat, p, q, result)
+    _require(outcome.ok, line_no, f"certificate rejected: {outcome.reason}")
 
 
 def _verify_complement(data: dict, line_no: int) -> None:
-    germ = germ_from_json(data["germ"])
-    n, (b1, b2), witness = complement_from_json(data["complement"])
-    _require(n >= 1, line_no, "level must be positive")
-    _require(
-        witness == Vec2(n * (1 - b1), n * (1 - b2)),
-        line_no,
-        "witness does not match the scaled boundary complement",
-    )
-    _require(
-        witness.x1.denominator == 1 and witness.x2.denominator == 1,
-        line_no,
-        "witness is not integral",
-    )
-    _require(
-        contains(dual(germ.lattice), witness),
-        line_no,
-        "witness does not pair integrally with the lattice",
-    )
-    _require(germ.b1 <= b1 <= 1 and germ.b2 <= b2 <= 1, line_no, "boundary out of range")
-    value = mld_oracle_lattice(germ.lattice, Vec2(witness.x1 / n, witness.x2 / n))[0]
-    if "p" in data and "q" in data:
-        target = simplex_ratio(int(data["p"]), int(data["q"]))
-        _require(value >= target, line_no, "oracle value below the target ratio")
-    else:
-        _require(value > 0, line_no, "oracle value is not positive")
+    germ, comp, target = complement_record_from_json(data)
+    _require(type_label_agrees(data, germ.lattice), line_no, "type label disagrees with the lattice")
+    outcome = verify_complement(germ, comp, target)
+    _require(outcome.ok, line_no, f"complement rejected: {outcome.reason}")
 
 
 def _cmd_verify(args) -> int:
@@ -426,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp = sub.add_parser("complement", help="periodic complement boundaries")
     p_comp.add_argument("--type", required=True, help="quotient type r,w1,w2")
     p_comp.add_argument("--boundary", help="boundary coefficients b1,b2 (default 0,0)")
-    p_comp.add_argument("--p", type=int, default=1, help="target ratio numerator")
-    p_comp.add_argument("--q", type=int, default=1, help="target ratio denominator")
+    p_comp.add_argument("--p", type=int, help="target ratio numerator (default 1)")
+    p_comp.add_argument("--q", type=int, help="target ratio denominator (default 1)")
     p_comp.add_argument(
         "--bounded",
         action="store_true",

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
-from .certify import CaseB, certificate_from_case_data, pair_weights
+from .certify import CaseB, Verification, certificate_from_case_data, pair_weights
 from .germs import (
     Germ,
     case_analysis,
@@ -187,11 +187,7 @@ class Complement(NamedTuple):
 def is_standard_coefficient(b: Rational) -> bool:
     """True for 0, 1, and the tower (m-1)/m with m a positive integer."""
     b = Fraction(b)
-    if b == 0 or b == 1:
-        return True
-    if not 0 < b < 1:
-        return False
-    return (1 / (1 - b)).denominator == 1
+    return b == 1 or (0 <= b < 1 and (1 / (1 - b)).denominator == 1)
 
 
 def complement_standard(germ: Germ, p: int, q: int) -> Complement:
@@ -201,7 +197,8 @@ def complement_standard(germ: Germ, p: int, q: int) -> Complement:
     scale already reaches p/q, level q works directly. Otherwise the
     adapted pair is recombined with integer weights; standardness of
     the coefficients makes the needed quantities integral, and the
-    level is q*s with s at most 2q/p.
+    level is q*s with s at most 2q/p. The result passes
+    `verify_complement` at target p/q.
     """
     t = simplex_ratio(p, q)
     if not (is_standard_coefficient(germ.b1) and is_standard_coefficient(germ.b2)):
@@ -224,32 +221,31 @@ def complement_standard(germ: Germ, p: int, q: int) -> Complement:
         n = s * q
         witness = data.v1.scaled(Fraction(k1)) + data.v2.scaled(Fraction(k2))
     check(1 <= s and s * p <= 2 * q, "1 <= s <= 2q/p")
-    bn = (1 - witness.x1 / n, 1 - witness.x2 / n)
-    check(witness.x1.denominator == 1 and witness.x2.denominator == 1, "witness is integral")
-    check(contains(dual(germ.lattice), witness), "witness lies in the dual lattice")
-    check(germ.b1 <= bn[0] <= 1 and germ.b2 <= bn[1] <= 1, "b <= complement boundary <= 1")
-    value = mld_oracle_lattice(germ.lattice, Vec2(witness.x1 / n, witness.x2 / n))[0]
-    check(value >= t, "oracle mld of the complement >= p/q")
-    return Complement(n, bn, witness)
+    comp = Complement(n, (1 - witness.x1 / n, 1 - witness.x2 / n), witness)
+    outcome = verify_complement(germ, comp, t)
+    check(outcome.ok, f"verify_complement ({outcome.reason})")
+    return comp
 
 
 def bounded_complement(germ: Germ, strict_floor: bool = False) -> Complement:
     """Smallest complement with level bounded by twice the inverse value.
 
     Scans levels n = 1, 2, ... up to ceil(2/a) and, inside each level,
-    dual covectors in the box m <= n*psi in lexicographic order; the
-    first candidate whose induced boundary keeps the value positive
-    wins. Exhaustion would contradict the level bound and raises.
-    strict_floor caps the level at floor(2/a) instead.
+    dual covectors m in the box m <= n*psi in lexicographic order; the
+    first nonzero one wins, with boundary b' = 1 - m/n. Exhaustion would
+    contradict the level bound and raises. strict_floor caps the level
+    at floor(2/a) instead. The result passes `verify_complement`.
+
+    No candidate needs the oracle: psi' = m/n is nonzero and
+    nonnegative, so it pairs positively with every point of the open
+    quadrant, and the value at psi' is positive.
 
     Every candidate meets the rounding bound b' >= floor(b) +
-    floor((n+1)*frac(b))/n for each coefficient b and its complement
-    b' = 1 - m_i/n, so no candidate is filtered; the bound is checked
-    once on the result. Proof: m_i is an integer, since the dual of a
-    superlattice of the integer plane lies in it. For b = 1, psi_i = 0
-    forces m_i = 0 and b' = 1. For b in [0, 1), 0 <= m_i <= n*(1 - b)
-    gives n*b' = n - m_i >= ceil(n*b) >= floor(n*b + b) = floor((n+1)*b),
-    the middle step because b < 1.
+    floor((n+1)*frac(b))/n for each coefficient b. Proof: m_i is an
+    integer, since the dual of a superlattice of the integer plane lies
+    in it. For b = 1, psi_i = 0 forces m_i = 0 and b' = 1. For b in
+    [0, 1), 0 <= m_i <= n*(1 - b) gives n*b' = n - m_i >= ceil(n*b) >=
+    floor(n*b + b) = floor((n+1)*b), the middle step because b < 1.
     """
     a = mld(germ)
     if a == 0:
@@ -257,23 +253,47 @@ def bounded_complement(germ: Germ, strict_floor: bool = False) -> Complement:
     psi = psi_of(germ)
     m_lat = dual(germ.lattice)
     n_max = math.floor(2 / a) if strict_floor else math.ceil(2 / a)
-
-    def complements():
-        for n in range(1, n_max + 1):
-            for m in points_in_box(m_lat, n * psi.x1, n * psi.x2):
-                if m.is_zero():
-                    continue
-                if mld_oracle_lattice(germ.lattice, Vec2(m.x1 / n, m.x2 / n))[0] > 0:
-                    bn = (1 - m.x1 / Fraction(n), 1 - m.x2 / Fraction(n))
-                    yield Complement(n, bn, m)
-
-    found = next(complements(), None)
+    found = next(
+        (
+            Complement(n, (1 - m.x1 / n, 1 - m.x2 / n), m)
+            for n in range(1, n_max + 1)
+            for m in points_in_box(m_lat, n * psi.x1, n * psi.x2)
+            if not m.is_zero()
+        ),
+        None,
+    )
     check = _checker(germ.lattice, psi)
     check(found is not None, f"a complement of level <= {n_max} exists")
-    for b, c in zip((germ.b1, germ.b2), found.boundary):
-        whole = math.floor(b)
-        check(
-            found.n * (c - whole) >= math.floor((found.n + 1) * (b - whole)),
-            "complement boundary >= floor(b) + floor((n+1)*frac(b))/n",
-        )
+    outcome = verify_complement(germ, found, None)
+    check(outcome.ok, f"verify_complement ({outcome.reason})")
     return found
+
+
+def verify_complement(germ: Germ, comp: Complement, target: Optional[Rational]) -> Verification:
+    """Re-check a complement from the germ and the complement only.
+
+    n >= 1; the witness is n*(1 - b'), integral and in the dual; b <= b'
+    <= 1 with the rounding bound; the oracle value at psi' = witness/n
+    reaches the target, or is positive when it is None (bounded).
+    """
+    n, (c1, c2), witness = comp
+    if n < 1:
+        return Verification(False, "level must be positive")
+    if witness != Vec2(n * (1 - c1), n * (1 - c2)):
+        return Verification(False, "witness does not match the scaled boundary complement")
+    if witness.x1.denominator != 1 or witness.x2.denominator != 1:
+        return Verification(False, "witness is not integral")
+    if not contains(dual(germ.lattice), witness):
+        return Verification(False, "witness does not pair integrally with the lattice")
+    if not (germ.b1 <= c1 <= 1 and germ.b2 <= c2 <= 1):
+        return Verification(False, "boundary out of range")
+    for b, c in ((germ.b1, c1), (germ.b2, c2)):
+        whole = math.floor(b)
+        if n * (c - whole) < math.floor((n + 1) * (b - whole)):
+            return Verification(False, "boundary below floor(b) + floor((n+1)*frac(b))/n")
+    value = mld_oracle_lattice(germ.lattice, Vec2(witness.x1 / n, witness.x2 / n))[0]
+    if target is None and value <= 0:
+        return Verification(False, "oracle value is not positive")
+    if target is not None and value < target:
+        return Verification(False, "oracle value below the target ratio")
+    return Verification(True, "complement holds")

@@ -88,7 +88,6 @@ def vec(x1, x2) -> Vec2:
     return Vec2(Fraction(x1), Fraction(x2))
 
 
-ZERO = vec(0, 0)
 E1 = vec(1, 0)
 E2 = vec(0, 1)
 
@@ -485,11 +484,6 @@ def cyclic_type(lat: Lattice) -> Optional[tuple[int, int, int]]:
     return (n, q % n, min(w2s))
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
 def sublattices_of_standard(n: int) -> list[Lattice]:
     """Integer sublattices of the standard plane of index n.
 
@@ -499,7 +493,7 @@ def sublattices_of_standard(n: int) -> list[Lattice]:
     if n < 1:
         raise ValueError("index must be a positive integer")
     out: list[Lattice] = []
-    for a in _divisors(n):
+    for a in (a for a in range(1, n + 1) if n % a == 0):
         d = n // a
         for b in range(d):
             out.append(Lattice(hnf=(1, a, b, d)))
@@ -511,7 +505,8 @@ def superlattices(index_max: int) -> Iterator[Lattice]:
 
     Produced as duals of integer sublattices, ordered by index and then
     by the sublattice basis; each superlattice appears exactly once.
+    Raises ValueError on the call unless index_max >= 1.
     """
-    for n in range(1, index_max + 1):
-        for sub in sublattices_of_standard(n):
-            yield dual(sub)
+    if index_max < 1:
+        raise ValueError(f"index bound must be a positive integer: {index_max}")
+    return (dual(sub) for n in range(1, index_max + 1) for sub in sublattices_of_standard(n))

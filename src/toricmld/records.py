@@ -7,7 +7,8 @@ serialized output is byte-stable. Parsing reconstructs lattices through
 the canonical constructor, which makes records robust against
 reordered or redundant generator rows, and rejects a lattice that misses
 the integer plane, which every germ lattice contains, a boundary
-coefficient outside [0, 1] and a threshold that is not positive.
+coefficient outside [0, 1], a threshold or ratio p/q that is not
+positive, and an integer field that is not a JSON integer.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .geometry import Complement
 from .germs import CaseData, CaseTag, Germ, boundary_pair
 from .lattices import (
     Lattice,
+    Rational,
     Vec2,
     cyclic_type,
     format_rational,
@@ -37,7 +39,27 @@ from .lattices import (
     lattice_from_generators,
     parse_rational,
     positive_threshold,
+    simplex_ratio,
 )
+
+
+def _json_int(value: Any, field: str) -> int:
+    """A JSON integer field; ValueError for a bool, float or string."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be a JSON integer: {value!r}")
+    return value
+
+
+def _type_label(lat: Lattice) -> dict:
+    """The `type` field of a lattice's record: its cyclic type, or no field."""
+    ty = cyclic_type(lat)
+    return {} if ty is None else {"type": list(ty)}
+
+
+def type_label_agrees(data: dict, lat: Lattice) -> bool:
+    """Whether the `type` label of a record, or of its germ, is `_type_label` of lat."""
+    labelled = data.get("germ", data)
+    return {key: labelled[key] for key in ("type",) if key in labelled} == _type_label(lat)
 
 
 def vec_to_json(v: Vec2) -> list[str]:
@@ -63,14 +85,11 @@ def lattice_from_json(data: Any) -> Lattice:
 
 
 def germ_to_json(germ: Germ) -> dict:
-    out: dict = {
+    return {
         "lattice": lattice_to_json(germ.lattice),
         "boundary": [format_rational(germ.b1), format_rational(germ.b2)],
+        **_type_label(germ.lattice),
     }
-    ty = cyclic_type(germ.lattice)
-    if ty is not None:
-        out["type"] = list(ty)
-    return out
 
 
 def germ_from_json(data: Any) -> Germ:
@@ -148,14 +167,11 @@ def record_to_json(record: ClassifiedGerm) -> dict:
 def record_from_json(data: Any) -> ClassifiedGerm:
     if not isinstance(data, dict):
         raise ValueError(f"not a classification record: {data!r}")
-    for key in ("germ", "t", "mld", "certificate", "series"):
-        if key not in data:
-            raise ValueError(f"classification record misses key {key!r}")
     series = []
     for m in data["series"]:
         if not isinstance(m, (list, tuple)) or len(m) != 2:
             raise ValueError(f"not a series id: {m!r}")
-        series.append((int(m[0]), int(m[1])))
+        series.append((_json_int(m[0], "series id"), _json_int(m[1], "series id")))
     return ClassifiedGerm(
         germ_from_json(data["germ"]),
         positive_threshold(parse_rational(data["t"])),
@@ -191,8 +207,8 @@ def lawrence_result_from_json(data: Any) -> LawrenceResult:
         return EqualsIntersection(
             vec_from_json(data["m1"]),
             vec_from_json(data["m2"]),
-            int(data["k1"]),
-            int(data["k2"]),
+            _json_int(data["k1"], "k1"),
+            _json_int(data["k2"], "k2"),
         )
     if kind == "hit":
         return Hit(vec_from_json(data["e"]))
@@ -200,14 +216,21 @@ def lawrence_result_from_json(data: Any) -> LawrenceResult:
 
 
 def lawrence_record_to_json(lat: Lattice, p: int, q: int, result: LawrenceResult) -> dict:
-    out: dict = {"lattice": lattice_to_json(lat)}
-    ty = cyclic_type(lat)
-    if ty is not None:
-        out["type"] = list(ty)
-    out["p"] = p
-    out["q"] = q
-    out["lawrence"] = lawrence_result_to_json(result)
-    return out
+    return {
+        "lattice": lattice_to_json(lat),
+        **_type_label(lat),
+        "p": p,
+        "q": q,
+        "lawrence": lawrence_result_to_json(result),
+    }
+
+
+def lawrence_record_from_json(data: Any) -> tuple[Lattice, int, int, LawrenceResult]:
+    """(lattice, p, q, result) of a simplex-avoidance record, p/q checked by `simplex_ratio`."""
+    lat = lattice_from_json(data["lattice"])
+    p, q = _json_int(data["p"], "p"), _json_int(data["q"], "q")
+    simplex_ratio(p, q)
+    return lat, p, q, lawrence_result_from_json(data["lawrence"])
 
 
 def complement_to_json(comp: Complement) -> dict:
@@ -222,7 +245,7 @@ def complement_from_json(data: Any) -> Complement:
     if not isinstance(data, dict):
         raise ValueError(f"not a complement record: {data!r}")
     return Complement(
-        int(data["n"]),
+        _json_int(data["n"], "n"),
         tuple(vec_from_json(data["boundary"])),
         vec_from_json(data["witness"]),
     )
@@ -231,12 +254,16 @@ def complement_from_json(data: Any) -> Complement:
 def complement_record_to_json(
     germ: Germ, comp: Complement, p: Optional[int] = None, q: Optional[int] = None
 ) -> dict:
-    out: dict = {"germ": germ_to_json(germ)}
-    if p is not None and q is not None:
-        out["p"] = p
-        out["q"] = q
-    out["complement"] = complement_to_json(comp)
-    return out
+    ratio = {} if p is None or q is None else {"p": p, "q": q}
+    return {"germ": germ_to_json(germ), **ratio, "complement": complement_to_json(comp)}
+
+
+def complement_record_from_json(data: Any) -> tuple[Germ, Complement, Optional[Rational]]:
+    """(germ, complement, target p/q) of a complement record; no target for a bounded one."""
+    target = None
+    if "p" in data or "q" in data:
+        target = simplex_ratio(_json_int(data["p"], "p"), _json_int(data["q"], "q"))
+    return germ_from_json(data["germ"]), complement_from_json(data["complement"]), target
 
 
 def dumps(data: dict) -> str:
@@ -257,13 +284,6 @@ def germ_label(germ: Germ) -> str:
 
 def record_table_row(record: ClassifiedGerm) -> list[str]:
     """Columns: type, lattice, boundary, mld, case, series."""
-    cert = record.certificate
-    if isinstance(cert, CaseA):
-        case = "a"
-    elif isinstance(cert, CaseB):
-        case = "b"
-    else:
-        case = "not_tlc"
     lattice_str = ";".join(
         f"({format_rational(r.x1)},{format_rational(r.x2)})" for r in record.germ.lattice.basis
     )
@@ -274,7 +294,7 @@ def record_table_row(record: ClassifiedGerm) -> list[str]:
         lattice_str,
         boundary_str,
         format_rational(record.mld),
-        case,
+        certificate_to_json(record.certificate)["case"],
         series_str,
     ]
 

@@ -41,8 +41,10 @@ from toricmld import (
     make_germ,
     mld,
     mld_oracle_lattice,
+    points_in_box,
     psi_of,
     series_certificate_log,
+    superlattices,
     vec,
 )
 
@@ -214,6 +216,50 @@ def test_bounded_complement_respects_floor_option():
         assert strict.n <= math.floor(2 / a)
         # Strict candidates are a subset of loose ones in the same scan order.
         assert loose.n <= strict.n
+
+
+def _oracle_filtered_complement(germ, strict_floor):
+    """The level-bounded search with an oracle test on every candidate."""
+    a, psi = mld(germ), psi_of(germ)
+    n_max = math.floor(2 / a) if strict_floor else math.ceil(2 / a)
+    for n in range(1, n_max + 1):
+        for m in points_in_box(dual(germ.lattice), n * psi.x1, n * psi.x2):
+            if not m.is_zero() and mld_oracle_lattice(germ.lattice, vec(m.x1 / n, m.x2 / n))[0] > 0:
+                return Complement(n, (1 - m.x1 / n, 1 - m.x2 / n), m)
+    return None
+
+
+def test_bounded_complement_needs_no_oracle_per_candidate(monkeypatch):
+    # A nonzero covector of the box is nonnegative, so it pairs positively
+    # with the open quadrant: an oracle test per candidate never rejects.
+    values = (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1))
+    pairs = [(b1, b2) for b1 in values for b2 in values if b1 + b2 < 2]
+    for lat in superlattices(8):
+        for b1, b2 in pairs:
+            germ = Germ(lat, b1, b2)
+            if mld(germ) == 0:
+                continue
+            for strict_floor in (False, True):
+                expected = _oracle_filtered_complement(germ, strict_floor)
+                if expected is None:
+                    with pytest.raises(VerificationFailure, match="a complement of level"):
+                        bounded_complement(germ, strict_floor)
+                else:
+                    assert bounded_complement(germ, strict_floor) == expected
+
+    # The oracle runs once, on the result, inside `verify_complement`.
+    calls = []
+    original = toricmld.geometry.mld_oracle_lattice
+
+    def counting(lat, psi):
+        calls.append(psi)
+        return original(lat, psi)
+
+    monkeypatch.setattr(toricmld.geometry, "mld_oracle_lattice", counting)
+    for germ in (SMOOTH, FIFTH, CHAIN3, germ_from_quotient_type(30, 1, 11)):
+        calls.clear()
+        comp = bounded_complement(germ)
+        assert calls == [vec(comp.witness_m.x1 / comp.n, comp.witness_m.x2 / comp.n)]
 
 
 def test_bounded_complement_boundary_is_valid(standard_corpus):

@@ -15,6 +15,7 @@ import pytest
 
 from toricmld import (
     Germ,
+    Vec2,
     certify,
     classify_germ_record,
     cli,
@@ -287,9 +288,47 @@ def _put(key, value):
     return mutate
 
 
+def _put_series_id(value):
+    def mutate(data):
+        data["series"][0][0] = value
+
+    return mutate
+
+
 # (argv whose output is mutated, the mutation, the error), one per domain
-# rule a decoded record must meet.
+# rule a decoded record must meet. Integer fields take JSON integers only:
+# a float is never truncated, and a bool is not an integer.
 OUT_OF_DOMAIN = {
+    "lawrence p float": (
+        ("lawrence", "--type", "5,1,2", "--p", "4", "--q", "5"),
+        _put("p", 4.9),
+        "p must be a JSON integer: 4.9",
+    ),
+    "lawrence p bool": (
+        ("lawrence", "--type", "5,1,2", "--p", "4", "--q", "5"),
+        _put("p", True),
+        "p must be a JSON integer: True",
+    ),
+    "pair weight float": (
+        ("lawrence", "--type", "8,1,5", "--p", "1", "--q", "2"),
+        lambda data: data["lawrence"].update(k1=1.0),
+        "k1 must be a JSON integer: 1.0",
+    ),
+    "complement level string": (
+        ("complement", "--type", "5,1,1", "--p", "1", "--q", "3"),
+        lambda data: data["complement"].update(n="3"),
+        "n must be a JSON integer: '3'",
+    ),
+    "complement q float": (
+        ("complement", "--type", "5,1,1", "--p", "1", "--q", "3"),
+        _put("q", 3.0),
+        "q must be a JSON integer: 3.0",
+    ),
+    "series id float": (
+        ("classify", "--type", "1,0,0", "--t", "1"),
+        _put_series_id(0.0),
+        "series id must be a JSON integer: 0.0",
+    ),
     "threshold zero": (
         ("classify", "--type", "5,1,1", "--t", "2/5"),
         _put("t", "0"),
@@ -415,6 +454,106 @@ def test_verify_rejects_a_mutated_record(capsys, tmp_path, name):
     code, out, err = run_cli(capsys, "verify", "--in", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("verification failure: line 2: ")
+
+
+CLASSIFY_511 = ("classify", "--type", "5,1,1", "--t", "2/5")
+
+# (argv whose output is mutated, the mutation): each leaves a `type` label
+# that is not `cyclic_type` of the record's lattice.
+LABEL_CONTROLS = {
+    "label of another lattice": (CLASSIFY_511, lambda data: data["germ"].update(type=[7, 1, 3])),
+    "junk label": (CLASSIFY_511, lambda data: data["germ"].update(type="junk")),
+    "null label": (CLASSIFY_511, lambda data: data["germ"].update(type=None)),
+    "label deleted": (CLASSIFY_511, lambda data: data["germ"].pop("type")),
+    "complement label deleted": (
+        ("complement", "--type", "5,1,1", "--bounded"),
+        lambda data: data["germ"].pop("type"),
+    ),
+    "lawrence label deleted": (
+        ("lawrence", "--type", "5,1,1", "--p", "1", "--q", "2"),
+        lambda data: data.pop("type"),
+    ),
+    # The Z/2 x Z/2 quotient is not cyclic, so its record has no label.
+    "label on a non-cyclic lattice": (
+        ("lawrence", "--type", "1,0,0", "--p", "1", "--q", "2"),
+        lambda data: data.update(lattice=[["1/2", "0"], ["0", "1/2"]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LABEL_CONTROLS)
+def test_verify_checks_the_type_label(capsys, tmp_path, name):
+    argv, mutate = LABEL_CONTROLS[name]
+    path = two_line_file(tmp_path, capsys, argv, mutate)
+    assert run_cli(capsys, "verify", "--in", str(path)) == (
+        2,
+        "",
+        "verification failure: line 2: type label disagrees with the lattice\n",
+    )
+
+
+def test_engine_runs_the_shared_checkers(monkeypatch, capsys):
+    # A construction step that goes wrong is caught by the same checker
+    # `verify` runs on the record: exit 2, naming the identity and the lattice.
+    monkeypatch.setattr(certify, "box_maximal", lambda m, bound: Vec2(Fraction(0), Fraction(3, 2)))
+    code, out, err = run_cli(capsys, "lawrence", "--type", "1,0,0", "--p", "1", "--q", "2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "verification failure: verify_lawrence_result (containment witness is not integral)"
+        " fails for Lattice[(1,0), (0,1)]\n"
+    )
+
+    # (1, 0) pairs with (1/5, 1/5) to 1/5, so it is off the dual of 1/5(1,1).
+    off_dual = [Vec2(Fraction(1), Fraction(0))]
+    monkeypatch.setattr(geometry, "points_in_box", lambda lat, c1, c2: off_dual)
+    code, out, err = run_cli(capsys, "complement", "--type", "5,1,1", "--bounded")
+    assert (code, out) == (2, "")
+    assert err == (
+        "verification failure: verify_complement (witness does not pair integrally with the"
+        " lattice) fails for Lattice[(1/5,1/5), (0,1)] at psi (1,1)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("enumerate", "--mode", "cyclic", "--r-max", "0", "--t", "1/2"),
+         "order bound must be a positive integer: 0"),
+        (("enumerate", "--mode", "all", "--index-max", "0", "--t", "1/2"),
+         "index bound must be a positive integer: 0"),
+        (("enumerate", "--mode", "all", "--index-max", "-3", "--t", "1/2"),
+         "index bound must be a positive integer: -3"),
+    ],
+)
+def test_a_sweep_bound_below_one_leaves_the_output_alone(capsys, tmp_path, argv, message):
+    out_path = tmp_path / "kept.jsonl"
+    out_path.write_bytes(b"kept\n")
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert run_cli(capsys, *argv, "--out", str(out_path)) == (1, "", f"error: {message}\n")
+    assert out_path.read_bytes() == b"kept\n"
+
+
+def test_lawrence_sweep_bound_below_one_exits_one(capsys):
+    assert run_cli(capsys, "lawrence", "--index-max", "0", "--p", "1", "--q", "2") == (
+        1,
+        "",
+        "error: index bound must be a positive integer: 0\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--bounded", "--p", "0", "--q", "-3"), "--bounded takes no --p or --q"),
+        (("--bounded", "--p", "1"), "--bounded takes no --p or --q"),
+        (("--bounded", "--q", "1"), "--bounded takes no --p or --q"),
+        (("--p", "0"), "p and q must be positive integers: 0/1"),
+        (("--q", "0"), "p and q must be positive integers: 1/0"),
+    ],
+)
+def test_complement_ratio_flags(capsys, flags, message):
+    code_out_err = run_cli(capsys, "complement", "--type", "5,1,1", *flags)
+    assert code_out_err == (1, "", f"error: {message}\n")
 
 
 def test_verify_rejects_a_dependent_pair(capsys, tmp_path):
@@ -595,9 +734,19 @@ def test_complement_below_target_exits_one(capsys):
     assert "below the target" in err
 
 
+def _complements(ty, *runs):
+    return "; ".join(f"complement --type {ty} {run}" for run in runs)
+
+
+_REACHABLE = ("--p 1 --q 3", "--p 2 --q 5", "--bounded")
+_HALF_REACHABLE = tuple(f"--boundary 1/2,0 {run}" for run in _REACHABLE)
+
 # sha256 of the stdout of sweeps whose bytes must not change: digests
-# taken before the lattice core moved to integers. A change to any
-# record, its field order or its formatting shows up here.
+# taken before the lattice core moved to integers (the complement and
+# p/q = 2/5 entries: before the lawrence and complement checkers were
+# shared with `verify`). Commands joined by "; " are hashed as one
+# concatenated stdout. A change to any record, its field order or its
+# formatting shows up here.
 PINNED_SWEEPS = [
     (
         "enumerate --mode cyclic --r-max 60 --t 1/2 --boundary-set file --include-not-tlc",
@@ -616,16 +765,39 @@ PINNED_SWEEPS = [
         "lawrence --index-max 12 --p 1 --q 2",
         "f12e0e708dd3cfa03cdd259b839a46979503a62f51787863cbe3d156c882ce9d",
     ),
+    (
+        "lawrence --index-max 20 --p 2 --q 5",
+        "f9c841439da6ad6d90ea75bc0855e97a22dd571f4163504c64cbbb3a61b7ffca",
+    ),
+    (
+        _complements("5,1,1", *_REACHABLE, "--boundary 1/2,0 --bounded"),
+        "7bc69a947fd1337e0baf0beb787f3cbc79d098af1189a1d23476ddd4f02bef0a",
+    ),
+    (
+        _complements("7,1,3", *_REACHABLE, *_HALF_REACHABLE),
+        "9dbfd82583ec132ee2f5a30b8225e87aa6d496cb094ada99db40c1cb4e7bab02",
+    ),
+    (
+        _complements("30,1,11", "--bounded", "--boundary 1/2,0 --bounded"),
+        "573a4c78c5816a9d2802081d6089a2607365c197aed64ca47b9b796ef9d188b3",
+    ),
+    (
+        _complements("97,1,96", *_REACHABLE, *_HALF_REACHABLE),
+        "0783f2c1d59358e9f122877b1b8a5e100e1d0fff59a0e5d026ba7a55cd6900f0",
+    ),
 ]
 
 
 def test_sweep_output_bytes_are_pinned(capsys, tmp_path):
     boundary_file = tmp_path / "asymmetric.json"
     boundary_file.write_text('[["0","1/2"],["1/3","0"],["1/2","1/2"]]\n', encoding="utf-8")
-    for command, digest in PINNED_SWEEPS:
-        argv = command.split()
-        if "file" in argv:
-            argv += ["--boundary-file", str(boundary_file)]
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, command
+    for commands, digest in PINNED_SWEEPS:
+        out = ""
+        for command in commands.split("; "):
+            argv = command.split()
+            if "file" in argv:
+                argv += ["--boundary-file", str(boundary_file)]
+            code, run_out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), command
+            out += run_out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, commands
