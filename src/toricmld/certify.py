@@ -11,6 +11,7 @@ they share no conclusions with the classifier.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -307,18 +308,28 @@ def series_membership_lattice(lat: Lattice, t: Rational) -> list[tuple[int, int]
     one series relation. Depends on the lattice only, never on the
     boundary, and is sorted lexicographically.
 
-    Computed from the definition in integers: with the basis
-    ((a, b), (0, d)) scaled by its common denominator D, the covector
-    (i, j) pairs integrally iff D divides i*a + j*b and j*d. No dual
-    lattice and no rationals are built.
+    Computed in integers, row by row: with the basis ((a, b), (0, d))
+    scaled by its common denominator D, the covector (i, j) pairs
+    integrally iff D divides j*d and i*a + j*b. The first fixes the rows
+    j to the multiples of D/gcd(d, D); in such a row, with g = gcd(a, D),
+    the second has a solution iff g divides j*b, and then fixes i to one
+    residue class mod D/g. So the cost is O(floor(1/t) + output); no
+    dual lattice and no rationals are built.
     """
     bound = math.floor(1 / positive_threshold(Fraction(t)))
     denom, a, b, d = lat.hnf
+    g = math.gcd(a, denom)
+    i_step = denom // g
+    inverse = pow(a // g, -1, i_step)
     out: list[tuple[int, int]] = []
-    for i in range(bound + 1):
-        for j in range(bound + 1):
-            if (i or j) and (i * a + j * b) % denom == 0 and (j * d) % denom == 0:
+    for j in range(0, bound + 1, denom // math.gcd(d, denom)):
+        if (j * b) % g == 0:
+            # Row 0 starts past the zero covector, which is excluded.
+            i = -(j * b // g) * inverse % i_step if j else i_step
+            while i <= bound:
                 out.append((i, j))
+                i += i_step
+    out.sort()
     return out
 
 
@@ -377,28 +388,69 @@ class ClassifiedGerm(NamedTuple):
     series: list[tuple[int, int]]
 
 
-def _cyclic_forms(r_max: int) -> Iterator[tuple[_Form, _Form, int]]:
+def _cyclic_forms(r_max: int, budget: Optional[int] = None) -> Iterator[tuple[_Form, _Form, int]]:
     """(form, swap form, order) for each cyclic lattice 1/r(1, w), r <= r_max.
 
     The form of 1/r(1, w) is the integer basis (r, 1, w, r) of
     ((1/r, w/r), (0, 1)), already canonical. Its swap is 1/r(w, 1), that
     is 1/r(1, w') with w' the inverse of w mod r, so one modular inverse
     gives it. Both share the denominator r, so `order`, the sign of
-    `basis_order` of the two lattices, is the sign of w - w'. Raises
-    ValueError on the call unless r_max >= 1.
+    `basis_order` of the two lattices, is the sign of w - w'. Lattices
+    come by r, then w. Raises ValueError on the call unless r_max >= 1.
+
+    With a `budget`, a lattice of order r >= 2 is yielded only when the
+    excess sum(c_i - 2) of its Hirzebruch-Jung chain r/w = [c_1, ..., c_k]
+    is at most the budget; the order stays the same. This keeps every
+    germ with mld >= t when the budget is at least
+    (2 - b1 - b2 - 2t)/t (Borisov's bound). Proof: the sail points
+    u_0 = (0, 1), u_1 = (1, w)/r, ..., u_{k+1} = (1, 0) satisfy
+    u_{i-1} + u_{i+1} = c_i*u_i (see `klein_sail`). With
+    a_i = psi . u_i and psi = (1 - b1, 1 - b2) linear,
+    sum_{i=1..k} (c_i - 2)*a_i telescopes to
+    (a_0 - a_1) + (a_{k+1} - a_k). The points u_1, ..., u_k lie in the
+    open quadrant, so mld >= t gives a_i >= t for them, while
+    a_0 + a_{k+1} = 2 - b1 - b2; hence t*excess <= 2 - b1 - b2 - 2t.
+    The swap reverses the chain and the boundary pair, so both
+    orientations pass or fail together and `candidate_germs` dedupes
+    the kept lattices exactly as in the full stream. The order-1
+    lattice has no interior sail point and is always yielded.
+
+    The chains are walked, not filtered: prepending c to the chain of
+    r/w gives (c*r - w)/r, so every coprime (r, w) with 1 <= w < r is
+    reached once from the empty chain (1, 0), the order-1 lattice, and
+    r grows along each step; a heap keyed by (r, w) pops the chains in
+    the order above. Each entry c adds c - 2 to the excess, so only
+    runs of 2s grow without limit. Since excess <= r - 2, a budget of
+    at least r_max - 2 prunes nothing; then the plain loop over (r, w)
+    runs, as without a budget, and no heap of O(r_max^2) chains is
+    kept.
     """
     if r_max < 1:
         raise ValueError(f"order bound must be a positive integer: {r_max}")
+
+    def forms_of(r: int, w: int) -> tuple[_Form, _Form, int]:
+        w_swap = pow(w, -1, r)
+        return (r, 1, w, r), (r, 1, w_swap, r), (w > w_swap) - (w < w_swap)
 
     def forms() -> Iterator[tuple[_Form, _Form, int]]:
         yield (1, 1, 0, 1), (1, 1, 0, 1), 0
         for r in range(2, r_max + 1):
             for w in range(1, r):
                 if math.gcd(w, r) == 1:
-                    w_swap = pow(w, -1, r)
-                    yield (r, 1, w, r), (r, 1, w_swap, r), (w > w_swap) - (w < w_swap)
+                    yield forms_of(r, w)
 
-    return forms()
+    def chains(budget: int) -> Iterator[tuple[_Form, _Form, int]]:
+        # Entries (r, w, excess), the root (1, 0, 0) being the empty chain;
+        # its forms are the order-1 ones, as pow(0, -1, 1) == 0.
+        heap = [(1, 0, 0)]
+        while heap:
+            r, w, excess = heapq.heappop(heap)
+            yield forms_of(r, w)
+            c_max = min(budget - excess + 2, (r_max + w) // r)
+            for c in range(2, c_max + 1):
+                heapq.heappush(heap, (c * r - w, r, excess + c - 2))
+
+    return forms() if budget is None or budget >= r_max - 2 else chains(budget)
 
 
 def cyclic_lattices(r_max: int) -> Iterator[tuple[Lattice, tuple[int, int, int]]]:
@@ -458,6 +510,7 @@ def candidate_germs(
     mode: str,
     bound: int,
     boundaries: Sequence[tuple[Rational, Rational]] = ((Fraction(0), Fraction(0)),),
+    budget: Optional[int] = None,
 ) -> Iterator[Germ]:
     """Deterministic stream of canonical germ representatives.
 
@@ -469,10 +522,13 @@ def candidate_germs(
     first-seen order. Each lattice is swapped once, not once per
     boundary pair, and compared with its swap in integers. The mode, the
     bound and each boundary pair are checked on the call, before the
-    first germ.
+    first germ. In mode "cyclic", a `budget` keeps only the lattices
+    whose Hirzebruch-Jung excess is at most the budget (see
+    `_cyclic_forms`): the stream is the full one with the other
+    lattices' germs left out. Mode "all" walks every lattice.
     """
     if mode == "cyclic":
-        forms = _cyclic_forms(bound)
+        forms = _cyclic_forms(bound, budget)
     elif mode == "all":
         forms = _swap_forms(superlattices(bound))
     else:
@@ -521,11 +577,22 @@ def enumerate_germs(
     """Classified canonical germs, each with a verified certificate.
 
     Records with value below t are withheld unless include_not_tlc is
-    set (those carry a NotTLC certificate). The threshold, the mode and
-    the boundary pairs are checked on the call, before the first record.
+    set (those carry a NotTLC certificate). Withheld records need not
+    be classified: without include_not_tlc, a cyclic sweep walks only
+    the lattices within Borisov's excess bound (2 - b1 - b2 - 2t)/t of
+    some boundary pair, outside which no germ reaches t (proof in
+    `_cyclic_forms`). The threshold, the mode and the boundary pairs
+    are checked on the call, before the first record.
     """
     t = positive_threshold(Fraction(t))
-    records = (classify_germ_record(germ, t) for germ in candidate_germs(mode, bound, boundaries))
+    budget = None
+    if not include_not_tlc:
+        budget = max(
+            (math.floor((2 - Fraction(b1) - Fraction(b2) - 2 * t) / t) for b1, b2 in boundaries),
+            default=-1,
+        )
+    germs = candidate_germs(mode, bound, boundaries, budget)
+    records = (classify_germ_record(germ, t) for germ in germs)
     return (record for record in records if include_not_tlc or record.mld >= t)
 
 

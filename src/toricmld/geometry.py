@@ -197,10 +197,12 @@ def complement_standard(germ: Germ, p: int, q: int) -> Complement:
     scale already reaches p/q, level q works directly. Otherwise the
     adapted pair is recombined with integer weights; standardness of
     the coefficients makes the needed quantities integral, and the
-    level is q*s with s at most 2q/p. The result passes
-    `verify_complement` at target p/q.
+    level is q*s with s at most 2q/p. The ratio p/q is reduced before
+    any use, so the level bound holds for the reduced q. The result
+    passes `verify_complement` at target p/q.
     """
     t = simplex_ratio(p, q)
+    p, q = t.numerator, t.denominator
     if not (is_standard_coefficient(germ.b1) and is_standard_coefficient(germ.b2)):
         raise ValueError("boundary coefficients must be standard")
     psi = psi_of(germ)

@@ -155,6 +155,15 @@ def test_complement_standard_examples():
     assert comp == Complement(1, (Fraction(1), Fraction(0)), vec(0, 1))
 
 
+def test_complement_standard_reduces_the_ratio():
+    # The level bound q*s is stated for the reduced q, so 2/6 and 3/9
+    # give the complement of 1/3.
+    germ = germ_from_quotient_type(7, 1, 3)
+    expected = Complement(3, (Fraction(2, 3), Fraction(1, 3)), vec(1, 2))
+    for p, q in ((1, 3), (2, 6), (3, 9)):
+        assert complement_standard(germ, p, q) == expected, (p, q)
+
+
 def test_complement_standard_computes_the_minimum_once(monkeypatch):
     # One minimum for the germ, passed to the case analysis, plus the one
     # the case analysis takes of its residual psi - gamma*v1.

@@ -5,7 +5,10 @@ compares integer forms; the definition here builds every lattice with
 `lattice_from_generators`, swaps it with `swapped_lattice`, keeps the
 least (basis, b1, b2) key in Fractions and dedupes first-seen.
 Property tests are seeded (`derandomize=True`), so every run draws the
-same examples.
+same examples. The pruned cyclic sweep, which walks Hirzebruch-Jung
+chains under Borisov's excess bound, is checked against the full
+stream: its lattices are those within the budget, in the same order,
+and its germs are those that reach the threshold.
 """
 
 import math
@@ -15,8 +18,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from toricmld.certify import candidate_germs
+import toricmld.certify
+from toricmld.certify import ClassifiedGerm, _cyclic_forms, candidate_germs, enumerate_germs
 from toricmld.cli import STANDARD_BOUNDARY_VALUES
+from toricmld.germs import psi_of, sail_minimum
 from toricmld.lattices import (
     E1,
     E2,
@@ -116,3 +121,51 @@ def test_asymmetric_boundaries_reach_both_sides_of_the_swap():
         (Fraction(2, 5), Fraction(1, 2), 0),
         (Fraction(4, 5), 0, Fraction(1, 2)),
     ]
+
+
+def _excess(r, w):
+    """Excess sum(c_i - 2) of the Hirzebruch-Jung chain r/w = [c_1, ..., c_k]."""
+    excess = 0
+    while w:
+        c = -(-r // w)
+        excess += c - 2
+        r, w = w, c * w - r
+    return excess
+
+
+@pytest.mark.parametrize("r_max", [1, 2, 3, 60])
+def test_chain_walk_is_the_plain_loop_filtered_by_excess(r_max):
+    full = list(_cyclic_forms(r_max))
+    for form, swap, _ in full:
+        assert _excess(form[0], form[2]) == _excess(swap[0], swap[2])
+    for budget in range(-2, 8):
+        expected = [f for f in full if f[0][0] == 1 or _excess(f[0][0], f[0][2]) <= budget]
+        assert list(_cyclic_forms(r_max, budget)) == expected, budget
+
+
+def test_chain_walk_prunes():
+    # 18,218 chains of excess at most 2 (t = 1/2, zero boundary) plus
+    # the order-1 lattice, out of 304,192 forms with r <= 1000.
+    assert sum(1 for _ in _cyclic_forms(1000, budget=2)) == 18_219
+
+
+THRESHOLDS = [Fraction(1), Fraction(1, 2), Fraction(2, 5)] + [Fraction(1, n) for n in range(3, 7)]
+
+
+@pytest.mark.parametrize(
+    "boundaries, bound",
+    [(ZERO, 300), (STANDARD, 30), (ASYMMETRIC, 120)],
+    ids=["zero", "standard", "asymmetric"],
+)
+def test_pruned_sweep_keeps_every_germ_reaching_the_threshold(monkeypatch, boundaries, bound):
+    # The claim is about which germs the sweep reaches, so each germ is
+    # classified by its exact value alone; the records of kept germs are
+    # pinned byte for byte in tests/test_cli.py.
+    def value_only(germ, t):
+        return ClassifiedGerm(germ, t, sail_minimum(germ.lattice, psi_of(germ)).value, None, [])
+
+    monkeypatch.setattr(toricmld.certify, "classify_germ_record", value_only)
+    full = [value_only(germ, None) for germ in candidate_germs("cyclic", bound, boundaries)]
+    for t in THRESHOLDS:
+        got = [(r.germ, r.mld) for r in enumerate_germs("cyclic", bound, t, boundaries)]
+        assert got == [(r.germ, r.mld) for r in full if r.mld >= t], t

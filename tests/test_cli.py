@@ -744,13 +744,24 @@ _HALF_REACHABLE = tuple(f"--boundary 1/2,0 {run}" for run in _REACHABLE)
 # sha256 of the stdout of sweeps whose bytes must not change: digests
 # taken before the lattice core moved to integers (the complement and
 # p/q = 2/5 entries: before the lawrence and complement checkers were
-# shared with `verify`). Commands joined by "; " are hashed as one
+# shared with `verify`; the cyclic sweeps without --include-not-tlc:
+# before they walked Hirzebruch-Jung chains; the unreduced complement
+# ratios: when p/q was first reduced, equal to the --p 1 --q 3 record
+# but for p and q). Commands joined by "; " are hashed as one
 # concatenated stdout. A change to any record, its field order or its
 # formatting shows up here.
 PINNED_SWEEPS = [
     (
         "enumerate --mode cyclic --r-max 60 --t 1/2 --boundary-set file --include-not-tlc",
         "9e62b00fad357d583745a3ac8e6979a7e2d9b7e1c429860623425dbc91b34f6b",
+    ),
+    (
+        "enumerate --mode cyclic --r-max 300 --t 1/3",
+        "9a7f1ccdd5cdb45216df8c5a3f64aa6ad8d464eb360d6d2e6a75db0ad9a75f8a",
+    ),
+    (
+        "enumerate --mode cyclic --r-max 120 --t 1/4 --boundary-set file",
+        "bc470ed5e025018858b7a3c9db18ce37a22137a26abd6147e2ca8bfd328f955e",
     ),
     (
         "enumerate --mode all --index-max 8 --boundary-set standard --t 1/4 --include-not-tlc",
@@ -776,6 +787,10 @@ PINNED_SWEEPS = [
     (
         _complements("7,1,3", *_REACHABLE, *_HALF_REACHABLE),
         "9dbfd82583ec132ee2f5a30b8225e87aa6d496cb094ada99db40c1cb4e7bab02",
+    ),
+    (
+        _complements("7,1,3", "--p 2 --q 6", "--p 3 --q 9"),
+        "918855c452c784e6603fbc134b4f4e3c45bd65541714d55ec74181129d24ff37",
     ),
     (
         _complements("30,1,11", "--bounded", "--boundary 1/2,0 --bounded"),
