@@ -301,6 +301,26 @@ def verify_lawrence_result(lat: Lattice, p: int, q: int, result: LawrenceResult)
     return Verification(True, "pair presents the subgroup")
 
 
+# Most covectors a series membership list may hold; a threshold that could give
+# more is refused.
+SERIES_LIMIT = 100_000
+
+
+def _check_series_size(t: Rational, bound: int, j_step: int, i_step: int) -> None:
+    """ValueError unless rows j_step apart, entries i_step apart, fit under SERIES_LIMIT.
+
+    Rows j = 0, j_step, ... <= bound each hold at most bound // i_step + 1
+    covectors, row 0 one fewer as zero is excluded, so the list has at
+    most `count` entries.
+    """
+    count = (bound // j_step + 1) * (bound // i_step + 1) - 1
+    if count > SERIES_LIMIT:
+        raise ValueError(
+            f"series membership at t = {format_rational(t)} may list up to {count} covectors,"
+            f" above the limit of {SERIES_LIMIT}"
+        )
+
+
 def series_membership_lattice(lat: Lattice, t: Rational) -> list[tuple[int, int]]:
     """Integer covectors in [0, floor(1/t)]^2 pairing integrally with lat.
 
@@ -311,24 +331,35 @@ def series_membership_lattice(lat: Lattice, t: Rational) -> list[tuple[int, int]
     Computed in integers, row by row: with the basis ((a, b), (0, d))
     scaled by its common denominator D, the covector (i, j) pairs
     integrally iff D divides j*d and i*a + j*b. The first fixes the rows
-    j to the multiples of D/gcd(d, D); in such a row, with g = gcd(a, D),
-    the second has a solution iff g divides j*b, and then fixes i to one
-    residue class mod D/g. So the cost is O(floor(1/t) + output); no
-    dual lattice and no rationals are built.
+    j to the multiples of q = D/gcd(d, D); in such a row j = q*m, with
+    g = gcd(a, D), the second has a solution iff g divides q*m*b, that
+    is iff g/gcd(g, q*b) divides m, and then fixes i to one residue
+    class mod D/g. So only rows j_step = q*g/gcd(g, q*b) apart are
+    walked, and no dual lattice and no rationals are built.
+
+    Raises ValueError, before the walk, when the list could hold more
+    than SERIES_LIMIT covectors. The walk then stops after O(limit)
+    rows: it visits bound // j_step + 1 rows, and the count bound of
+    `_check_series_size` is that number times bound // (D/g) + 1 >= 1,
+    less one, so at most SERIES_LIMIT + 1 rows, and each row costs
+    O(1) plus its entries.
     """
-    bound = math.floor(1 / positive_threshold(Fraction(t)))
+    t = positive_threshold(Fraction(t))
+    bound = math.floor(1 / t)
     denom, a, b, d = lat.hnf
     g = math.gcd(a, denom)
     i_step = denom // g
+    q = denom // math.gcd(d, denom)
+    j_step = q * g // math.gcd(g, q * b)
+    _check_series_size(t, bound, j_step, i_step)
     inverse = pow(a // g, -1, i_step)
     out: list[tuple[int, int]] = []
-    for j in range(0, bound + 1, denom // math.gcd(d, denom)):
-        if (j * b) % g == 0:
-            # Row 0 starts past the zero covector, which is excluded.
-            i = -(j * b // g) * inverse % i_step if j else i_step
-            while i <= bound:
-                out.append((i, j))
-                i += i_step
+    for j in range(0, bound + 1, j_step):
+        # Row 0 starts past the zero covector, which is excluded.
+        i = -(j * b // g) * inverse % i_step if j else i_step
+        while i <= bound:
+            out.append((i, j))
+            i += i_step
     out.sort()
     return out
 
@@ -582,9 +613,12 @@ def enumerate_germs(
     the lattices within Borisov's excess bound (2 - b1 - b2 - 2t)/t of
     some boundary pair, outside which no germ reaches t (proof in
     `_cyclic_forms`). The threshold, the mode and the boundary pairs
-    are checked on the call, before the first record.
+    are checked on the call, before the first record; so is the size
+    of the series lists (`series_membership_lattice`).
     """
     t = positive_threshold(Fraction(t))
+    # The order-1 lattice, first in every stream, has the longest series list.
+    _check_series_size(t, math.floor(1 / t), 1, 1)
     budget = None
     if not include_not_tlc:
         budget = max(

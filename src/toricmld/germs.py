@@ -14,11 +14,13 @@ arithmetic progressions; psi on an axis reads them off the Hermite
 normal form instead. The best single covector v1 and the scale gamma it
 supports come from the sail of the dual lattice the same way. When psi
 is interior, an adapted lattice basis whose slice interval
-(alpha, beta) controls everything else completes the case analysis.
-Every derived identity is checked on the spot against the sail minimum
-and raises VerificationFailure, naming the lattice and psi, when it
-breaks. No step enumerates the quotient: `residues` is used only to
-list the minimizers of zero psi, all of the representatives.
+(alpha, beta) controls everything else completes the case analysis,
+which works in the same integers and builds rationals only for the
+fields it returns. Every derived identity is checked on the spot
+against the sail minimum and raises VerificationFailure, naming the
+lattice and psi, when it breaks. No step enumerates the quotient:
+`residues` is used only to list the minimizers of zero psi, all of the
+representatives.
 """
 
 from __future__ import annotations
@@ -37,20 +39,19 @@ from .lattices import (
     Sail,
     Vec2,
     _checker,
+    _scaled_covector,
+    _split_scaled,
     basis_order,
     contains,
     dot,
     dual,
     format_rational,
     in_cone,
-    in_cone_interior,
     index,
     is_primitive,
     klein_sail,
     lattice_from_quotient_type,
-    on_cone_boundary,
     residues,
-    split_along_covector,
     swapped_lattice,
     vec,
 )
@@ -144,14 +145,8 @@ class Minimum(NamedTuple):
     count: int
 
 
-def _scaled_covector(m: Vec2) -> tuple[int, int, int]:
-    """(s, c1, c2): the covector m times its common denominator s."""
-    scale = math.lcm(m.x1.denominator, m.x2.denominator)
-    return (
-        scale,
-        m.x1.numerator * (scale // m.x1.denominator),
-        m.x2.numerator * (scale // m.x2.denominator),
-    )
+# The step of a single minimizer, built once rather than per minimum.
+_NO_STEP = vec(0, 0)
 
 
 def _open_sail_argmin(sail: Sail, c1: int, c2: int) -> tuple[int, int, int, int, int]:
@@ -198,10 +193,10 @@ def sail_minimum(lat: Lattice, psi: Vec2) -> Minimum:
     y = gcd(b, d). Rationals are built only for the returned value and
     points.
     """
-    if not in_cone(psi):
+    scale, c1, c2 = _scaled_covector(psi)
+    if c1 < 0 or c2 < 0:
         raise ValueError("psi must lie in the closed dual quadrant")
     denom, a, b, d = lat.hnf
-    scale, c1, c2 = _scaled_covector(psi)
     if c1 and c2:
         x, y, dx, dy, count = _open_sail_argmin(klein_sail(lat), c1, c2)
     elif c2:
@@ -223,7 +218,7 @@ def sail_minimum(lat: Lattice, psi: Vec2) -> Minimum:
     return Minimum(
         Fraction(c1 * x + c2 * y, scale * denom),
         Vec2(Fraction(x, denom), Fraction(y, denom)),
-        Vec2(Fraction(dx, denom), Fraction(dy, denom)),
+        Vec2(Fraction(dx, denom), Fraction(dy, denom)) if dx or dy else _NO_STEP,
         count,
     )
 
@@ -272,6 +267,41 @@ def gamma_of(m: Vec2, psi: Vec2) -> Optional[Rational]:
     return best
 
 
+def _best_covector(
+    m_lat: Lattice, scale: int, c1: int, c2: int, lam: Rational, check: Callable[[bool, str], None]
+) -> tuple[int, int, int, int, int]:
+    """`gamma_max_lattice` for psi = (c1, c2)/scale, in integers.
+
+    Returns (gn, gd, x, y, S): the scale gn/gd and the maximizer (x, y)/S,
+    S the denominator of the dual's Klein sail. A sail point's scale is
+    min(c1*S/(scale*x), c2*S/(scale*y)) over its positive coordinates,
+    compared by cross-multiplying.
+    """
+    sail = klein_sail(m_lat)
+    for edge in sail.edges:
+        g0 = edge.x * c2 - edge.y * c1
+        slope = edge.dx * c2 - edge.dy * c1
+        if g0 + edge.length * slope > 0:
+            t = -g0 // slope
+            ts = (t, t + 1)
+            break
+    else:
+        ts = (edge.length,)
+    denom = sail.denominator
+    best: Optional[tuple[int, int, int, int]] = None
+    for t in ts:
+        x, y = edge.x + t * edge.dx, edge.y + t * edge.dy
+        if x and (not y or c1 * y <= c2 * x):
+            gn, gd = c1 * denom, scale * x
+        else:
+            gn, gd = c2 * denom, scale * y
+        if best is None or gn * best[1] > best[0] * gd:
+            best = (gn, gd, x, y)
+    gn, gd, x, y = best
+    check(2 * gn * lam.denominator >= lam.numerator * gd, "best covector scale >= lam/2")
+    return gn, gd, x, y, denom
+
+
 def gamma_max_lattice(m_lat: Lattice, psi: Vec2, lam: Rational) -> tuple[Rational, Vec2]:
     """Maximum scale over nonzero dual-lattice quadrant covectors.
 
@@ -285,30 +315,13 @@ def gamma_max_lattice(m_lat: Lattice, psi: Vec2, lam: Rational) -> tuple[Rationa
     with x*psi2 <= y*psi1 or the one after it. `lam` is the minimum
     pairing for the same data; the maximum is checked to reach lam/2.
     """
+    if not in_cone(psi):
+        raise ValueError("psi must lie in the closed dual quadrant")
     if psi.is_zero():
         raise ValueError("the covector bound needs a nonzero psi")
-    sail = klein_sail(m_lat)
-    _, c1, c2 = _scaled_covector(psi)
-    for edge in sail.edges:
-        g0 = edge.x * c2 - edge.y * c1
-        slope = edge.dx * c2 - edge.dy * c1
-        if g0 + edge.length * slope > 0:
-            t = -g0 // slope
-            ts = (t, t + 1)
-            break
-    else:
-        ts = (edge.length,)
-    best: Optional[tuple[Rational, Vec2]] = None
-    for t in ts:
-        m = Vec2(
-            Fraction(edge.x + t * edge.dx, sail.denominator),
-            Fraction(edge.y + t * edge.dy, sail.denominator),
-        )
-        gm = gamma_of(m, psi)
-        if best is None or gm > best[0]:
-            best = (gm, m)
-    _checker(m_lat, psi)(2 * best[0] >= lam, "best covector scale >= lam/2")
-    return best
+    scale, c1, c2 = _scaled_covector(psi)
+    gn, gd, x, y, denom = _best_covector(m_lat, scale, c1, c2, lam, _checker(m_lat, psi))
+    return Fraction(gn, gd), Vec2(Fraction(x, denom), Fraction(y, denom))
 
 
 def gamma_max(germ: Germ) -> tuple[Rational, Vec2]:
@@ -356,30 +369,6 @@ class CaseData:
     c: Optional[Rational] = None
 
 
-def _slice_interval(
-    e1p: Vec2, e2p: Vec2, check: Callable[[bool, str], None]
-) -> tuple[Rational, Optional[Rational]]:
-    """Parameter interval where e1p + t*e2p lies in the open quadrant.
-
-    Nonempty because the unit-pairing slice always meets the open
-    quadrant; None for the upper end means unbounded above.
-    """
-    lower: list[Rational] = []
-    upper: list[Rational] = []
-    for base, step in ((e1p.x1, e2p.x1), (e1p.x2, e2p.x2)):
-        if step > 0:
-            lower.append(-base / step)
-        elif step < 0:
-            upper.append(-base / step)
-        else:
-            check(base > 0, "slice is parallel to an axis inside the quadrant")
-    check(bool(lower), "slice is bounded below")
-    a0 = max(lower)
-    b0 = min(upper) if upper else None
-    check(b0 is None or a0 < b0, "slice interval is nonempty")
-    return a0, b0
-
-
 def case_analysis_lattice(
     lat: Lattice, psi: Vec2, minimum: Optional[Minimum] = None
 ) -> CaseData:
@@ -389,75 +378,124 @@ def case_analysis_lattice(
     it. Every derived identity is checked against that minimum; a
     failure raises VerificationFailure, because it means the closed
     forms disagree with each other, which is a bug, not bad input.
+
+    The analysis runs in integers; rationals are built only for the
+    returned fields. With psi = (c1, c2)/s, the best covector
+    v1 = (vx, vy)/vs and gamma = gn/gd (`_best_covector`), and the split
+    e1p = (e1x, e1y)/D, e2p = (e2x, e2y)/D (`_split_scaled`):
+    psi_prime = gd*(c1*e2x + c2*e2y)/(gn*s*D), because v1 pairs e2p to 0;
+    v2 = (-e1y, e1x)*D/det with det = e1x*e2y - e1y*e2x; and the
+    residual psi - gamma*v1 = (r1, r2)/(s*gd*vs). The slice interval
+    (alpha, beta) is where e1p + t*e2p lies in the open quadrant: each
+    coordinate with a positive step bounds t below, a negative one
+    above, and e1p is then shifted by floor(alpha) steps.
     """
-    if not in_cone(psi):
+    s, c1, c2 = _scaled_covector(psi)
+    if c1 < 0 or c2 < 0:
         raise ValueError("psi must lie in the closed dual quadrant")
-    if psi.is_zero():
+    if not (c1 or c2):
         raise ValueError("case analysis needs a nonzero psi")
     if minimum is None:
         minimum = sail_minimum(lat, psi)
     check = _checker(lat, psi)
     lam = minimum.value
-    gamma, v1 = gamma_max_lattice(dual(lat), psi, lam)
-    check(gamma <= lam <= 2 * gamma, "gamma <= lam <= 2*gamma")
+    ln, ld = lam.numerator, lam.denominator
+    gn, gd, vx, vy, vs = _best_covector(dual(lat), s, c1, c2, lam, check)
+    check(gn * ld <= ln * gd <= 2 * gn * ld, "gamma <= lam <= 2*gamma")
+    gamma = Fraction(gn, gd)
+    v1 = Vec2(Fraction(vx, vs), Fraction(vy, vs))
 
-    if psi.x1 == 0 or psi.x2 == 0:
+    if not (c1 and c2):
         # Boundary psi: the best covector realizes psi exactly.
-        check(lam == gamma and v1.scaled(gamma) == psi, "lam*v1 == psi")
+        check(
+            ln * gd == gn * ld and vx * gn * s == c1 * vs * gd and vy * gn * s == c2 * vs * gd,
+            "lam*v1 == psi",
+        )
         return CaseData(tag=CaseTag.BOUNDARY_PSI, gamma=gamma, v1=v1, mld=lam)
 
-    e1p, e2p = split_along_covector(lat, v1)
-    resid = Vec2(psi.x1 / gamma - v1.x1, psi.x2 / gamma - v1.x2)
-    pp = dot(resid, e2p)
-    if pp < 0:
-        e2p = -e2p
-        pp = -pp
-    elif pp == 0:
-        e2p = max(e2p, -e2p)
-    psi_prime = pp
+    denom = lat.hnf[0]
+    e1x, e1y, e2x, e2y = _split_scaled(lat, vs, vx, vy)
+    pn = c1 * e2x + c2 * e2y
+    if pn < 0:
+        e2x, e2y, pn = -e2x, -e2y, -pn
+    elif pn == 0:
+        e2x, e2y = max((e2x, e2y), (-e2x, -e2y))
+    pn, pd = gd * pn, gn * s * denom  # psi_prime = pn/pd
 
-    a0, b0 = _slice_interval(e1p, e2p, check)
-    shift = math.floor(a0)
-    e1p = e1p + e2p.scaled(Fraction(shift))
-    alpha = a0 - shift
-    beta = None if b0 is None else b0 - shift
-    check(0 <= alpha < 1, "0 <= alpha < 1")
-    check(dot(v1, e1p) == 1 and dot(v1, e2p) == 0, "v1 pairs to (1, 0)")
+    # Slice interval: lower = (num, den) of alpha before the shift, upper of beta.
+    lower: Optional[tuple[int, int]] = None
+    upper: Optional[tuple[int, int]] = None
+    for base, step in ((e1x, e2x), (e1y, e2y)):
+        if step > 0:
+            if lower is None or -base * lower[1] > lower[0] * step:
+                lower = (-base, step)
+        elif step < 0:
+            if upper is None or base * upper[1] < upper[0] * -step:
+                upper = (base, -step)
+        else:
+            check(base > 0, "slice is parallel to an axis inside the quadrant")
+    check(lower is not None, "slice is bounded below")
+    check(upper is None or lower[0] * upper[1] < upper[0] * lower[1], "slice interval is nonempty")
+    an, ad = lower
+    shift = an // ad
+    an -= shift * ad
+    e1x, e1y = e1x + shift * e2x, e1y + shift * e2y
+    check(0 <= an < ad, "0 <= alpha < 1")
+    check(vx * e1x + vy * e1y == vs * denom and vx * e2x + vy * e2y == 0, "v1 pairs to (1, 0)")
 
-    det = e1p.x1 * e2p.x2 - e1p.x2 * e2p.x1
-    v2 = Vec2(-e1p.x2 / det, e1p.x1 / det)
-    check(dot(v2, e1p) == 0 and dot(v2, e2p) == 1, "v2 pairs to (0, 1)")
+    det = e1x * e2y - e1y * e2x
+    v2x, v2y = -e1y * denom, e1x * denom  # v2 = (v2x, v2y)/det
+    check(v2x * e1x + v2y * e1y == 0 and v2x * e2x + v2y * e2y == det * denom, "v2 pairs to (0, 1)")
 
     # Residual vanishes along the slice's lower endpoint direction.
-    gamma_resid = Vec2(psi.x1 - gamma * v1.x1, psi.x2 - gamma * v1.x2)
-    check(dot(gamma_resid, e1p + e2p.scaled(alpha)) == 0, "residual vanishes at the lower end")
+    r1, r2 = c1 * gd * vs - s * gn * vx, c2 * gd * vs - s * gn * vy
+    check(
+        r1 * (e1x * ad + an * e2x) + r2 * (e1y * ad + an * e2y) == 0,
+        "residual vanishes at the lower end",
+    )
 
-    if beta is None:
+    if upper is None:
         # v1 on the dual boundary: the slice escapes to infinity.
-        check(on_cone_boundary(v1), "unbounded slice has v1 on an axis")
-        check(0 < psi_prime <= 1, "0 < psi_prime <= 1")
-        c = None
+        check(vx == 0 or vy == 0, "unbounded slice has v1 on an axis")
+        check(0 < pn <= pd, "0 < psi_prime <= 1")
+        beta = c = None
     else:
-        check(in_cone_interior(v1), "bounded slice has v1 interior")
-        check(0 <= psi_prime < 1, "0 <= psi_prime < 1")
-        c = 1 + psi_prime * (beta - alpha)
-        check(beta >= c and beta > 1, "beta >= c and beta > 1")
+        check(vx > 0 and vy > 0, "bounded slice has v1 interior")
+        check(0 <= pn < pd, "0 <= psi_prime < 1")
+        bn, bd = upper[0] - shift * upper[1], upper[1]
+        cd = pd * bd * ad
+        cn = cd + pn * (bn * ad - an * bd)  # c = 1 + psi_prime*(beta - alpha)
+        check(bn * cd >= cn * bd and bn > bd, "beta >= c and beta > 1")
+        beta, c = Fraction(bn, bd), Fraction(cn, cd)
 
-    value = gamma * (1 + psi_prime * (1 - alpha))
-    check(value == lam, "gamma*(1 + psi_prime*(1 - alpha)) == lam")
+    check(
+        gn * (pd * ad + pn * (ad - an)) * ld == ln * gd * pd * ad,
+        "gamma*(1 + psi_prime*(1 - alpha)) == lam",
+    )
 
     # Positive kernel component forces a unique minimizer (the converse
     # can fail, e.g. on the index-2 diagonal superlattice).
-    if psi_prime > 0:
-        check(minimum.count == 1 and minimum.first == e1p + e2p, "minimizers == [e1p + e2p]")
-
-    q_min = alpha.denominator
-    lambda_prime = gamma * psi_prime / q_min
-    residual_min = sail_minimum(lat, gamma_resid).value
-    check(lambda_prime == residual_min, "lambda_prime == mld of the residual psi - gamma*v1")
-    if alpha > 0:
+    if pn > 0:
+        x1, x2 = minimum.first
         check(
-            lam == gamma + (q_min - q_min * alpha) * lambda_prime,
+            minimum.count == 1
+            and x1.numerator * denom == (e1x + e2x) * x1.denominator
+            and x2.numerator * denom == (e1y + e2y) * x2.denominator,
+            "minimizers == [e1p + e2p]",
+        )
+
+    alpha = Fraction(an, ad)
+    q_min = alpha.denominator
+    lpn, lpd = gn * pn, gd * pd * q_min  # lambda_prime = gamma*psi_prime/q_min
+    rs = s * gd * vs
+    residual_min = sail_minimum(lat, Vec2(Fraction(r1, rs), Fraction(r2, rs))).value
+    check(
+        lpn * residual_min.denominator == residual_min.numerator * lpd,
+        "lambda_prime == mld of the residual psi - gamma*v1",
+    )
+    if an > 0:
+        check(
+            ln * gd * ad * lpd == ld * (gn * ad * lpd + gd * q_min * (ad - an) * lpn),
             "lam == gamma + q_min*(1 - alpha)*lambda_prime",
         )
 
@@ -466,13 +504,13 @@ def case_analysis_lattice(
         gamma=gamma,
         v1=v1,
         mld=lam,
-        e1p=e1p,
-        e2p=e2p,
+        e1p=Vec2(Fraction(e1x, denom), Fraction(e1y, denom)),
+        e2p=Vec2(Fraction(e2x, denom), Fraction(e2y, denom)),
         alpha=alpha,
         beta=beta,
-        psi_prime=psi_prime,
-        v2=v2,
-        lambda_prime=lambda_prime,
+        psi_prime=Fraction(pn, pd),
+        v2=Vec2(Fraction(v2x, det), Fraction(v2y, det)),
+        lambda_prime=Fraction(lpn, lpd),
         q_min=q_min,
         c=c,
     )

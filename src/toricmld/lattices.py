@@ -247,6 +247,16 @@ def lattice_from_quotient_type(r: int, w1: int, w2: int) -> Lattice:
     return Lattice(hnf=(r, 1, w2 * pow(w1, -1, r) % r, r))
 
 
+def _scaled_covector(m: Vec2) -> tuple[int, int, int]:
+    """(s, c1, c2): the vector m times its common denominator s."""
+    scale = math.lcm(m.x1.denominator, m.x2.denominator)
+    return (
+        scale,
+        m.x1.numerator * (scale // m.x1.denominator),
+        m.x2.numerator * (scale // m.x2.denominator),
+    )
+
+
 def _coordinates(lat: Lattice, v: Vec2) -> Optional[tuple[int, int]]:
     """Integer coordinates of v in the canonical basis; None when v is not in the lattice.
 
@@ -254,9 +264,7 @@ def _coordinates(lat: Lattice, v: Vec2) -> Optional[tuple[int, int]]:
     are x = n1*D/(s*a) and y = (n2*D - x*b*s)/(s*d).
     """
     denom, a, b, d = lat.hnf
-    s = math.lcm(v.x1.denominator, v.x2.denominator)
-    n1 = v.x1.numerator * (s // v.x1.denominator)
-    n2 = v.x2.numerator * (s // v.x2.denominator)
+    s, n1, n2 = _scaled_covector(v)
     x, rem = divmod(n1 * denom, s * a)
     if rem:
         return None
@@ -412,6 +420,26 @@ class CovectorSplit(NamedTuple):
     e2p: Vec2
 
 
+def _split_scaled(lat: Lattice, scale: int, m1: int, m2: int) -> tuple[int, int, int, int]:
+    """`split_along_covector` for the covector (m1, m2)/scale, in integers.
+
+    Returns (e1x, e1y, e2x, e2y) with e1p = (e1x, e1y)/D and
+    e2p = (e2x, e2y)/D, D the lattice's common denominator. With the
+    basis ((a, b), (0, d))/D the pairings are p1 = (m1*a + m2*b)/(scale*D)
+    and p2 = m2*d/(scale*D); for u*p1 + w*p2 = 1, e1p = u*r1 + w*r2 and
+    e2p = p2*r1 - p1*r2.
+    """
+    denom, a, b, d = lat.hnf
+    p1, rem1 = divmod(m1 * a + m2 * b, scale * denom)
+    p2, rem2 = divmod(m2 * d, scale * denom)
+    if rem1 or rem2:
+        raise ValueError("covector does not pair integrally with the lattice")
+    g, u, w = _xgcd(p1, p2)
+    if g != 1:
+        raise ValueError("pairing image is a proper subgroup of the integers")
+    return u * a, u * b + w * d, p2 * a, p2 * b - p1 * d
+
+
 def split_along_covector(lat: Lattice, m: Vec2) -> CovectorSplit:
     """Adapted basis for a covector with full integer pairing image.
 
@@ -419,17 +447,12 @@ def split_along_covector(lat: Lattice, m: Vec2) -> CovectorSplit:
     the generator of the image and e2p generates the kernel sublattice
     (primitive there). Together they form a basis of the lattice.
     """
-    r1, r2 = lat.basis
-    p1, p2 = dot(m, r1), dot(m, r2)
-    if p1.denominator != 1 or p2.denominator != 1:
-        raise ValueError("covector does not pair integrally with the lattice")
-    p1, p2 = int(p1), int(p2)
-    g, u, w = _xgcd(p1, p2)
-    if g != 1:
-        raise ValueError("pairing image is a proper subgroup of the integers")
-    e1p = r1.scaled(Fraction(u)) + r2.scaled(Fraction(w))
-    e2p = r1.scaled(Fraction(p2)) - r2.scaled(Fraction(p1))
-    return CovectorSplit(e1p, e2p)
+    e1x, e1y, e2x, e2y = _split_scaled(lat, *_scaled_covector(m))
+    denom = lat.hnf[0]
+    return CovectorSplit(
+        Vec2(Fraction(e1x, denom), Fraction(e1y, denom)),
+        Vec2(Fraction(e2x, denom), Fraction(e2y, denom)),
+    )
 
 
 def points_in_box(lat: Lattice, c1: Rational, c2: Rational) -> list[Vec2]:

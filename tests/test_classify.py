@@ -224,7 +224,12 @@ def test_series_membership():
 
 
 def test_series_membership_matches_its_definition():
-    for lat in superlattices(30):
+    # Lattices without the integer plane too: their rows with points are sparser.
+    others = [
+        lattice_from_generators([vec(Fraction(x1), Fraction(x2)), vec(0, Fraction(y))])
+        for x1, x2, y in (("1/2", "1/4", 1), ("2/3", "1/3", "1/2"), ("1/3", "2/9", "2/3"))
+    ]
+    for lat in [*superlattices(30), *others]:
         for t in (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(2, 7), Fraction(1, 30)):
             bound = math.floor(1 / t)
             expected = [
@@ -235,6 +240,19 @@ def test_series_membership_matches_its_definition():
                 and all((i * row.x1 + j * row.x2).denominator == 1 for row in lat.basis)
             ]
             assert series_membership_lattice(lat, t) == expected, (lat, t)
+
+
+def test_series_membership_refuses_lists_above_the_limit():
+    # The standard lattice fills its box: (B + 1)^2 - 1 covectors at B = floor(1/t).
+    assert len(series_membership_lattice(STANDARD_LATTICE, Fraction(1, 315))) == 316**2 - 1
+    with pytest.raises(ValueError, match=r"up to 100488 covectors, above the limit of 100000"):
+        series_membership_lattice(STANDARD_LATTICE, Fraction(1, 316))
+    # Rows are walked only where the dual has points, so a huge order at a
+    # small threshold stays cheap below the limit and is refused above it.
+    huge = lattice_from_quotient_type(10**19, 1, 1)
+    assert series_membership_lattice(huge, Fraction(1, 99_999)) == []
+    with pytest.raises(ValueError, match=r"above the limit"):
+        series_membership_lattice(huge, Fraction(1, 10**18))
 
 
 def test_series_certificate_log():

@@ -6,8 +6,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -590,6 +592,29 @@ def test_broken_identity_exits_two(monkeypatch, capsys, command):
     assert "fails for Lattice[(1/5,1/5), (0,1)]" in err
 
 
+@pytest.mark.parametrize("t", ["1/1000000", "1/1000000000000000000"])
+def test_hostile_threshold_exits_one_quickly(capsys, tmp_path, t):
+    code, out, _ = run_cli(capsys, "classify", "--type", "5,1,1", "--t", "1/3")
+    assert code == 0
+    record = json.loads(out)
+    record["t"] = t
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text(dumps(record) + "\n")
+    out_path = tmp_path / "sweep.jsonl"
+    for argv, prefix in (
+        (("classify", "--type", "5,1,1", "--t", t), "error: series membership"),
+        (("enumerate", "--mode", "cyclic", "--r-max", "200", "--t", t, "--out", str(out_path)),
+         "error: series membership"),
+        (("verify", "--in", str(edited)), "error: line 1: series membership"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(prefix) and "above the limit of 100000" in err, err
+    assert not out_path.exists()
+
+
 def test_enumerate_resume_is_idempotent(capsys, tmp_path):
     out_path = tmp_path / "resume.jsonl"
     args = ("enumerate", "--mode", "cyclic", "--r-max", "8", "--t", "1/3",
@@ -741,13 +766,38 @@ def _complements(ty, *runs):
 _REACHABLE = ("--p 1 --q 3", "--p 2 --q 5", "--bounded")
 _HALF_REACHABLE = tuple(f"--boundary 1/2,0 {run}" for run in _REACHABLE)
 
+# One classify per shape of the case analysis: case a and case b, bounded
+# and unbounded slices, alpha = 0 and alpha > 0, psi_prime = 0 and > 0,
+# psi on either axis, a record below its threshold and large orders; then
+# one lawrence record of each kind (hit, containment, pair).
+_CLASSIFY = (
+    "classify --type 2,1,1 --t 1/2",
+    "classify --type 2,1,1 --boundary 0,1/2 --t 3/4",
+    "classify --type 3,1,1 --boundary 1/2,0 --t 1/2",
+    "classify --type 3,1,1 --t 2/3",
+    "classify --type 2,1,1 --boundary 0,2/3 --t 2/3",
+    "classify --type 7,1,3 --t 1",
+    "classify --type 5,1,2 --boundary 1,1/2 --t 1/4",
+    "classify --type 7,1,3 --boundary 1/2,1 --t 1/3",
+    "classify --type 1000003,1,7 --t 1/7",
+    "classify --type 1000003,1,7 --boundary 1/2,1/3 --t 1/7",
+    "classify --type 1000003,1,7 --boundary 1,1/2 --t 1/7",
+    "classify --type 1000000000000,1,7 --t 1/8",
+    "classify --type 1000000000000,1,7 --boundary 1/3,1/2 --t 1/8",
+    "classify --type 1000000000000,1,7 --boundary 1/2,1 --t 1/8",
+    "lawrence --type 5,1,1 --p 1 --q 2",
+    "lawrence --type 2,1,1 --p 1 --q 2",
+    "lawrence --type 5,1,2 --p 2 --q 5",
+)
+
 # sha256 of the stdout of sweeps whose bytes must not change: digests
 # taken before the lattice core moved to integers (the complement and
 # p/q = 2/5 entries: before the lawrence and complement checkers were
 # shared with `verify`; the cyclic sweeps without --include-not-tlc:
 # before they walked Hirzebruch-Jung chains; the unreduced complement
 # ratios: when p/q was first reduced, equal to the --p 1 --q 3 record
-# but for p and q). Commands joined by "; " are hashed as one
+# but for p and q; the classify list: before the case analysis moved to
+# integers). Commands joined by "; " are hashed as one
 # concatenated stdout. A change to any record, its field order or its
 # formatting shows up here.
 PINNED_SWEEPS = [
@@ -800,6 +850,18 @@ PINNED_SWEEPS = [
         _complements("97,1,96", *_REACHABLE, *_HALF_REACHABLE),
         "0783f2c1d59358e9f122877b1b8a5e100e1d0fff59a0e5d026ba7a55cd6900f0",
     ),
+    (
+        "enumerate --mode cyclic --r-max 200 --t 1/2",
+        "d43c136c2bea736ac8c1b1ca97af49a7cf5cd35822369aefbf424c585e498eec",
+    ),
+    (
+        "classify --type 3,1,1 --t 2/3",
+        "536d2e6916a384ac1f04d06d3c49bec05c8ecef73ece4a915de63ff43f3406c1",
+    ),
+    (
+        "; ".join(_CLASSIFY),
+        "ed17140f3c5d04ab3a344333acd8086c39175d2eb144ec3916324c2ee5229bf4",
+    ),
 ]
 
 
@@ -816,3 +878,13 @@ def test_sweep_output_bytes_are_pinned(capsys, tmp_path):
             assert (code, err) == (0, ""), command
             out += run_out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, commands
+
+
+def test_optimized_ci_step_checks_pinned_digests():
+    # The workflow reruns pinned commands under python -O, where an
+    # `assert` would vanish; its digests must be pinned ones.
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+    text = workflow.read_text(encoding="utf-8")
+    digests = re.findall(r"\b[0-9a-f]{64}\b", text)
+    assert "python -O -m toricmld" in text and len(digests) == 2
+    assert set(digests) <= {digest for _, digest in PINNED_SWEEPS}
