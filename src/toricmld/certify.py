@@ -32,14 +32,16 @@ from .lattices import (
     Rational,
     Vec2,
     _checker,
+    _coordinates,
+    _exact,
+    _lattice_from_rows,
+    _scaled_covector,
     basis_order,
     contains,
     cyclic_type,
-    dot,
     dual,
     format_rational,
     in_cone,
-    in_cone_interior,
     index,
     lattice_from_generators,
     positive_threshold,
@@ -48,7 +50,7 @@ from .lattices import (
     swapped_lattice,
     vec,
 )
-from .oracle import mld_oracle_lattice
+from .oracle import mld_oracle_value
 
 
 class CaseA(NamedTuple):
@@ -129,48 +131,67 @@ def verify_certificate_lattice(
     """Re-check a certificate from its definition only.
 
     Raw pairings and membership tests; nothing is taken from the
-    classifier, so a classifier bug cannot vouch for itself.
+    classifier, so a classifier bug cannot vouch for itself. The checks
+    run in integers: the basis is ((a, b), (0, d))/D from `lat.hnf`,
+    each covector or point is its integer multiple over its common
+    denominator (`_scaled_covector`), a pairing is integral when the
+    scale divides it, and rationals are compared by cross-multiplying
+    with their positive denominators, so no rational is built.
     """
-    t = Fraction(t)
-    if t <= 0:
+    t = _exact(t)
+    tn, td = t.numerator, t.denominator
+    if tn <= 0:
         return Verification(False, "threshold must be positive")
+    pn1, pd1, pn2, pd2 = psi.x1.numerator, psi.x1.denominator, psi.x2.numerator, psi.x2.denominator
+    denom, a, b, d = lat.hnf
     if isinstance(cert, CaseA):
-        m = cert.m
-        if m.is_zero():
+        s, m1, m2 = _scaled_covector(cert.m)
+        if m1 == 0 and m2 == 0:
             return Verification(False, "witness covector is zero")
-        if not in_cone(m):
+        if m1 < 0 or m2 < 0:
             return Verification(False, "witness covector outside the dual quadrant")
-        for row in lat.basis:
-            if dot(m, row).denominator != 1:
-                return Verification(False, "witness pairs non-integrally with the subgroup")
-        if not in_cone(psi - m.scaled(t)):
+        # The pairings with the rows (a, b)/D and (0, d)/D.
+        if (m1 * a + m2 * b) % (s * denom) or (m2 * d) % (s * denom):
+            return Verification(False, "witness pairs non-integrally with the subgroup")
+        # psi - t*m in the quadrant: psi_i >= (tn/td)*(m_i/s) for each i.
+        if pn1 * td * s < tn * m1 * pd1 or pn2 * td * s < tn * m2 * pd2:
             return Verification(False, "threshold multiple of the witness overshoots psi")
         return Verification(True, "single-witness certificate holds")
     if isinstance(cert, CaseB):
-        m1, m2, t1, t2 = cert
-        if not (in_cone(m1) and in_cone(m2)):
+        s1, x1, y1 = _scaled_covector(cert.m1)
+        s2, x2, y2 = _scaled_covector(cert.m2)
+        if min(x1, y1, x2, y2) < 0:
             return Verification(False, "pair covectors outside the dual quadrant")
-        if m1.x1 * m2.x2 - m1.x2 * m2.x1 == 0:
+        if x1 * y2 - y1 * x2 == 0:
             return Verification(False, "pair covectors are linearly dependent")
-        if not (t1 > 0 and t2 > 0):
+        t1, t2 = _exact(cert.t1), _exact(cert.t2)
+        n1, d1, n2, d2 = t1.numerator, t1.denominator, t2.numerator, t2.denominator
+        if not (n1 > 0 and n2 > 0):
             return Verification(False, "pair weights must be positive")
-        if t1 + t2 < t:
+        if (n1 * d2 + n2 * d1) * td < tn * d1 * d2:
             return Verification(False, "pair weights sum below the threshold")
-        if m1.scaled(t1) + m2.scaled(t2) != psi:
+        # t1*m1 + t2*m2 over the common denominator d1*d2*s1*s2, against psi.
+        w1, w2, scale = n1 * d2 * s2, n2 * d1 * s1, d1 * d2 * s1 * s2
+        if (w1 * x1 + w2 * x2) * pd1 != pn1 * scale or (w1 * y1 + w2 * y2) * pd2 != pn2 * scale:
             return Verification(False, "weighted pair does not decompose psi")
-        span = lattice_from_generators([m1, m2])
-        if dual(span) != lat:
+        common = math.lcm(s1, s2)
+        u1, u2 = common // s1, common // s2
+        span = _lattice_from_rows([(x1 * u1, y1 * u1), (x2 * u2, y2 * u2)], common)
+        if dual(span).hnf != lat.hnf:
             return Verification(False, "subgroup differs from the pair's joint integrality locus")
         return Verification(True, "dual-pair certificate holds")
     if isinstance(cert, NotTLC):
-        e, value = cert.e, cert.value
-        if not contains(lat, e):
+        s, e1, e2 = _scaled_covector(cert.e)
+        if _coordinates(lat, s, e1, e2) is None:
             return Verification(False, "violating point lies outside the subgroup")
-        if not in_cone_interior(e):
+        if not (e1 > 0 and e2 > 0):
             return Verification(False, "violating point is not interior to the quadrant")
-        if dot(psi, e) != value:
+        value = _exact(cert.value)
+        vn, vd = value.numerator, value.denominator
+        # psi . e = (pn1*pd2*e1 + pn2*pd1*e2)/(pd1*pd2*s), against value.
+        if (pn1 * pd2 * e1 + pn2 * pd1 * e2) * vd != vn * pd1 * pd2 * s:
             return Verification(False, "recorded pairing value is wrong")
-        if value >= t:
+        if vn * td >= tn * vd:
             return Verification(False, "recorded value does not beat the threshold")
         return Verification(True, "violating point confirmed")
     return Verification(False, "unrecognized certificate")
@@ -344,8 +365,8 @@ def series_membership_lattice(lat: Lattice, t: Rational) -> list[tuple[int, int]
     less one, so at most SERIES_LIMIT + 1 rows, and each row costs
     O(1) plus its entries.
     """
-    t = positive_threshold(Fraction(t))
-    bound = math.floor(1 / t)
+    t = positive_threshold(_exact(t))
+    bound = t.denominator // t.numerator  # floor(1/t)
     denom, a, b, d = lat.hnf
     g = math.gcd(a, denom)
     i_step = denom // g
@@ -400,7 +421,7 @@ def series_certificate_log(
         w = 1 / (n * t)
         if not (bn[0] >= (1 - w) + w * germ.b1 and bn[1] >= (1 - w) + w * germ.b2):
             return None
-    value = mld_oracle_lattice(germ.lattice, Vec2(m.x1 / n, m.x2 / n))[0]
+    value = mld_oracle_value(germ.lattice, Vec2(m.x1 / n, m.x2 / n))
     _checker(germ.lattice, psi)(value >= Fraction(1, n), "oracle mld at level n >= 1/n")
     return n, bn
 

@@ -47,7 +47,7 @@ from .lattices import (
     simplex_ratio,
     superlattices,
 )
-from .oracle import lawrence_oracle, mld_oracle_lattice
+from .oracle import lawrence_oracle, mld_oracle_value
 from .records import (
     TABLE_COLUMNS,
     case_data_to_json,
@@ -250,7 +250,7 @@ def _verify_classification(data: dict, line_no: int) -> None:
     lat = record.germ.lattice
     _require(type_label_agrees(data, lat), line_no, "type label disagrees with the lattice")
     psi = psi_of(record.germ)
-    value, _ = mld_oracle_lattice(lat, psi)
+    value = mld_oracle_value(lat, psi)
     _require(value == record.mld, line_no, "recorded mld disagrees with the oracle")
     outcome = verify_certificate_lattice(lat, psi, record.t, record.certificate)
     _require(outcome.ok, line_no, f"certificate rejected: {outcome.reason}")

@@ -36,7 +36,7 @@ from .lattices import (
     points_in_box,
     simplex_ratio,
 )
-from .oracle import mld_oracle_lattice
+from .oracle import mld_oracle_value
 
 
 class HyperplaneSection(NamedTuple):
@@ -145,7 +145,7 @@ def hyperplane_dichotomy(germ: Germ) -> Union[SingleH, DoubleH]:
     # gamma == mld here, so psi = a * v1 and the pushed boundary is the full one.
     residual = psi - cert.m.scaled(a)
     check(residual.is_zero(), "psi == mld*v1")
-    check(mld_oracle_lattice(germ.lattice, residual)[0] == 0, "oracle mld of zero psi == 0")
+    check(mld_oracle_value(germ.lattice, residual) == 0, "oracle mld of zero psi == 0")
     return SingleH(HyperplaneSection(cert.m), a)
 
 
@@ -172,7 +172,7 @@ def half_mld_section(germ: Germ) -> HyperplaneSection:
     check = _checker(germ.lattice, psi)
     pushed = psi - section.m.scaled(a / 2)
     check(in_cone(pushed), "psi - (mld/2)*m lies in the dual quadrant")
-    check(mld_oracle_lattice(germ.lattice, pushed)[0] >= 0, "oracle mld of the pushed psi >= 0")
+    check(mld_oracle_value(germ.lattice, pushed) >= 0, "oracle mld of the pushed psi >= 0")
     return section
 
 
@@ -293,7 +293,7 @@ def verify_complement(germ: Germ, comp: Complement, target: Optional[Rational]) 
         whole = math.floor(b)
         if n * (c - whole) < math.floor((n + 1) * (b - whole)):
             return Verification(False, "boundary below floor(b) + floor((n+1)*frac(b))/n")
-    value = mld_oracle_lattice(germ.lattice, Vec2(witness.x1 / n, witness.x2 / n))[0]
+    value = mld_oracle_value(germ.lattice, Vec2(witness.x1 / n, witness.x2 / n))
     if target is None and value <= 0:
         return Verification(False, "oracle value is not positive")
     if target is not None and value < target:

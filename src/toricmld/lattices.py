@@ -22,14 +22,20 @@ from .errors import VerificationFailure
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?\Z")
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse a "p/q" or "n" literal into an exact rational."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    """Parse a "p/q" or "n" literal into an exact rational.
+
+    The pattern admits ASCII digits only, so `int()` reads each matched
+    digit string without its looser grammar (underscores, other scripts).
+    """
+    match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    num, den = match.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def positive_threshold(t: Rational) -> Rational:
@@ -81,6 +87,11 @@ class Vec2(NamedTuple):
 
     def is_zero(self) -> bool:
         return self.x1 == 0 and self.x2 == 0
+
+
+def _exact(x) -> Rational:
+    """x as an exact rational; an int or a Fraction is returned as it is."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 def vec(x1, x2) -> Vec2:
@@ -209,9 +220,15 @@ def lattice_from_generators(gens: Iterable[Sequence]) -> Lattice:
 
     Raises ValueError unless the points span the plane.
     """
-    pts = [vec(g[0], g[1]) for g in gens]
-    scale = math.lcm(*[c.denominator for g in pts for c in (g.x1, g.x2)])
-    return _lattice_from_rows([(int(g.x1 * scale), int(g.x2 * scale)) for g in pts], scale)
+    pts = [(_exact(g[0]), _exact(g[1])) for g in gens]
+    scale = math.lcm(*[c.denominator for g in pts for c in g])
+    return _lattice_from_rows(
+        [
+            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in pts
+        ],
+        scale,
+    )
 
 
 def basis_order(lat: Lattice, other: Lattice) -> int:
@@ -257,14 +274,13 @@ def _scaled_covector(m: Vec2) -> tuple[int, int, int]:
     )
 
 
-def _coordinates(lat: Lattice, v: Vec2) -> Optional[tuple[int, int]]:
-    """Integer coordinates of v in the canonical basis; None when v is not in the lattice.
+def _coordinates(lat: Lattice, s: int, n1: int, n2: int) -> Optional[tuple[int, int]]:
+    """Integer coordinates of v = (n1, n2)/s in the canonical basis; None when v is not in the lattice.
 
-    With v = (n1, n2)/s and the basis ((a, b), (0, d))/D, the coordinates
-    are x = n1*D/(s*a) and y = (n2*D - x*b*s)/(s*d).
+    With the basis ((a, b), (0, d))/D, the coordinates are
+    x = n1*D/(s*a) and y = (n2*D - x*b*s)/(s*d).
     """
     denom, a, b, d = lat.hnf
-    s, n1, n2 = _scaled_covector(v)
     x, rem = divmod(n1 * denom, s * a)
     if rem:
         return None
@@ -278,7 +294,7 @@ def contains(lat: Lattice, v: Sequence) -> bool:
     """True iff the point lies in the lattice (solved against the basis)."""
     if not isinstance(v, Vec2):
         v = vec(v[0], v[1])
-    return _coordinates(lat, v) is not None
+    return _coordinates(lat, *_scaled_covector(v)) is not None
 
 
 def _checker(lat: Lattice, psi: Optional[Vec2] = None) -> Callable[[bool, str], None]:
@@ -402,7 +418,7 @@ def is_primitive(lat: Lattice, v: Sequence) -> bool:
         raise ValueError("primitivity is undefined for the zero vector")
     if not contains(lat, v):
         raise ValueError("vector lies outside the lattice")
-    return math.gcd(*_coordinates(lat, v)) == 1
+    return math.gcd(*_coordinates(lat, *_scaled_covector(v))) == 1
 
 
 def dual(lat: Lattice) -> Lattice:

@@ -258,13 +258,13 @@ def test_bounded_complement_needs_no_oracle_per_candidate(monkeypatch):
 
     # The oracle runs once, on the result, inside `verify_complement`.
     calls = []
-    original = toricmld.geometry.mld_oracle_lattice
+    original = toricmld.geometry.mld_oracle_value
 
     def counting(lat, psi):
         calls.append(psi)
         return original(lat, psi)
 
-    monkeypatch.setattr(toricmld.geometry, "mld_oracle_lattice", counting)
+    monkeypatch.setattr(toricmld.geometry, "mld_oracle_value", counting)
     for germ in (SMOOTH, FIFTH, CHAIN3, germ_from_quotient_type(30, 1, 11)):
         calls.clear()
         comp = bounded_complement(germ)
@@ -326,10 +326,10 @@ def test_engine_failures_name_the_lattice(monkeypatch):
     # An oracle that finds value 0 everywhere breaks the closing identity
     # of each construction; the failure names the lattice it broke on.
     def zero(lat, psi):
-        return Fraction(0), []
+        return Fraction(0)
 
-    monkeypatch.setattr(toricmld.certify, "mld_oracle_lattice", zero)
-    monkeypatch.setattr(toricmld.geometry, "mld_oracle_lattice", zero)
+    monkeypatch.setattr(toricmld.certify, "mld_oracle_value", zero)
+    monkeypatch.setattr(toricmld.geometry, "mld_oracle_value", zero)
     monkeypatch.setattr(toricmld.geometry, "cyclic_type", lambda lat: None)
     germ = germ_from_quotient_type(5, 1, 1)
     broken = (

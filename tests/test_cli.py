@@ -24,6 +24,7 @@ from toricmld import (
     format_rational,
     geometry,
     lattice_from_quotient_type,
+    oracle,
     parse_rational,
     superlattices,
 )
@@ -615,6 +616,43 @@ def test_hostile_threshold_exits_one_quickly(capsys, tmp_path, t):
     assert not out_path.exists()
 
 
+BIG_ORDER = "1000000000000,1,7"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--type", BIG_ORDER, "--t", "1/8"),
+        ("lawrence", "--type", BIG_ORDER, "--p", "1", "--q", "2"),
+    ],
+)
+def test_verify_refuses_an_index_above_the_oracle_limit(capsys, tmp_path, argv):
+    # The engine answers at order 10^12; the oracle refuses before it
+    # enumerates any representative, so verify exits 1 at once.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "big.jsonl"
+    path.write_text(out)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: line 1: index 1000000000000 is above the oracle limit of"
+        f" {oracle.ORACLE_LIMIT} quotient classes\n"
+    )
+
+
+def test_complement_refuses_an_index_above_the_oracle_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "complement", "--type", BIG_ORDER, "--p", "1", "--q", "1000000000000"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: index 1000000000000 is above the oracle limit of")
+
+
 def test_enumerate_resume_is_idempotent(capsys, tmp_path):
     out_path = tmp_path / "resume.jsonl"
     args = ("enumerate", "--mode", "cyclic", "--r-max", "8", "--t", "1/3",
@@ -886,5 +924,5 @@ def test_optimized_ci_step_checks_pinned_digests():
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     text = workflow.read_text(encoding="utf-8")
     digests = re.findall(r"\b[0-9a-f]{64}\b", text)
-    assert "python -O -m toricmld" in text and len(digests) == 2
+    assert "python -O -m toricmld" in text and len(digests) == 3
     assert set(digests) <= {digest for _, digest in PINNED_SWEEPS}

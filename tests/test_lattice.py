@@ -49,10 +49,35 @@ def test_rational_grammar_accepts():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "1/0", "1.5", "+3", "1/-2", "-", "1/", "/2", "3 ", " 3", "0x1", "2/02"]
+    "text, value",
+    [
+        ("007", Fraction(7)),
+        ("0/5", Fraction(0)),
+        ("-0", Fraction(0)),
+        ("-12/18", Fraction(-2, 3)),
+        ("1234567890" * 4 + "/15", Fraction(int("1234567890" * 4), 15)),
+    ],
+)
+def test_rational_grammar_gives_reduced_fractions(text, value):
+    # The digit strings go to int(), so leading zeros, a zero numerator, a
+    # signed zero and long numerators must come out as Fraction(text) does.
+    parsed = parse_rational(text)
+    assert type(parsed) is Fraction and parsed == value == Fraction(text)
+    assert math.gcd(parsed.numerator, parsed.denominator) == 1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "", "1/0", "1.5", "+3", "1/-2", "-", "1/", "/2", "3 ", " 3", "0x1", "2/02",
+        # int() alone would take these two: a digit separator and an Arabic-Indic three.
+        "1_000", "\u0663",
+        # Only strings are literals.
+        3, None, Fraction(1, 2),
+    ],
 )
 def test_rational_grammar_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a rational literal"):
         parse_rational(bad)
 
 

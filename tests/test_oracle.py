@@ -104,6 +104,31 @@ def test_oracle_matches_longhand_enumeration():
             assert mld_oracle_lattice(lat, psi) == (best, argmin)
 
 
+def test_oracle_refuses_an_index_above_its_limit(monkeypatch):
+    # The pinned order 1,000,003 must stay within reach of `verify`.
+    assert oracle.ORACLE_LIMIT >= 1_000_003
+    monkeypatch.setattr(oracle, "ORACLE_LIMIT", 9)
+    third = lattice_from_generators([(Fraction(1, 3), 0), (0, Fraction(1, 3))])
+    assert mld_oracle_lattice(third, ONES)[0] == Fraction(2, 3)
+    for lat, n in (
+        (lattice_from_quotient_type(10, 1, 3), 10),
+        (lattice_from_generators([(Fraction(1, 2), 0), (0, Fraction(1, 6))]), 12),
+        (lattice_from_quotient_type(10**12, 1, 7), 10**12),
+    ):
+        for oracle_of in (mld_oracle_lattice, oracle.mld_oracle_value):
+            with pytest.raises(ValueError, match=f"^index {n} is above the oracle limit of 9 "):
+                oracle_of(lat, ONES)
+
+
+def test_oracle_value_is_the_minimum_of_the_full_oracle():
+    psis = [vec(0, 0), ONES, vec(Fraction(1, 2), 0), vec(Fraction(2, 3), Fraction(1, 5))]
+    for lat in superlattices(12):
+        for psi in psis:
+            assert oracle.mld_oracle_value(lat, psi) == mld_oracle_lattice(lat, psi)[0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle.mld_oracle_value(STANDARD_LATTICE, vec(-1, 1))
+
+
 def test_oracle_shares_no_code_with_the_engine():
     # Outside TYPE_CHECKING the oracle may take only the plane types
     # from the package, so an engine bug cannot vouch for itself.
