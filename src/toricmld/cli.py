@@ -40,6 +40,7 @@ from .germs import (
     sail_minimum,
 )
 from .lattices import (
+    Lattice,
     format_rational,
     lattice_from_quotient_type,
     parse_rational,
@@ -47,7 +48,7 @@ from .lattices import (
     simplex_ratio,
     superlattices,
 )
-from .oracle import lawrence_oracle, mld_oracle_value
+from .oracle import box_representatives, lawrence_oracle, representative_minimum
 from .records import (
     TABLE_COLUMNS,
     case_data_to_json,
@@ -60,6 +61,7 @@ from .records import (
     record_from_json,
     record_table_row,
     record_to_json,
+    type_label,
     type_label_agrees,
 )
 
@@ -245,14 +247,55 @@ def _malformed(line_no: int, exc: Exception) -> ValueError:
     return ValueError(f"line {line_no}: {reason}")
 
 
+class _LatticeEntry:
+    """What `verify` derives from one record lattice alone.
+
+    Holds the decoded lattice and its type label, and builds the
+    oracle's representative set and the series list for one threshold
+    on first use. Classification records in a row with the same
+    `germ.lattice` JSON share one entry; each still runs every check.
+    """
+
+    __slots__ = ("raw", "lattice", "label", "_points", "_series_t", "_series")
+
+    def __init__(self, raw: list, lattice: Lattice):
+        self.raw, self.lattice = raw, lattice
+        self.label = type_label(lattice)
+        self._points: Optional[tuple[int, set[tuple[int, int]]]] = None
+        self._series_t: Optional[Fraction] = None
+        self._series: list = []
+
+    def points(self) -> tuple[int, set[tuple[int, int]]]:
+        if self._points is None:
+            self._points = box_representatives(self.lattice)
+        return self._points
+
+    def series(self, t: Fraction) -> list:
+        if self._series_t != t:
+            self._series, self._series_t = series_membership_lattice(self.lattice, t), t
+        return self._series
+
+
+# The entry of the last classification record's lattice. `_cmd_verify`
+# drops it before any other record and when it returns, so at most one
+# representative set (about 325 MB near ORACLE_LIMIT) is alive at a time.
+_entry: Optional[_LatticeEntry] = None
+
+
 def _verify_classification(data: dict, line_no: int) -> None:
-    record = record_from_json(data)
-    lat = record.germ.lattice
-    _require(type_label_agrees(data, lat), line_no, "type label disagrees with the lattice")
+    global _entry
+    germ = data.get("germ")
+    raw = germ.get("lattice") if isinstance(germ, dict) else None
+    shared = _entry is not None and _entry.raw == raw
+    record = record_from_json(data, _entry.lattice if shared else None)
+    if not shared:
+        _entry = _LatticeEntry(raw, record.germ.lattice)
+    entry = _entry
+    _require(type_label_agrees(data, entry.label), line_no, "type label disagrees with the lattice")
     psi = psi_of(record.germ)
-    value = mld_oracle_value(lat, psi)
+    value = representative_minimum(entry.points(), psi)
     _require(value == record.mld, line_no, "recorded mld disagrees with the oracle")
-    outcome = verify_certificate_lattice(lat, psi, record.t, record.certificate)
+    outcome = verify_certificate_lattice(entry.lattice, psi, record.t, record.certificate)
     _require(outcome.ok, line_no, f"certificate rejected: {outcome.reason}")
     _require(
         isinstance(record.certificate, NotTLC) == (value < record.t),
@@ -260,7 +303,7 @@ def _verify_classification(data: dict, line_no: int) -> None:
         "certificate side disagrees with the oracle threshold test",
     )
     _require(
-        series_membership_lattice(lat, record.t) == record.series,
+        entry.series(record.t) == record.series,
         line_no,
         "series memberships disagree with recomputation",
     )
@@ -268,7 +311,9 @@ def _verify_classification(data: dict, line_no: int) -> None:
 
 def _verify_lawrence(data: dict, line_no: int) -> None:
     lat, p, q, result = lawrence_record_from_json(data)
-    _require(type_label_agrees(data, lat), line_no, "type label disagrees with the lattice")
+    _require(
+        type_label_agrees(data, type_label(lat)), line_no, "type label disagrees with the lattice"
+    )
     avoids = lawrence_oracle(lat, p, q)
     _require(avoids != isinstance(result, Hit), line_no, "recorded side disagrees with the oracle")
     outcome = verify_lawrence_result(lat, p, q, result)
@@ -277,36 +322,43 @@ def _verify_lawrence(data: dict, line_no: int) -> None:
 
 def _verify_complement(data: dict, line_no: int) -> None:
     germ, comp, target = complement_record_from_json(data)
-    _require(type_label_agrees(data, germ.lattice), line_no, "type label disagrees with the lattice")
+    label = type_label(germ.lattice)
+    _require(type_label_agrees(data, label), line_no, "type label disagrees with the lattice")
     outcome = verify_complement(germ, comp, target)
     _require(outcome.ok, line_no, f"complement rejected: {outcome.reason}")
 
 
 def _cmd_verify(args) -> int:
+    global _entry
     count = 0
-    with open(args.infile, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: not JSON: {exc}") from None
-            if not isinstance(data, dict):
-                raise ValueError(f"line {line_no}: not a JSON object")
-            try:
-                if "certificate" in data:
-                    _verify_classification(data, line_no)
-                elif "lawrence" in data:
-                    _verify_lawrence(data, line_no)
-                elif "complement" in data:
-                    _verify_complement(data, line_no)
-                else:
-                    raise ValueError("unrecognized record shape")
-            except _MALFORMED as exc:
-                raise _malformed(line_no, exc) from None
-            count += 1
+    try:
+        with open(args.infile, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    data = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"line {line_no}: not JSON: {exc}") from None
+                if not isinstance(data, dict):
+                    raise ValueError(f"line {line_no}: not a JSON object")
+                try:
+                    if "certificate" in data:
+                        _verify_classification(data, line_no)
+                    else:
+                        _entry = None
+                        if "lawrence" in data:
+                            _verify_lawrence(data, line_no)
+                        elif "complement" in data:
+                            _verify_complement(data, line_no)
+                        else:
+                            raise ValueError("unrecognized record shape")
+                except _MALFORMED as exc:
+                    raise _malformed(line_no, exc) from None
+                count += 1
+    finally:
+        _entry = None
     print(f"verified {count} records")
     return 0
 

@@ -96,8 +96,16 @@ def germ_from_quotient_type(r: int, w1: int, w2: int, b1=0, b2=0) -> Germ:
 
 
 def psi_of(germ: Germ) -> Vec2:
-    """Componentwise complement of the boundary: (1 - b1, 1 - b2)."""
-    return Vec2(1 - germ.b1, 1 - germ.b2)
+    """Componentwise complement of the boundary: (1 - b1, 1 - b2).
+
+    Each coordinate is (q - p)/q for b = p/q, built directly: `1 - b`
+    would go through `Fraction`'s reflected subtraction.
+    """
+    b1, b2 = germ.b1, germ.b2
+    return Vec2(
+        Fraction(b1.denominator - b1.numerator, b1.denominator),
+        Fraction(b2.denominator - b2.numerator, b2.denominator),
+    )
 
 
 def swapped_germ(germ: Germ) -> Germ:

@@ -25,8 +25,8 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?\Z")
 
 
-def parse_rational(text: str) -> Rational:
-    """Parse a "p/q" or "n" literal into an exact rational.
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse a "p/q" or "n" literal into integers (p, q), q > 0, not reduced.
 
     The pattern admits ASCII digits only, so `int()` reads each matched
     digit string without its looser grammar (underscores, other scripts).
@@ -35,7 +35,13 @@ def parse_rational(text: str) -> Rational:
     if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num, den = match.groups()
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    return int(num), int(den) if den else 1
+
+
+def parse_rational(text: str) -> Rational:
+    """Parse a "p/q" or "n" literal into an exact rational."""
+    num, den = parse_ratio(text)
+    return Fraction(num, den) if den != 1 else Fraction(num)
 
 
 def positive_threshold(t: Rational) -> Rational:
@@ -54,7 +60,7 @@ def simplex_ratio(p: int, q: int) -> Rational:
 
 def format_rational(x: Rational) -> str:
     """Render an exact rational as "p/q", or plain "n" for integers."""
-    x = Fraction(x)
+    x = _exact(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # type-only; keeps the oracle import-independent
 ORACLE_LIMIT = 2_000_000
 
 
-def _box_representatives(lat: Lattice) -> tuple[int, set[tuple[int, int]]]:
+def box_representatives(lat: Lattice) -> tuple[int, set[tuple[int, int]]]:
     """Quotient representatives in (0, 1]^2 by direct enumeration.
 
     Returns (D, points): D is the common denominator of the basis and
@@ -32,6 +32,16 @@ def _box_representatives(lat: Lattice) -> tuple[int, set[tuple[int, int]]]:
     basis rows are read in full, so no basis shape is assumed. The
     index, 1/|det| = D^2/|det of the scaled rows|, is checked against
     ORACLE_LIMIT before any point is built; ValueError above it.
+
+    The walk takes i*r1 + j*r2 for 0 <= i < n1 and 0 <= j < index/n1,
+    n1 the order of r1 modulo Z^2, and so builds exactly index points.
+    Every class is reached once: r1 and r2 generate the quotient Q by
+    Z^2, r1 generates a subgroup of order n1, and the quotient of Q by
+    that subgroup is cyclic, generated by r2, of order index/n1. If
+    i*r1 + j*r2 and i'*r1 + j'*r2 share a class, (j - j')*r2 lies in
+    Z^2 + Z*r1, so index/n1 divides j - j' and j = j'; then (i - i')*r1
+    lies in Z^2, so n1 divides i - i' and i = i'. The index/n1 * n1
+    pairs are thus distinct classes, as many as Q has.
     """
     r1, r2 = lat.basis
     coords = (r1.x1, r1.x2, r2.x1, r2.x2)
@@ -44,7 +54,7 @@ def _box_representatives(lat: Lattice) -> tuple[int, set[tuple[int, int]]]:
             f"index {order} is above the oracle limit of {ORACLE_LIMIT} quotient classes"
         )
     n1 = math.lcm(r1.x1.denominator, r1.x2.denominator)
-    n2 = math.lcm(r2.x1.denominator, r2.x2.denominator)
+    n2 = order // n1
     reps = {
         ((i * a1 + j * a2 - 1) % denom + 1, (i * b1 + j * b2 - 1) % denom + 1)
         for i in range(n1)
@@ -54,8 +64,8 @@ def _box_representatives(lat: Lattice) -> tuple[int, set[tuple[int, int]]]:
     return denom, reps
 
 
-def _scaled_pairing(lat: Lattice, psi: Vec2) -> tuple[int, int, int, int, set[tuple[int, int]]]:
-    """(D, s, c1, c2, points): the representative (x/D, y/D) pairs to (c1*x + c2*y)/(D*s) with psi.
+def _scaled_psi(psi: Vec2) -> tuple[int, int, int]:
+    """(s, c1, c2) with psi = (c1, c2)/s.
 
     The minimum over the whole open quadrant equals the minimum over the
     (0,1]^2 representatives whenever psi has no negative coordinate;
@@ -63,11 +73,19 @@ def _scaled_pairing(lat: Lattice, psi: Vec2) -> tuple[int, int, int, int, set[tu
     """
     if psi.x1 < 0 or psi.x2 < 0:
         raise ValueError("oracle needs a componentwise nonnegative psi")
-    denom, reps = _box_representatives(lat)
     scale = math.lcm(psi.x1.denominator, psi.x2.denominator)
-    c1 = psi.x1.numerator * (scale // psi.x1.denominator)
-    c2 = psi.x2.numerator * (scale // psi.x2.denominator)
-    return denom, scale, c1, c2, reps
+    return (
+        scale,
+        psi.x1.numerator * (scale // psi.x1.denominator),
+        psi.x2.numerator * (scale // psi.x2.denominator),
+    )
+
+
+def representative_minimum(points: tuple[int, set[tuple[int, int]]], psi: Vec2) -> Rational:
+    """Minimum of the pairing with psi over `points`, the (D, points) of `box_representatives`."""
+    scale, c1, c2 = _scaled_psi(psi)
+    denom, reps = points
+    return Fraction(min(c1 * x + c2 * y for x, y in reps), denom * scale)
 
 
 def mld_oracle_value(lat: Lattice, psi: Vec2) -> Rational:
@@ -75,8 +93,7 @@ def mld_oracle_value(lat: Lattice, psi: Vec2) -> Rational:
 
     Raises ValueError when the index is above ORACLE_LIMIT.
     """
-    denom, scale, c1, c2, reps = _scaled_pairing(lat, psi)
-    return Fraction(min(c1 * x + c2 * y for x, y in reps), denom * scale)
+    return representative_minimum(box_representatives(lat), psi)
 
 
 def mld_oracle_lattice(lat: Lattice, psi: Vec2) -> tuple[Rational, list[Vec2]]:
@@ -86,7 +103,8 @@ def mld_oracle_lattice(lat: Lattice, psi: Vec2) -> tuple[Rational, list[Vec2]]:
     point that attains it. Raises ValueError when the index is above
     ORACLE_LIMIT.
     """
-    denom, scale, c1, c2, reps = _scaled_pairing(lat, psi)
+    scale, c1, c2 = _scaled_psi(psi)
+    denom, reps = box_representatives(lat)
     # Every representative has coordinates at most denom, so this beats none.
     best = (c1 + c2) * denom + 1
     argmin: list[tuple[int, int]] = []

@@ -14,6 +14,7 @@ positive, and an integer field that is not a JSON integer.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Optional
 
 from .certify import (
@@ -33,10 +34,11 @@ from .lattices import (
     Lattice,
     Rational,
     Vec2,
+    _lattice_from_rows,
     cyclic_type,
     format_rational,
     index,
-    lattice_from_generators,
+    parse_ratio,
     parse_rational,
     positive_threshold,
     simplex_ratio,
@@ -50,36 +52,59 @@ def _json_int(value: Any, field: str) -> int:
     return value
 
 
-def _type_label(lat: Lattice) -> dict:
+def type_label(lat: Lattice) -> dict:
     """The `type` field of a lattice's record: its cyclic type, or no field."""
     ty = cyclic_type(lat)
     return {} if ty is None else {"type": list(ty)}
 
 
-def type_label_agrees(data: dict, lat: Lattice) -> bool:
-    """Whether the `type` label of a record, or of its germ, is `_type_label` of lat."""
+def type_label_agrees(data: dict, label: dict) -> bool:
+    """Whether the `type` label of a record, or of its germ, is label, a `type_label`."""
     labelled = data.get("germ", data)
-    return {key: labelled[key] for key in ("type",) if key in labelled} == _type_label(lat)
+    return {key: labelled[key] for key in ("type",) if key in labelled} == label
 
 
 def vec_to_json(v: Vec2) -> list[str]:
     return [format_rational(v.x1), format_rational(v.x2)]
 
 
-def vec_from_json(data: Any) -> Vec2:
+def _pair(data: Any) -> Any:
+    """data itself when it is a two-element array; ValueError otherwise."""
     if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise ValueError(f"not a vector: {data!r}")
-    return Vec2(parse_rational(data[0]), parse_rational(data[1]))
+    return data
+
+
+def vec_from_json(data: Any) -> Vec2:
+    x1, x2 = _pair(data)
+    return Vec2(parse_rational(x1), parse_rational(x2))
+
+
+def _ratio_to_json(num: int, den: int) -> str:
+    """`format_rational` of num/den for den > 0, reduced in integers."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def lattice_to_json(lat: Lattice) -> list[list[str]]:
-    return [vec_to_json(row) for row in lat.basis]
+    """The canonical basis ((a/D, b/D), (0, d/D)) of `lat.hnf`, each entry reduced."""
+    denom, a, b, d = lat.hnf
+    return [[_ratio_to_json(a, denom), _ratio_to_json(b, denom)], ["0", _ratio_to_json(d, denom)]]
 
 
 def lattice_from_json(data: Any) -> Lattice:
+    """The lattice generated by the rows, read as integers over their common denominator.
+
+    ValueError unless the rows are rational vectors that span the plane
+    and generate a lattice containing the integer plane.
+    """
     if not isinstance(data, list):
         raise ValueError(f"not a lattice: {data!r}")
-    lat = lattice_from_generators([vec_from_json(row) for row in data])
+    rows = [(parse_ratio(x1), parse_ratio(x2)) for x1, x2 in map(_pair, data)]
+    scale = math.lcm(*(den for row in rows for _, den in row))
+    lat = _lattice_from_rows(
+        [(n1 * (scale // d1), n2 * (scale // d2)) for (n1, d1), (n2, d2) in rows], scale
+    )
     index(lat)  # raises ValueError unless the lattice contains the integer plane
     return lat
 
@@ -88,15 +113,18 @@ def germ_to_json(germ: Germ) -> dict:
     return {
         "lattice": lattice_to_json(germ.lattice),
         "boundary": [format_rational(germ.b1), format_rational(germ.b2)],
-        **_type_label(germ.lattice),
+        **type_label(germ.lattice),
     }
 
 
-def germ_from_json(data: Any) -> Germ:
+def germ_from_json(data: Any, lattice: Optional[Lattice] = None) -> Germ:
+    """The germ of a record; `lattice`, when given, is `data["lattice"]` already decoded."""
     if not isinstance(data, dict) or "lattice" not in data or "boundary" not in data:
         raise ValueError(f"not a germ record: {data!r}")
     b1, b2 = vec_from_json(data["boundary"])
-    return Germ(lattice_from_json(data["lattice"]), *boundary_pair(b1, b2))
+    if lattice is None:
+        lattice = lattice_from_json(data["lattice"])
+    return Germ(lattice, *boundary_pair(b1, b2))
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -164,7 +192,8 @@ def record_to_json(record: ClassifiedGerm) -> dict:
     }
 
 
-def record_from_json(data: Any) -> ClassifiedGerm:
+def record_from_json(data: Any, lattice: Optional[Lattice] = None) -> ClassifiedGerm:
+    """The classification record; `lattice`, when given, is its germ's lattice already decoded."""
     if not isinstance(data, dict):
         raise ValueError(f"not a classification record: {data!r}")
     series = []
@@ -173,7 +202,7 @@ def record_from_json(data: Any) -> ClassifiedGerm:
             raise ValueError(f"not a series id: {m!r}")
         series.append((_json_int(m[0], "series id"), _json_int(m[1], "series id")))
     return ClassifiedGerm(
-        germ_from_json(data["germ"]),
+        germ_from_json(data["germ"], lattice),
         positive_threshold(parse_rational(data["t"])),
         parse_rational(data["mld"]),
         certificate_from_json(data["certificate"]),
@@ -218,7 +247,7 @@ def lawrence_result_from_json(data: Any) -> LawrenceResult:
 def lawrence_record_to_json(lat: Lattice, p: int, q: int, result: LawrenceResult) -> dict:
     return {
         "lattice": lattice_to_json(lat),
-        **_type_label(lat),
+        **type_label(lat),
         "p": p,
         "q": q,
         "lawrence": lawrence_result_to_json(result),

@@ -23,6 +23,7 @@ from toricmld import (
     cli,
     format_rational,
     geometry,
+    lattice_from_generators,
     lattice_from_quotient_type,
     oracle,
     parse_rational,
@@ -651,6 +652,127 @@ def test_complement_refuses_an_index_above_the_oracle_limit(capsys):
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
     assert err.startswith("error: index 1000000000000 is above the oracle limit of")
+
+
+def test_oracle_walk_is_bounded_by_the_index(capsys, tmp_path):
+    # The rows of ((1/m, 1/m^2), (0, 1/m)) have denominators m^2 and m,
+    # but the index is m^2: the oracle walks index pairs, not m^3.
+    m = 300
+    lat = lattice_from_generators([(Fraction(1, m), Fraction(1, m * m)), (0, Fraction(1, m))])
+    germ = Germ(lat, Fraction(0), Fraction(0))
+    path = tmp_path / "imprimitive.jsonl"
+    path.write_text(dumps(record_to_json(classify_germ_record(germ, Fraction(1, 2)))) + "\n")
+    start = time.perf_counter()
+    assert run_cli(capsys, "verify", "--in", str(path)) == (0, "verified 1 records\n", "")
+    assert time.perf_counter() - start < 2
+
+
+def test_verify_shares_a_lattice_across_thresholds(capsys, tmp_path):
+    # Records 1 to 3 share one lattice; record 3 has another threshold,
+    # so its series list is recomputed, not taken from record 2.
+    outs = [
+        run_cli(capsys, "classify", "--type", "5,1,2", *boundary, "--t", t)[1]
+        for boundary, t in (((), "1/4"), (("--boundary", "1/2,0"), "1/4"), ((), "1/3"))
+    ]
+    records = [json.loads(out) for out in outs]
+    assert len({dumps(record["germ"]["lattice"]) for record in records}) == 1
+    assert records[1]["series"] != records[2]["series"]
+    path = tmp_path / "shared.jsonl"
+    path.write_text("".join(outs))
+    assert run_cli(capsys, "verify", "--in", str(path)) == (0, "verified 3 records\n", "")
+
+    records[2]["series"] = records[1]["series"]
+    path.write_text(outs[0] + outs[1] + dumps(records[2]) + "\n")
+    assert run_cli(capsys, "verify", "--in", str(path)) == (
+        2,
+        "",
+        "verification failure: line 3: series memberships disagree with recomputation\n",
+    )
+    assert cli._entry is None
+
+
+def test_verify_checks_a_returning_lattice_again(capsys, tmp_path):
+    # Lattices A, B, A: the third record is checked against its own
+    # lattice, not against what was derived for B.
+    first, second = (
+        run_cli(capsys, "classify", "--type", ty, "--t", "1/3")[1] for ty in ("5,1,2", "7,1,3")
+    )
+    third = json.loads(first)
+    third["germ"]["type"] = [7, 1, 3]
+    path = tmp_path / "aba.jsonl"
+    path.write_text(first + second + dumps(third) + "\n")
+    assert run_cli(capsys, "verify", "--in", str(path)) == (
+        2,
+        "",
+        "verification failure: line 3: type label disagrees with the lattice\n",
+    )
+
+
+def test_verify_builds_one_oracle_set_per_run_of_a_lattice(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "mixed.jsonl"
+    sweep = ("--mode", "all", "--index-max", "5", "--boundary-set", "standard", "--t", "1/4")
+    assert run_cli(capsys, "enumerate", *sweep, "--include-not-tlc", "--out", str(path))[0] == 0
+    built = []
+
+    def counting(lat):
+        built.append(lat)
+        return oracle.box_representatives(lat)
+
+    monkeypatch.setattr(cli, "box_representatives", counting)
+    assert run_cli(capsys, "verify", "--in", str(path)) == (0, "verified 546 records\n", "")
+    assert len(built) == len(set(built)) == 15
+    assert cli._entry is None
+
+
+def test_verify_drops_the_lattice_entry_before_other_records(capsys, tmp_path, monkeypatch):
+    entries = []
+    verify_lawrence = cli._verify_lawrence
+
+    def spy(data, line_no):
+        entries.append(cli._entry)
+        verify_lawrence(data, line_no)
+
+    monkeypatch.setattr(cli, "_verify_lawrence", spy)
+    outs = [
+        run_cli(capsys, "classify", "--type", "5,1,1", "--t", "1/3")[1],
+        run_cli(capsys, "lawrence", "--type", "5,1,1", "--p", "1", "--q", "2")[1],
+    ]
+    path = tmp_path / "kinds.jsonl"
+    path.write_text("".join(outs))
+    assert run_cli(capsys, "verify", "--in", str(path)) == (0, "verified 2 records\n", "")
+    assert entries == [None]
+
+
+def test_verify_holds_one_oracle_set_at_a_time(capsys, tmp_path):
+    # Two records of different order-1,000,003 lattices: the first set is
+    # dropped before the second is built. Two sets alive at once would
+    # about double the peak of one record; the allocator's own high-water
+    # mark after one set is freed adds under a fifth.
+    outs = [
+        run_cli(capsys, "classify", "--type", f"1000003,1,{w}", "--t", "1/7")[1] for w in (7, 8)
+    ]
+    probe = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'toricmld', 'verify', '--in', sys.argv[1]],"
+        " check=True, stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+
+    def peak_kb(text):
+        path = tmp_path / "large.jsonl"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    one, two = peak_kb(outs[0]), peak_kb(outs[0] + outs[1])
+    assert two < one * 1.5, (one, two)
 
 
 def test_enumerate_resume_is_idempotent(capsys, tmp_path):
