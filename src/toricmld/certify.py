@@ -50,7 +50,6 @@ from .lattices import (
     swapped_lattice,
     vec,
 )
-from .oracle import mld_oracle_value
 
 
 class CaseA(NamedTuple):
@@ -86,18 +85,12 @@ class Verification(NamedTuple):
         return self.ok
 
 
-def classify_tlc_lattice(
-    lat: Lattice, psi: Vec2, t: Rational, minimum: Optional[Minimum] = None
-) -> Certificate:
-    """Certificate for a full-rank superlattice of the integer plane.
-
-    `minimum` is `sail_minimum(lat, psi)` when the caller already has it.
-    """
+def classify_tlc_lattice(lat: Lattice, psi: Vec2, t: Rational) -> Certificate:
+    """Certificate for a full-rank superlattice of the integer plane."""
     t = positive_threshold(Fraction(t))
     if psi.is_zero():
         raise ValueError("threshold classification needs a nonzero psi")
-    if minimum is None:
-        minimum = sail_minimum(lat, psi)
+    minimum = sail_minimum(lat, psi)
     if minimum.value < t:
         return NotTLC(minimum.first, minimum.value)
     return certificate_from_case_data(lat, case_analysis_lattice(lat, psi, minimum), psi, t)
@@ -398,8 +391,10 @@ def series_certificate_log(
     boundary is 1 - m/n componentwise. Accepted when n fits under 1/t
     directly, or at the rounded level when the induced boundary clears
     the interpolation between the full boundary and the given one.
-    Returns None when no level works; the accepted boundary is checked
-    against the oracle to keep discrepancies at or above 1/n.
+    Returns None when no level works. The accepted boundary keeps
+    discrepancies at or above 1/n without an oracle: the entry checks
+    make m a nonzero, nonnegative, integral dual covector, so m.e is a
+    positive integer at every open-quadrant point e of the lattice.
     """
     t = positive_threshold(Fraction(t))
     if m.is_zero() or not in_cone(m) or m.x1.denominator != 1 or m.x2.denominator != 1:
@@ -421,8 +416,6 @@ def series_certificate_log(
         w = 1 / (n * t)
         if not (bn[0] >= (1 - w) + w * germ.b1 and bn[1] >= (1 - w) + w * germ.b2):
             return None
-    value = mld_oracle_value(germ.lattice, Vec2(m.x1 / n, m.x2 / n))
-    _checker(germ.lattice, psi)(value >= Fraction(1, n), "oracle mld at level n >= 1/n")
     return n, bn
 
 
@@ -535,16 +528,17 @@ def classify_germ_record(
     below the threshold (callers decide whether to stream those).
     `minimum` and `data` are the germ's `sail_minimum` and case analysis
     when the caller already has them; the case analysis is computed only
-    when the certificate needs it. Raises VerificationFailure if the
-    certificate fails its own check.
+    when the certificate needs it. Raises ValueError for a threshold
+    that is not positive, VerificationFailure if the certificate fails
+    its own check.
     """
-    t = Fraction(t)
+    t = positive_threshold(Fraction(t))
     lat = germ.lattice
     psi = psi_of(germ)
     if minimum is None:
         minimum = sail_minimum(lat, psi)
     value = minimum.value
-    if value < t or psi.is_zero():
+    if value < t:
         cert: Certificate = NotTLC(minimum.first, value)
     else:
         if data is None:

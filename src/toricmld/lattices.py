@@ -514,19 +514,19 @@ def cyclic_type(lat: Lattice) -> Optional[tuple[int, int, int]]:
     """
     n = index(lat)
     denom, a, b, d = lat.hnf
-    q = denom // d
-    # The basis is ((1/p, b), (0, 1/q)) with n = p*q. A generator's first
-    # coordinate has exact order p, and a unit multiple moves it to 1/p,
-    # so the least first weight is q % n, reached exactly by the points
-    # r1 + j*r2 that generate; (x/D, y/D) has order D / gcd(x, y, D).
-    w2s = [
-        (b + j * d) * n // denom % n
-        for j in range(q)
-        if math.gcd(a, b + j * d, denom) * n == denom
-    ]
-    if not w2s:
+    p, q = denom // a, denom // d
+    beta = p * b // d
+    # With r1 = (1/p, b/D), r2 = (0, 1/q) and n = p*q, Z^2 is spanned by
+    # p*r1 - beta*r2 and q*r2: the quotient is cyclic iff gcd(p, beta, q) = 1.
+    # A unit multiple moves a generator's first coordinate to 1/p (weight
+    # q % n); there r1 + j*r2 = (q, beta + j*p)/n generates iff its second
+    # weight is coprime to q. So the loop stops within Jacobsthal(q) steps.
+    if math.gcd(p, beta, q) != 1:
         return None
-    return (n, q % n, min(w2s))
+    w = beta % p
+    while math.gcd(w, q) != 1:
+        w += p
+    return (n, q % n, w)
 
 
 def sublattices_of_standard(n: int) -> list[Lattice]:

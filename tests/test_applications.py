@@ -1,6 +1,7 @@
 """Geometric applications: value-one families, sections, complements."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from toricmld import (
     DoubleH,
     EqualsIntersection,
     Germ,
+    HyperplaneSection,
     NotApplicable,
     ProductCase,
     QuotientCase,
@@ -41,12 +43,15 @@ from toricmld import (
     make_germ,
     mld,
     mld_oracle_lattice,
+    mld_oracle_value,
     points_in_box,
     psi_of,
     series_certificate_log,
+    series_membership_lattice,
     superlattices,
     vec,
 )
+from toricmld.oracle import ORACLE_LIMIT
 
 SMOOTH = make_germ(STANDARD_LATTICE, 0, 0)
 FIFTH = germ_from_quotient_type(5, 1, 1)
@@ -108,7 +113,7 @@ def test_hyperplane_dichotomy_examples():
 
 
 def test_hyperplane_dichotomy_is_exact(standard_corpus):
-    for germ in standard_corpus[:80]:
+    for germ in standard_corpus:
         psi = psi_of(germ)
         a = mld(germ)
         outcome = hyperplane_dichotomy(germ)
@@ -129,11 +134,53 @@ def test_half_mld_section_examples():
 
 
 def test_half_mld_section_property(standard_corpus):
-    for germ in standard_corpus[:80]:
+    for germ in standard_corpus:
         section = half_mld_section(germ)
         pushed = psi_of(germ) - section.m.scaled(mld(germ) / 2)
         assert in_cone(pushed)
         assert mld_oracle_lattice(germ.lattice, pushed)[0] >= 0
+
+
+def test_series_certificate_log_keeps_discrepancies_at_level(standard_corpus):
+    # The accepted boundary 1 - m/n keeps every discrepancy at or above 1/n,
+    # which the construction proves from m alone; the oracle agrees.
+    accepted = 0
+    for germ in standard_corpus:
+        for t in (Fraction(1, k) for k in range(1, 11)):
+            for m in series_membership_lattice(germ.lattice, t):
+                m = vec(*m)
+                result = series_certificate_log(germ, m, t)
+                if result is not None:
+                    n = result[0]
+                    level_psi = vec(m.x1 / Fraction(n), m.x2 / Fraction(n))
+                    assert mld_oracle_value(germ.lattice, level_psi) >= Fraction(1, n)
+                    accepted += 1
+    assert accepted > 400
+
+
+def test_constructions_run_above_the_oracle_limit():
+    # No construction but the complement checker runs the oracle, so an
+    # order far above ORACLE_LIMIT costs what the Klein sail costs.
+    r = 10**12 + 39
+    assert r > ORACLE_LIMIT
+    start = time.perf_counter()
+    light = germ_from_quotient_type(r, 1, 1)
+    half = Fraction(r - 1, 2)
+    pair = (vec(half, half + 1), vec(half + 1, half))
+    assert hyperplane_dichotomy(light) == DoubleH(
+        HyperplaneSection(pair[0]), HyperplaneSection(pair[1]), Fraction(1, r), Fraction(1, r)
+    )
+    assert half_mld_section(light) == HyperplaneSection(pair[0])
+    assert series_certificate_log(light, vec(1, r - 1), Fraction(1, r)) == (
+        r - 1,
+        (Fraction(r - 2, r - 1), Fraction(0)),
+    )
+    chain = germ_from_quotient_type(r, 1, r - 1)
+    ones = HyperplaneSection(vec(1, 1))
+    assert hyperplane_dichotomy(chain) == SingleH(ones, Fraction(1))
+    assert half_mld_section(chain) == ones
+    assert series_certificate_log(chain, vec(1, 1), 1) == (1, (Fraction(0), Fraction(0)))
+    assert time.perf_counter() - start < 1
 
 
 def test_is_standard_coefficient():
@@ -328,12 +375,10 @@ def test_engine_failures_name_the_lattice(monkeypatch):
     def zero(lat, psi):
         return Fraction(0)
 
-    monkeypatch.setattr(toricmld.certify, "mld_oracle_value", zero)
     monkeypatch.setattr(toricmld.geometry, "mld_oracle_value", zero)
     monkeypatch.setattr(toricmld.geometry, "cyclic_type", lambda lat: None)
     germ = germ_from_quotient_type(5, 1, 1)
     broken = (
-        lambda: series_certificate_log(germ, vec(2, 3), Fraction(1, 5)),
         lambda: classify_mld_ge_one(CHAIN3),
         lambda: complement_standard(germ, 1, 3),
         lambda: bounded_complement(germ),

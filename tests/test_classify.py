@@ -281,6 +281,13 @@ def test_classified_record_and_failure():
     assert record.certificate == NotTLC(vec(1, 1), Fraction(0))
 
 
+@pytest.mark.parametrize("t", [0, -1])
+def test_classified_record_refuses_a_threshold_that_is_not_positive(t):
+    # A bad input, not a rejected certificate (VerificationFailure, exit 2).
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        classify_germ_record(FIFTH_GERM, t)
+
+
 def test_cyclic_lattice_stream():
     got = list(cyclic_lattices(3))
     assert [ty for _, ty in got] == [(1, 0, 0), (2, 1, 1), (3, 1, 1), (3, 1, 2)]

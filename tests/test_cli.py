@@ -644,6 +644,39 @@ def test_verify_refuses_an_index_above_the_oracle_limit(capsys, tmp_path, argv):
     )
 
 
+@pytest.mark.parametrize(
+    "lattice, label, order",
+    [
+        ([["1/100000000", "0"], ["0", "1/100000000"]], None, 10**16),
+        (
+            [["1/2", "1/2000000000000"], ["0", "2/2000000000000"]],
+            [2 * 10**12, 10**12, 1],
+            2 * 10**12,
+        ),
+    ],
+)
+def test_verify_labels_a_huge_lattice_before_refusing_it(capsys, tmp_path, lattice, label, order):
+    # The type label is checked first and costs O(log) in the order, so a
+    # huge lattice, cyclic or not, reaches the oracle's refusal at once.
+    code, out, _ = run_cli(capsys, "classify", "--type", "5,1,1", "--t", "1/3")
+    assert code == 0
+    record = json.loads(out)
+    record["germ"]["lattice"] = lattice
+    del record["germ"]["type"]
+    if label is not None:
+        record["germ"]["type"] = label
+    path = tmp_path / "huge.jsonl"
+    path.write_text(dumps(record) + "\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: line 1: index {order} is above the oracle limit of"
+        f" {oracle.ORACLE_LIMIT} quotient classes\n"
+    )
+
+
 def test_complement_refuses_an_index_above_the_oracle_limit(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(
@@ -1046,5 +1079,5 @@ def test_optimized_ci_step_checks_pinned_digests():
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     text = workflow.read_text(encoding="utf-8")
     digests = re.findall(r"\b[0-9a-f]{64}\b", text)
-    assert "python -O -m toricmld" in text and len(digests) == 3
+    assert "python -O -m toricmld" in text and len(digests) == 4
     assert set(digests) <= {digest for _, digest in PINNED_SWEEPS}

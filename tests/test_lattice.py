@@ -323,6 +323,32 @@ def test_cyclic_type_matches_its_definition():
         assert cyclic_type(lat) == expected
 
 
+def _cyclic_type_by_residues(lat):
+    """The O(index) residue loop that `cyclic_type` replaced, as a reference."""
+    n = index(lat)
+    denom, a, b, d = lat.hnf
+    q = denom // d
+    w2s = [
+        (b + j * d) * n // denom % n
+        for j in range(q)
+        if math.gcd(a, b + j * d, denom) * n == denom
+    ]
+    return (n, q % n, min(w2s)) if w2s else None
+
+
+def test_cyclic_type_matches_the_residue_loop():
+    count = 0
+    for lat in superlattices(150):
+        assert cyclic_type(lat) == _cyclic_type_by_residues(lat), lat
+        count += 1
+    assert count == 18604
+    # The closed form never walks the quotient: index 10^24 answers at once.
+    huge = lattice_from_generators([(Fraction(1, 10**12), 0), (0, Fraction(1, 10**12))])
+    assert cyclic_type(huge) is None
+    big = lattice_from_quotient_type(10**24 + 7, 1, 10**12)
+    assert cyclic_type(big) == (10**24 + 7, 1, 10**12)
+
+
 def test_sublattice_and_superlattice_counts():
     # The number of index-n sublattices is the divisor sum of n.
     def sigma(n):

@@ -152,6 +152,47 @@ def test_oracle_shares_no_code_with_the_engine():
             assert {a.name for a in node.names} <= {"Lattice", "Rational", "Vec2"}
 
 
+def _oracle_imports(tree):
+    """Names each `from .oracle` / `toricmld.oracle` import of a module takes."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if (node.level == 1 and module == "oracle") or module == "toricmld.oracle":
+                names += [a.name for a in node.names]
+            elif (node.level == 1 and not module) or module == "toricmld":
+                names += [a.name for a in node.names if a.name == "oracle"]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names if a.name == "toricmld.oracle"]
+    return names
+
+
+@pytest.mark.parametrize("module", ["certify.py", "germs.py", "lattices.py", "records.py"])
+def test_engine_modules_do_not_import_the_oracle(module):
+    # The engine proves its own results; the oracle is for checkers.
+    tree = ast.parse((Path(oracle.__file__).parent / module).read_text(encoding="utf-8"))
+    assert _oracle_imports(tree) == []
+
+
+def test_geometry_runs_the_oracle_only_in_the_complement_checker():
+    tree = ast.parse((Path(oracle.__file__).parent / "geometry.py").read_text(encoding="utf-8"))
+    assert _oracle_imports(tree) == ["mld_oracle_value"]
+    checker = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_complement"
+    )
+
+    def uses(root):
+        return [
+            node
+            for node in ast.walk(root)
+            if isinstance(node, ast.Name) and node.id == "mld_oracle_value"
+        ]
+
+    assert uses(checker) and len(uses(tree)) == len(uses(checker))
+
+
 def test_general_path_handles_noncyclic_quotients():
     half = lattice_from_generators([(Fraction(1, 2), 0), (0, Fraction(1, 2))])
     value, argmin = mld_oracle_lattice(half, ONES)
