@@ -287,8 +287,11 @@ def verify_lawrence_result(lat: Lattice, p: int, q: int, result: LawrenceResult)
     At psi = (1, 1) and t = p/q, a hit is `NotTLC(e, e.x1 + e.x2)` and a
     containment an integral `CaseA(m)` for `verify_certificate_lattice`.
     A pair needs k1, k2 >= 1, k1 + k2 <= 2q (q reduced), independent
-    covectors whose joint integrality locus is the lattice, and a
-    weighted average in [0, q/p]^2.
+    covectors in the closed dual quadrant whose joint integrality locus
+    is the lattice, and a weighted average in [0, q/p]^2. Then the pair
+    proves avoidance: at a lattice point e of the open simplex, m1.e and
+    m2.e are positive integers, so the weighted average pairs to at
+    least 1 with e, while the box bound gives less than (q/p)(p/q) = 1.
     """
     t = simplex_ratio(p, q)
     psi = vec(1, 1)
@@ -305,6 +308,8 @@ def verify_lawrence_result(lat: Lattice, p: int, q: int, result: LawrenceResult)
         return Verification(False, "weights must be positive")
     if k1 + k2 > 2 * t.denominator:
         return Verification(False, "weights exceed twice the denominator")
+    if min(m1.x1, m1.x2, m2.x1, m2.x2) < 0:
+        return Verification(False, "pair covectors outside the dual quadrant")
     if m1.x1 * m2.x2 - m1.x2 * m2.x1 == 0:
         return Verification(False, "pair covectors are dependent")
     if dual(lattice_from_generators([m1, m2])) != lat:

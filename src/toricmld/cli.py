@@ -48,7 +48,7 @@ from .lattices import (
     simplex_ratio,
     superlattices,
 )
-from .oracle import box_representatives, lawrence_oracle, representative_minimum
+from .oracle import lawrence_oracle, mld_oracle_value
 from .records import (
     TABLE_COLUMNS,
     case_data_to_json,
@@ -250,25 +250,19 @@ def _malformed(line_no: int, exc: Exception) -> ValueError:
 class _LatticeEntry:
     """What `verify` derives from one record lattice alone.
 
-    Holds the decoded lattice and its type label, and builds the
-    oracle's representative set and the series list for one threshold
-    on first use. Classification records in a row with the same
-    `germ.lattice` JSON share one entry; each still runs every check.
+    Holds the decoded lattice and its type label, and builds the series
+    list for one threshold on first use. Classification records in a
+    row with the same `germ.lattice` JSON share one entry; each still
+    runs every check, the oracle's column walk included.
     """
 
-    __slots__ = ("raw", "lattice", "label", "_points", "_series_t", "_series")
+    __slots__ = ("raw", "lattice", "label", "_series_t", "_series")
 
     def __init__(self, raw: list, lattice: Lattice):
         self.raw, self.lattice = raw, lattice
         self.label = type_label(lattice)
-        self._points: Optional[tuple[int, set[tuple[int, int]]]] = None
         self._series_t: Optional[Fraction] = None
         self._series: list = []
-
-    def points(self) -> tuple[int, set[tuple[int, int]]]:
-        if self._points is None:
-            self._points = box_representatives(self.lattice)
-        return self._points
 
     def series(self, t: Fraction) -> list:
         if self._series_t != t:
@@ -277,8 +271,7 @@ class _LatticeEntry:
 
 
 # The entry of the last classification record's lattice. `_cmd_verify`
-# drops it before any other record and when it returns, so at most one
-# representative set (about 325 MB near ORACLE_LIMIT) is alive at a time.
+# drops it before any other record and when it returns.
 _entry: Optional[_LatticeEntry] = None
 
 
@@ -293,7 +286,7 @@ def _verify_classification(data: dict, line_no: int) -> None:
     entry = _entry
     _require(type_label_agrees(data, entry.label), line_no, "type label disagrees with the lattice")
     psi = psi_of(record.germ)
-    value = representative_minimum(entry.points(), psi)
+    value = mld_oracle_value(entry.lattice, psi)
     _require(value == record.mld, line_no, "recorded mld disagrees with the oracle")
     outcome = verify_certificate_lattice(entry.lattice, psi, record.t, record.certificate)
     _require(outcome.ok, line_no, f"certificate rejected: {outcome.reason}")

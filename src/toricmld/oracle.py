@@ -2,7 +2,8 @@
 
 Everything here is recomputed from first principles: quotient
 representatives by direct enumeration, pairings written out inline,
-minima by exhaustive scan. Only the plane vector type is shared with
+minima by exhaustive scan of the representatives or of the quotient's
+columns. Only the plane vector type is shared with
 the rest of the package, so an engine bug cannot vouch for itself.
 """
 
@@ -18,14 +19,28 @@ if TYPE_CHECKING:  # type-only; keeps the oracle import-independent
     from .germs import Germ
 
 
-# Largest index the oracle enumerates. Its representative set holds one
-# point per quotient class, so time and memory grow with the index; an
-# order of 1,000,003 takes a few seconds and under 200 MB.
+# Largest index the oracle accepts. `mld_oracle_value` walks at most index
+# columns in O(1) memory, but `mld_oracle_lattice` builds one point per
+# quotient class, so its time and memory grow with the index; at an
+# order of 1,000,003 the walk takes a fraction of a second, the full
+# enumeration a few seconds and under 200 MB.
 ORACLE_LIMIT = 2_000_000
+
+
+def _check_limit(order: int) -> None:
+    """ValueError when the index `order` is above ORACLE_LIMIT."""
+    if order > ORACLE_LIMIT:
+        raise ValueError(
+            f"index {order} is above the oracle limit of {ORACLE_LIMIT} quotient classes"
+        )
 
 
 def box_representatives(lat: Lattice) -> tuple[int, set[tuple[int, int]]]:
     """Quotient representatives in (0, 1]^2 by direct enumeration.
+
+    The full-enumeration reference: `mld_oracle_lattice` takes every
+    minimizer from it, and the tests check `mld_oracle_value`'s walk
+    against it.
 
     Returns (D, points): D is the common denominator of the basis and
     the representatives are the (x/D, y/D) for (x, y) in points. Both
@@ -49,10 +64,7 @@ def box_representatives(lat: Lattice) -> tuple[int, set[tuple[int, int]]]:
     a1, b1, a2, b2 = (c.numerator * (denom // c.denominator) for c in coords)
     det = abs(a1 * b2 - b1 * a2)
     order, rem = divmod(denom * denom, det)
-    if order > ORACLE_LIMIT:
-        raise ValueError(
-            f"index {order} is above the oracle limit of {ORACLE_LIMIT} quotient classes"
-        )
+    _check_limit(order)
     n1 = math.lcm(r1.x1.denominator, r1.x2.denominator)
     n2 = order // n1
     reps = {
@@ -81,19 +93,37 @@ def _scaled_psi(psi: Vec2) -> tuple[int, int, int]:
     )
 
 
-def representative_minimum(points: tuple[int, set[tuple[int, int]]], psi: Vec2) -> Rational:
-    """Minimum of the pairing with psi over `points`, the (D, points) of `box_representatives`."""
-    scale, c1, c2 = _scaled_psi(psi)
-    denom, reps = points
-    return Fraction(min(c1 * x + c2 * y for x, y in reps), denom * scale)
-
-
 def mld_oracle_value(lat: Lattice, psi: Vec2) -> Rational:
-    """Minimum of the pairing over open-quadrant points, without the minimizers.
+    """Minimum of the pairing over open-quadrant points, by a walk over columns.
 
-    Raises ValueError when the index is above ORACLE_LIMIT.
+    Reads the lattice's integer form `lat.hnf` = (D, a, b, d), the basis
+    r1 = (a, b)/D, r2 = (0, d)/D, and takes O(1) memory. ValueError
+    unless the lattice contains the integer plane, and when the index
+    is above ORACLE_LIMIT.
+
+    Proof. An open-quadrant point reduces modulo Z^2, which the lattice
+    contains, to a lattice point in (0, 1]^2 whose coordinates are no
+    larger, so with psi >= 0 its pairing is no larger: the minimum is
+    taken over N ∩ (0, 1]^2. A lattice point i*r1 + j*r2 has first
+    coordinate i*a/D, so in (0, 1] it is one of the columns
+    i = 1, ..., D/a (a divides D, as e1 lies in the lattice). The points
+    of column i are i*r1 + j*r2 for all integers j, with second
+    numerator i*b + j*d: every integer congruent to i*b mod d. The least
+    positive one is y_i = (i*b - 1) mod d + 1 <= d <= D (d divides D, as
+    e2 lies in the lattice), so (i*a, y_i)/D lies in (0, 1]^2, and with
+    psi_2 >= 0 no other point of the column pairs below it. Hence, for
+    psi = (c1, c2)/s, the minimum is the least c1*a*i + c2*y_i over
+    the columns, divided by s*D: D/a <= index integer steps, no set.
     """
-    return representative_minimum(box_representatives(lat), psi)
+    denom, a, b, d = lat.hnf
+    if denom % a or denom % d or (denom // a * b) % d:
+        raise ValueError("oracle needs a lattice containing the integer plane")
+    columns = denom // a
+    _check_limit(columns * (denom // d))
+    scale, c1, c2 = _scaled_psi(psi)
+    step = c1 * a
+    least = min(step * i + c2 * ((i * b - 1) % d + 1) for i in range(1, columns + 1))
+    return Fraction(least, denom * scale)
 
 
 def mld_oracle_lattice(lat: Lattice, psi: Vec2) -> tuple[Rational, list[Vec2]]:

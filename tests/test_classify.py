@@ -42,7 +42,7 @@ from toricmld import (
     verify_certificate,
     verify_certificate_lattice,
 )
-from toricmld.certify import quotient_type_of
+from toricmld.certify import quotient_type_of, verify_lawrence_result
 from toricmld.records import (
     complement_from_json,
     complement_to_json,
@@ -178,6 +178,21 @@ def test_lawrence_examples():
         lawrence(STANDARD_LATTICE, 0, 1)
     with pytest.raises(ValueError):
         lawrence(lattice_from_generators([(2, 0), (0, 1)]), 1, 1)
+
+
+def test_lawrence_pair_outside_the_dual_quadrant_is_rejected():
+    # 1/3(1,1) meets the open simplex x + y < 1 at (1/3, 1/3), yet this
+    # pair has the lattice as its integrality locus, independent rows,
+    # valid weights and its average (1/2, 1) in the box; only m1 = (1, -1)
+    # lying outside the dual quadrant tells it from a proof of avoidance.
+    lat = lattice_from_quotient_type(3, 1, 1)
+    assert not lawrence_oracle(lat, 1, 1)
+    forged = EqualsIntersection(vec(1, -1), vec(0, 3), 1, 1)
+    assert dual(lattice_from_generators([forged.m1, forged.m2])) == lat
+    assert verify_lawrence_result(lat, 1, 1, forged) == (
+        False,
+        "pair covectors outside the dual quadrant",
+    )
 
 
 def test_lawrence_agrees_with_oracle():

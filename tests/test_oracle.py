@@ -6,10 +6,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricmld import (
     Lattice,
     STANDARD_LATTICE,
+    dual,
     lattice_from_generators,
     lattice_from_quotient_type,
     lawrence_oracle,
@@ -20,6 +23,7 @@ from toricmld import (
     oracle,
     psi_of,
     residues,
+    sublattices_of_standard,
     superlattices,
     tlc_oracle,
     vec,
@@ -127,6 +131,76 @@ def test_oracle_value_is_the_minimum_of_the_full_oracle():
             assert oracle.mld_oracle_value(lat, psi) == mld_oracle_lattice(lat, psi)[0]
     with pytest.raises(ValueError, match="nonnegative"):
         oracle.mld_oracle_value(STANDARD_LATTICE, vec(-1, 1))
+
+
+# Zero, axis and interior psi: with a zero coordinate the points of a
+# column, or all first points of the columns, tie, so each kind is checked.
+WALK_PSIS = (
+    vec(0, 0),
+    vec(1, 0),
+    vec(0, Fraction(5, 2)),
+    vec(Fraction(3, 7), 0),
+    ONES,
+    vec(Fraction(2, 3), Fraction(1, 5)),
+    vec(Fraction(3, 7), 2),
+)
+
+
+def naive_minimum(points, denom, psi):
+    """Least pairing with psi over the points (x, y)/denom, written out in Fractions."""
+    return min(psi.x1 * x + psi.x2 * y for x, y in points) / denom
+
+
+def test_walk_matches_naive_enumeration_on_every_small_superlattice():
+    # Each superlattice of index n <= 40 is the dual of an integer
+    # sublattice S of index n; its points in (0, 1]^2 are the (x, y)/n,
+    # 1 <= x, y <= n, that pair integrally with both rows of S.
+    cases = 0
+    for n in range(1, 41):
+        for sub in sublattices_of_standard(n):
+            rows = [(int(g.x1), int(g.x2)) for g in sub.basis]
+            points = [
+                (x, y)
+                for x in range(1, n + 1)
+                for y in range(1, n + 1)
+                if all((m1 * x + m2 * y) % n == 0 for m1, m2 in rows)
+            ]
+            assert len(points) == n
+            lat = dual(sub)
+            for psi in WALK_PSIS:
+                assert oracle.mld_oracle_value(lat, psi) == naive_minimum(points, n, psi), (lat, psi)
+                cases += 1
+    assert cases == 7 * len(list(superlattices(40)))
+
+
+@st.composite
+def quotient_types(draw):
+    r = draw(st.integers(1, 2000))
+    coprime = st.integers(0, r - 1).filter(lambda w: math.gcd(w, r) == 1)
+    return r, draw(coprime), draw(coprime)
+
+
+coordinates = st.fractions(min_value=0, max_value=3, max_denominator=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(quotient_types(), coordinates, coordinates)
+def test_walk_matches_naive_enumeration_on_cyclic_quotients(kind, c1, c2):
+    # 1/r(w1, w2) is generated by (w1, w2)/r modulo Z^2: its classes are
+    # the multiples k*(w1, w2)/r, k = 1..r, each coordinate taken in (0, 1].
+    r, w1, w2 = kind
+    points = [(k * w1 % r or r, k * w2 % r or r) for k in range(1, r + 1)]
+    psi = vec(c1, c2)
+    lat = lattice_from_quotient_type(r, w1, w2)
+    assert oracle.mld_oracle_value(lat, psi) == naive_minimum(points, r, psi)
+
+
+def test_walk_refuses_a_lattice_without_the_integer_plane():
+    # ((1/2, 1/4), (0, 1)) has a | D and d | D, but 2*r1 = (1, 1/2) leaves
+    # e1 outside it; the walk's columns would miss classes.
+    lat = Lattice(hnf=(4, 2, 1, 4))
+    with pytest.raises(ValueError, match="integer plane"):
+        oracle.mld_oracle_value(lat, ONES)
 
 
 def test_oracle_shares_no_code_with_the_engine():
