@@ -18,9 +18,10 @@ is interior, an adapted lattice basis whose slice interval
 which works in the same integers and builds rationals only for the
 fields it returns. Every derived identity is checked on the spot
 against the sail minimum and raises VerificationFailure, naming the
-lattice and psi, when it breaks. No step enumerates the quotient:
-`residues` is used only to list the minimizers of zero psi, all of the
-representatives.
+lattice and psi, when it breaks. No step enumerates the quotient
+except to return it: the minimizers of zero psi are all of the
+representatives, which `residues` lists column by column off the
+Hermite normal form, with no set and no sort.
 """
 
 from __future__ import annotations
@@ -190,39 +191,48 @@ def _open_sail_argmin(sail: Sail, c1: int, c2: int) -> tuple[int, int, int, int,
     return edge.x + t * edge.dx, edge.y + t * edge.dy, *step, count
 
 
-def sail_minimum(lat: Lattice, psi: Vec2) -> Minimum:
-    """Minimum pairing over the open quadrant, with its minimizers as one run.
+def _axis_argmin(lat: Lattice, c1: int, c2: int) -> tuple[int, int, int, int, int]:
+    """`_open_sail_argmin` for c1 = 0 or c2 = 0 (both nonnegative), off the Hermite normal form.
 
-    `lat` is a full-rank superlattice of the integer plane and psi is
-    componentwise nonnegative. Interior psi reads the minimum off the
-    Klein sail in O(log index) steps (`klein_sail`). Psi on an axis
-    reads it off the Hermite normal form ((a, b), (0, d)): psi = (c, 0)
-    is least on the first column x = a, psi = (0, c) on the lowest row,
-    y = gcd(b, d). Rationals are built only for the returned value and
-    points.
+    With the basis ((a, b), (0, d))/D, psi = (c, 0) is least on the
+    first column x = a, psi = (0, c) on the lowest row y = gcd(b, d), so
+    the least pairing is c1*a + c2*gcd(b, d) over D times the scale.
+    Returns (x, y, dx, dy, count) in the lattice's integer coordinates.
     """
-    scale, c1, c2 = _scaled_covector(psi)
-    if c1 < 0 or c2 < 0:
-        raise ValueError("psi must lie in the closed dual quadrant")
     denom, a, b, d = lat.hnf
-    if c1 and c2:
-        x, y, dx, dy, count = _open_sail_argmin(klein_sail(lat), c1, c2)
-    elif c2:
+    if c2:
         # Lowest row: i*b + j*d = g exactly when i = u mod d/g, so the row
         # is a coset of the horizontal axis points, spaced h apart.
         g = math.gcd(b, d)
         u = pow(b // g, -1, d // g)
         h = a * (d // g)
-        x, y, dx, dy = (u * a - 1) % h + 1, g, h, 0
-        count = (denom - x) // h + 1
+        x = (u * a - 1) % h + 1
+        return x, g, h, 0, (denom - x) // h + 1
+    # First column, lowest point first; for zero psi that point is the
+    # lexicographically least representative.
+    y = (b - 1) % d + 1
+    if c1:
+        return a, y, 0, d, (denom - y) // d + 1
+    return a, y, 0, 0, index(lat)
+
+
+def sail_minimum(lat: Lattice, psi: Vec2) -> Minimum:
+    """Minimum pairing over the open quadrant, with its minimizers as one run.
+
+    `lat` is a full-rank superlattice of the integer plane and psi is
+    componentwise nonnegative. Interior psi reads the minimum off the
+    Klein sail in O(log index) steps (`klein_sail`), psi on an axis off
+    the Hermite normal form (`_axis_argmin`). Rationals are built only
+    for the returned value and points.
+    """
+    scale, c1, c2 = _scaled_covector(psi)
+    if c1 < 0 or c2 < 0:
+        raise ValueError("psi must lie in the closed dual quadrant")
+    denom = lat.hnf[0]
+    if c1 and c2:
+        x, y, dx, dy, count = _open_sail_argmin(klein_sail(lat), c1, c2)
     else:
-        # First column, lowest point first; for zero psi that point is
-        # the lexicographically least representative.
-        x, y = a, (b - 1) % d + 1
-        if c1:
-            dx, dy, count = 0, d, (denom - y) // d + 1
-        else:
-            dx, dy, count = 0, 0, index(lat)
+        x, y, dx, dy, count = _axis_argmin(lat, c1, c2)
     return Minimum(
         Fraction(c1 * x + c2 * y, scale * denom),
         Vec2(Fraction(x, denom), Fraction(y, denom)),
@@ -495,10 +505,12 @@ def case_analysis_lattice(
     alpha = Fraction(an, ad)
     q_min = alpha.denominator
     lpn, lpd = gn * pn, gd * pd * q_min  # lambda_prime = gamma*psi_prime/q_min
-    rs = s * gd * vs
-    residual_min = sail_minimum(lat, Vec2(Fraction(r1, rs), Fraction(r2, rs))).value
+    # gamma is the binding scale, so the residual lies on an axis of the
+    # dual quadrant, where its minimum is read off the Hermite normal form.
+    check(r1 >= 0 and r2 >= 0 and (r1 == 0 or r2 == 0), "residual psi - gamma*v1 lies on an axis")
+    x, y, *_ = _axis_argmin(lat, r1, r2)
     check(
-        lpn * residual_min.denominator == residual_min.numerator * lpd,
+        lpn * s * gd * vs * denom == (r1 * x + r2 * y) * lpd,
         "lambda_prime == mld of the residual psi - gamma*v1",
     )
     if an > 0:

@@ -124,11 +124,6 @@ def in_cone_interior(v: Vec2) -> bool:
     return v.x1 > 0 and v.x2 > 0
 
 
-def on_cone_boundary(v: Vec2) -> bool:
-    """In the closed quadrant with at least one coordinate zero."""
-    return in_cone(v) and (v.x1 == 0 or v.x2 == 0)
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd: returns (g, u, v) with u*a + v*b = g = gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -322,36 +317,33 @@ def index(lat: Lattice) -> int:
     Only defined for superlattices of the integer plane. With the basis
     ((a, b), (0, d))/D, e2 lies in the lattice iff d divides D and e1
     iff a divides D and d divides (D/a)*b; the index is then
-    (D/a)*(D/d), the inverse of the determinant.
+    (D/a)*(D/d), the inverse of the determinant a*d/D^2: once a | D and
+    d | D hold, (D/a)*(D/d)*a*d = D^2 is exact.
     """
     denom, a, b, d = lat.hnf
     if denom % a or denom % d or (denom // a * b) % d:
         raise ValueError("lattice does not contain the integer plane")
-    n = (denom // a) * (denom // d)
-    if n * a * d != denom * denom:  # checker built only on failure: index runs once per record
-        _checker(lat)(False, "index * determinant == 1")
-    return n
+    return (denom // a) * (denom // d)
 
 
 def residues(lat: Lattice) -> list[Vec2]:
     """Representatives of the quotient by the integer plane, in (0,1]^2.
 
-    Exactly index(lat) points, sorted lexicographically; the class of
-    zero is represented by (1, 1). The enumeration runs in integers
-    scaled by the basis's common denominator; rationals are built only
-    for the returned points.
+    Exactly index(lat) points, in lexicographic order; the class of
+    zero is represented by (1, 1). With the basis ((a, b), (0, d))/D
+    the points of (0, 1]^2 lie in the columns x = i*a/D, i = 1, ..., D/a,
+    and column i holds the second numerators congruent to i*b mod d,
+    from y_i = (i*b - 1) mod d + 1 up to D in steps of d: D/d points, as
+    d divides D. Listing the columns in order lists every class once,
+    sorted, with no set; rationals are built only for the returned points.
     """
-    n = index(lat)
+    index(lat)  # raises ValueError unless the lattice contains the integer plane
     denom, a, b, d = lat.hnf
-    # The unit points lie in the lattice, so a/D = 1/p and d/D = 1/q
-    # and i*r1 + j*r2 for 0 <= i < p, 0 <= j < q hit every class once.
-    seen: set[tuple[int, int]] = set()
-    for i in range(denom // a):
-        x = (i * a - 1) % denom + 1
-        for j in range(denom // d):
-            seen.add((x, (i * b + j * d - 1) % denom + 1))
-    _checker(lat)(len(seen) == n, "residue count == index")
-    return [Vec2(Fraction(x, denom), Fraction(y, denom)) for x, y in sorted(seen)]
+    return [
+        Vec2(Fraction(i * a, denom), Fraction(y, denom))
+        for i in range(1, denom // a + 1)
+        for y in range((i * b - 1) % d + 1, denom + 1, d)
+    ]
 
 
 class SailEdge(NamedTuple):

@@ -1,10 +1,11 @@
 """Brute-force ground truth for the discrepancy computations.
 
-Everything here is recomputed from first principles: quotient
-representatives by direct enumeration, pairings written out inline,
-minima by exhaustive scan of the representatives or of the quotient's
-columns. Only the plane vector type is shared with
-the rest of the package, so an engine bug cannot vouch for itself.
+Everything here is recomputed from first principles: the quotient by
+the integer plane is walked column by column off the lattice's Hermite
+normal form, pairings are written out inline and minima are taken by
+exhaustive scan of the columns, in O(1) memory beyond the minimizers
+returned. Only the plane vector type is shared with the rest of the
+package, so an engine bug cannot vouch for itself.
 """
 
 from __future__ import annotations
@@ -19,61 +20,28 @@ if TYPE_CHECKING:  # type-only; keeps the oracle import-independent
     from .germs import Germ
 
 
-# Largest index the oracle accepts. `mld_oracle_value` walks at most index
-# columns in O(1) memory, but `mld_oracle_lattice` builds one point per
-# quotient class, so its time and memory grow with the index; at an
-# order of 1,000,003 the walk takes a fraction of a second, the full
-# enumeration a few seconds and under 200 MB.
+# Largest index the oracle accepts. Both oracles walk at most index
+# columns in O(1) memory besides the minimizers returned; at an order
+# of 1,000,003 a walk takes a fraction of a second.
 ORACLE_LIMIT = 2_000_000
 
 
-def _check_limit(order: int) -> None:
-    """ValueError when the index `order` is above ORACLE_LIMIT."""
+def _columns(lat: Lattice) -> tuple[int, int, int, int, int]:
+    """(D, a, b, d, D/a) for the walk over the quotient's columns.
+
+    ValueError unless the lattice contains the integer plane, and when
+    its index (D/a)*(D/d) is above ORACLE_LIMIT.
+    """
+    denom, a, b, d = lat.hnf
+    if denom % a or denom % d or (denom // a * b) % d:
+        raise ValueError("oracle needs a lattice containing the integer plane")
+    columns = denom // a
+    order = columns * (denom // d)
     if order > ORACLE_LIMIT:
         raise ValueError(
             f"index {order} is above the oracle limit of {ORACLE_LIMIT} quotient classes"
         )
-
-
-def box_representatives(lat: Lattice) -> tuple[int, set[tuple[int, int]]]:
-    """Quotient representatives in (0, 1]^2 by direct enumeration.
-
-    The full-enumeration reference: `mld_oracle_lattice` takes every
-    minimizer from it, and the tests check `mld_oracle_value`'s walk
-    against it.
-
-    Returns (D, points): D is the common denominator of the basis and
-    the representatives are the (x/D, y/D) for (x, y) in points. Both
-    basis rows are read in full, so no basis shape is assumed. The
-    index, 1/|det| = D^2/|det of the scaled rows|, is checked against
-    ORACLE_LIMIT before any point is built; ValueError above it.
-
-    The walk takes i*r1 + j*r2 for 0 <= i < n1 and 0 <= j < index/n1,
-    n1 the order of r1 modulo Z^2, and so builds exactly index points.
-    Every class is reached once: r1 and r2 generate the quotient Q by
-    Z^2, r1 generates a subgroup of order n1, and the quotient of Q by
-    that subgroup is cyclic, generated by r2, of order index/n1. If
-    i*r1 + j*r2 and i'*r1 + j'*r2 share a class, (j - j')*r2 lies in
-    Z^2 + Z*r1, so index/n1 divides j - j' and j = j'; then (i - i')*r1
-    lies in Z^2, so n1 divides i - i' and i = i'. The index/n1 * n1
-    pairs are thus distinct classes, as many as Q has.
-    """
-    r1, r2 = lat.basis
-    coords = (r1.x1, r1.x2, r2.x1, r2.x2)
-    denom = math.lcm(*(c.denominator for c in coords))
-    a1, b1, a2, b2 = (c.numerator * (denom // c.denominator) for c in coords)
-    det = abs(a1 * b2 - b1 * a2)
-    order, rem = divmod(denom * denom, det)
-    _check_limit(order)
-    n1 = math.lcm(r1.x1.denominator, r1.x2.denominator)
-    n2 = order // n1
-    reps = {
-        ((i * a1 + j * a2 - 1) % denom + 1, (i * b1 + j * b2 - 1) % denom + 1)
-        for i in range(n1)
-        for j in range(n2)
-    }
-    assert rem == 0 and len(reps) == order
-    return denom, reps
+    return denom, a, b, d, columns
 
 
 def _scaled_psi(psi: Vec2) -> tuple[int, int, int]:
@@ -115,11 +83,7 @@ def mld_oracle_value(lat: Lattice, psi: Vec2) -> Rational:
     psi = (c1, c2)/s, the minimum is the least c1*a*i + c2*y_i over
     the columns, divided by s*D: D/a <= index integer steps, no set.
     """
-    denom, a, b, d = lat.hnf
-    if denom % a or denom % d or (denom // a * b) % d:
-        raise ValueError("oracle needs a lattice containing the integer plane")
-    columns = denom // a
-    _check_limit(columns * (denom // d))
+    denom, a, b, d, columns = _columns(lat)
     scale, c1, c2 = _scaled_psi(psi)
     step = c1 * a
     least = min(step * i + c2 * ((i * b - 1) % d + 1) for i in range(1, columns + 1))
@@ -129,22 +93,28 @@ def mld_oracle_value(lat: Lattice, psi: Vec2) -> Rational:
 def mld_oracle_lattice(lat: Lattice, psi: Vec2) -> tuple[Rational, list[Vec2]]:
     """Minimum of the pairing over open-quadrant points, with all minimizers.
 
-    One pass over the representatives keeps the least pairing and every
-    point that attains it. Raises ValueError when the index is above
-    ORACLE_LIMIT.
+    The same walk over columns as `mld_oracle_value`, with the same
+    errors, keeping every column that attains the least pairing. The
+    minimizers in (0, 1]^2, in lexicographic order, are the lowest
+    point (i*a, y_i)/D of each such column, and with psi_2 = 0 every
+    point (i*a, y_i + k*d)/D <= (1, 1) of it: along a column the pairing
+    then stays constant, and otherwise it grows with k.
     """
+    denom, a, b, d, columns = _columns(lat)
     scale, c1, c2 = _scaled_psi(psi)
-    denom, reps = box_representatives(lat)
-    # Every representative has coordinates at most denom, so this beats none.
+    step = c1 * a
+    # Every column's lowest point has coordinates at most denom, so this beats none.
     best = (c1 + c2) * denom + 1
     argmin: list[tuple[int, int]] = []
-    for x, y in reps:
-        value = c1 * x + c2 * y
+    for i in range(1, columns + 1):
+        y = (i * b - 1) % d + 1
+        value = step * i + c2 * y
         if value < best:
-            best, argmin = value, [(x, y)]
+            best, argmin = value, [(i * a, y)]
         elif value == best:
-            argmin.append((x, y))
-    argmin.sort()
+            argmin.append((i * a, y))
+    if not c2:
+        argmin = [(x, y) for x, low in argmin for y in range(low, denom + 1, d)]
     return Fraction(best, denom * scale), [
         Vec2(Fraction(x, denom), Fraction(y, denom)) for x, y in argmin
     ]

@@ -212,8 +212,8 @@ def test_complement_standard_reduces_the_ratio():
 
 
 def test_complement_standard_computes_the_minimum_once(monkeypatch):
-    # One minimum for the germ, passed to the case analysis, plus the one
-    # the case analysis takes of its residual psi - gamma*v1.
+    # One minimum for the germ, passed to the case analysis, which reads
+    # the minimum of its residual psi - gamma*v1 off the normal form.
     calls = []
     original = toricmld.germs.sail_minimum
 
@@ -225,7 +225,7 @@ def test_complement_standard_computes_the_minimum_once(monkeypatch):
     monkeypatch.setattr(toricmld.geometry, "sail_minimum", counting)
     germ = germ_from_quotient_type(7, 1, 3)
     comp = complement_standard(germ, 1, 2)
-    assert len(calls) == 2 and calls[0] == psi_of(germ)
+    assert calls == [psi_of(germ)]
     monkeypatch.undo()
     assert comp == complement_standard(germ, 1, 2)
 

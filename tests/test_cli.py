@@ -23,8 +23,10 @@ from toricmld import (
     cli,
     format_rational,
     geometry,
+    germs,
     lattice_from_generators,
     lattice_from_quotient_type,
+    lattices,
     oracle,
     parse_rational,
     superlattices,
@@ -743,7 +745,8 @@ def test_verify_checks_a_returning_lattice_again(capsys, tmp_path):
 
 def test_verify_builds_no_representative_set(capsys, tmp_path, monkeypatch):
     # Every record kind reaches the oracle through the column walk of
-    # `mld_oracle_value`; the full enumeration is never built.
+    # `mld_oracle_value`; neither the full oracle nor the engine's
+    # listing of the quotient runs.
     sweep = tmp_path / "mixed.jsonl"
     args = ("--mode", "all", "--index-max", "5", "--boundary-set", "standard", "--t", "1/4")
     assert run_cli(capsys, "enumerate", *args, "--include-not-tlc", "--out", str(sweep))[0] == 0
@@ -755,10 +758,12 @@ def test_verify_builds_no_representative_set(capsys, tmp_path, monkeypatch):
         + run_cli(capsys, "complement", "--type", "7,1,3", "--bounded")[1]
     )
 
-    def refuse(lat):
+    def refuse(lat, *args):
         raise AssertionError(f"verify enumerated the quotient of {lat}")
 
-    monkeypatch.setattr(oracle, "box_representatives", refuse)
+    monkeypatch.setattr(oracle, "mld_oracle_lattice", refuse)
+    for module in (lattices, germs):
+        monkeypatch.setattr(module, "residues", refuse)
     for path, count in ((sweep, 546), (lawrence, 33), (complements, 2)):
         assert run_cli(capsys, "verify", "--in", str(path)) == (
             0,
@@ -996,7 +1001,8 @@ _CLASSIFY = (
 # before they walked Hirzebruch-Jung chains; the unreduced complement
 # ratios: when p/q was first reduced, equal to the --p 1 --q 3 record
 # but for p and q; the classify list: before the case analysis moved to
-# integers). Commands joined by "; " are hashed as one
+# integers; the zero-psi mld: before `residues` listed the quotient by
+# its columns). Commands joined by "; " are hashed as one
 # concatenated stdout. A change to any record, its field order or its
 # formatting shows up here.
 PINNED_SWEEPS = [
@@ -1061,6 +1067,10 @@ PINNED_SWEEPS = [
         "; ".join(_CLASSIFY),
         "ed17140f3c5d04ab3a344333acd8086c39175d2eb144ec3916324c2ee5229bf4",
     ),
+    (
+        "mld --type 10007,1,7 --boundary 1,1",
+        "09ca9d2453efe2aa8d7eb83584c457713648b727d6208e9e7e644c8ece05ae32",
+    ),
 ]
 
 
@@ -1085,5 +1095,5 @@ def test_optimized_ci_step_checks_pinned_digests():
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     text = workflow.read_text(encoding="utf-8")
     digests = re.findall(r"\b[0-9a-f]{64}\b", text)
-    assert "python -O -m toricmld" in text and len(digests) == 4
+    assert "python -O -m toricmld" in text and len(digests) == 5
     assert set(digests) <= {digest for _, digest in PINNED_SWEEPS}

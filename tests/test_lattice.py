@@ -184,8 +184,8 @@ def test_residues_property():
 
 def test_integer_residue_scan_matches_the_oracle():
     # residues() and the engine's minimum scan work in integers scaled
-    # by the basis's common denominator; the oracle enumerates the
-    # quotient on its own in rationals. Zero psi makes every
+    # by the basis's common denominator; the oracle walks the quotient's
+    # columns in code of its own. Zero psi makes every
     # representative a minimizer; psi with coprime denominators checks
     # the scaling of the pairing.
     psis = (vec(Fraction(1, 3), Fraction(5, 7)), vec(Fraction(5, 6), Fraction(2, 9)))

@@ -2,6 +2,9 @@
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,10 +16,12 @@ from toricmld import (
     Lattice,
     STANDARD_LATTICE,
     dual,
+    germ_from_quotient_type,
     lattice_from_generators,
     lattice_from_quotient_type,
     lawrence_oracle,
     make_germ,
+    mld,
     mld_argmin,
     mld_oracle,
     mld_oracle_lattice,
@@ -50,6 +55,8 @@ def test_mld_oracle_rejects_negative_psi():
         mld_oracle_lattice(STANDARD_LATTICE, vec(-1, 1))
     with pytest.raises(ValueError, match="nonnegative"):
         mld_oracle_lattice(STANDARD_LATTICE, vec(0, Fraction(-1, 7)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle.mld_oracle_value(STANDARD_LATTICE, vec(-1, 1))
 
 
 def test_mld_oracle_zero_psi_lists_all_representatives():
@@ -124,15 +131,6 @@ def test_oracle_refuses_an_index_above_its_limit(monkeypatch):
                 oracle_of(lat, ONES)
 
 
-def test_oracle_value_is_the_minimum_of_the_full_oracle():
-    psis = [vec(0, 0), ONES, vec(Fraction(1, 2), 0), vec(Fraction(2, 3), Fraction(1, 5))]
-    for lat in superlattices(12):
-        for psi in psis:
-            assert oracle.mld_oracle_value(lat, psi) == mld_oracle_lattice(lat, psi)[0]
-    with pytest.raises(ValueError, match="nonnegative"):
-        oracle.mld_oracle_value(STANDARD_LATTICE, vec(-1, 1))
-
-
 # Zero, axis and interior psi: with a zero coordinate the points of a
 # column, or all first points of the columns, tie, so each kind is checked.
 WALK_PSIS = (
@@ -146,15 +144,25 @@ WALK_PSIS = (
 )
 
 
-def naive_minimum(points, denom, psi):
-    """Least pairing with psi over the points (x, y)/denom, written out in Fractions."""
-    return min(psi.x1 * x + psi.x2 * y for x, y in points) / denom
+def naive_argmin(points, denom, psi):
+    """Least pairing with psi over the points (x, y)/denom and its sorted minimizers, in Fractions."""
+    pairings = {vec(Fraction(x, denom), Fraction(y, denom)): psi.x1 * x + psi.x2 * y for x, y in points}
+    best = min(pairings.values())
+    return best / denom, sorted(m for m, value in pairings.items() if value == best)
+
+
+def check_walks(lat, psi, points, denom):
+    """Both oracles against the naive enumeration of the points (x, y)/denom."""
+    expected = naive_argmin(points, denom, psi)
+    assert oracle.mld_oracle_value(lat, psi) == expected[0], (lat, psi)
+    assert mld_oracle_lattice(lat, psi) == expected, (lat, psi)
 
 
 def test_walk_matches_naive_enumeration_on_every_small_superlattice():
     # Each superlattice of index n <= 40 is the dual of an integer
     # sublattice S of index n; its points in (0, 1]^2 are the (x, y)/n,
-    # 1 <= x, y <= n, that pair integrally with both rows of S.
+    # 1 <= x, y <= n, that pair integrally with both rows of S. Both the
+    # value walk and the full oracle, minimizers included, are checked.
     cases = 0
     for n in range(1, 41):
         for sub in sublattices_of_standard(n):
@@ -168,7 +176,7 @@ def test_walk_matches_naive_enumeration_on_every_small_superlattice():
             assert len(points) == n
             lat = dual(sub)
             for psi in WALK_PSIS:
-                assert oracle.mld_oracle_value(lat, psi) == naive_minimum(points, n, psi), (lat, psi)
+                check_walks(lat, psi, points, n)
                 cases += 1
     assert cases == 7 * len(list(superlattices(40)))
 
@@ -190,17 +198,56 @@ def test_walk_matches_naive_enumeration_on_cyclic_quotients(kind, c1, c2):
     # the multiples k*(w1, w2)/r, k = 1..r, each coordinate taken in (0, 1].
     r, w1, w2 = kind
     points = [(k * w1 % r or r, k * w2 % r or r) for k in range(1, r + 1)]
-    psi = vec(c1, c2)
-    lat = lattice_from_quotient_type(r, w1, w2)
-    assert oracle.mld_oracle_value(lat, psi) == naive_minimum(points, r, psi)
+    check_walks(lattice_from_quotient_type(r, w1, w2), vec(c1, c2), points, r)
 
 
 def test_walk_refuses_a_lattice_without_the_integer_plane():
     # ((1/2, 1/4), (0, 1)) has a | D and d | D, but 2*r1 = (1, 1/2) leaves
     # e1 outside it; the walk's columns would miss classes.
     lat = Lattice(hnf=(4, 2, 1, 4))
-    with pytest.raises(ValueError, match="integer plane"):
-        oracle.mld_oracle_value(lat, ONES)
+    for oracle_of in (mld_oracle_lattice, oracle.mld_oracle_value):
+        with pytest.raises(ValueError, match="integer plane"):
+            oracle_of(lat, ONES)
+
+
+def test_full_oracle_at_order_one_million_peaks_under_60_mb():
+    # The walk keeps one column at a time; a set of one point per class
+    # would take about 170 MB at this order. The oracle runs in a
+    # grandchild: a process's peak counts its parent's memory when it is
+    # forked from it, and the small probe keeps the large test runner out.
+    run = (
+        "from toricmld import germ_from_quotient_type, mld_oracle\n"
+        "value, argmin = mld_oracle(germ_from_quotient_type(1000003, 1, 7))\n"
+        "print(value, len(argmin))\n"
+    )
+    probe = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, run],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parent.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    value, count, peak_kb = proc.stdout.split()  # ru_maxrss is in kilobytes on Linux
+    assert (Fraction(value), int(count)) == (mld(germ_from_quotient_type(1000003, 1, 7)), 1)
+    assert int(peak_kb) < 60 * 1024, peak_kb
+
+
+def test_package_holds_no_assert_statement():
+    # `python -O` compiles asserts out, so no check of the program may be one.
+    package = Path(oracle.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_oracle_shares_no_code_with_the_engine():
