@@ -121,7 +121,15 @@ def classify_tlc(germ: Germ, t: Rational) -> Certificate:
 def verify_certificate_lattice(
     lat: Lattice, psi: Vec2, t: Rational, cert: Certificate
 ) -> Verification:
-    """Re-check a certificate from its definition only.
+    """Re-check a certificate from its definition only (see `verify_certificate_scaled`)."""
+    t = _exact(t)
+    return verify_certificate_scaled(lat, _scaled_covector(psi), (t.numerator, t.denominator), cert)
+
+
+def verify_certificate_scaled(
+    lat: Lattice, psi: tuple[int, int, int], t: tuple[int, int], cert: Certificate
+) -> Verification:
+    """`verify_certificate_lattice` at psi = (c1, c2)/s and t = tn/td, with s, td > 0.
 
     Raw pairings and membership tests; nothing is taken from the
     classifier, so a classifier bug cannot vouch for itself. The checks
@@ -131,11 +139,10 @@ def verify_certificate_lattice(
     scale divides it, and rationals are compared by cross-multiplying
     with their positive denominators, so no rational is built.
     """
-    t = _exact(t)
-    tn, td = t.numerator, t.denominator
+    ps, c1, c2 = psi
+    tn, td = t
     if tn <= 0:
         return Verification(False, "threshold must be positive")
-    pn1, pd1, pn2, pd2 = psi.x1.numerator, psi.x1.denominator, psi.x2.numerator, psi.x2.denominator
     denom, a, b, d = lat.hnf
     if isinstance(cert, CaseA):
         s, m1, m2 = _scaled_covector(cert.m)
@@ -146,8 +153,8 @@ def verify_certificate_lattice(
         # The pairings with the rows (a, b)/D and (0, d)/D.
         if (m1 * a + m2 * b) % (s * denom) or (m2 * d) % (s * denom):
             return Verification(False, "witness pairs non-integrally with the subgroup")
-        # psi - t*m in the quadrant: psi_i >= (tn/td)*(m_i/s) for each i.
-        if pn1 * td * s < tn * m1 * pd1 or pn2 * td * s < tn * m2 * pd2:
+        # psi - t*m in the quadrant: c_i/ps >= (tn/td)*(m_i/s) for each i.
+        if c1 * td * s < tn * m1 * ps or c2 * td * s < tn * m2 * ps:
             return Verification(False, "threshold multiple of the witness overshoots psi")
         return Verification(True, "single-witness certificate holds")
     if isinstance(cert, CaseB):
@@ -165,7 +172,7 @@ def verify_certificate_lattice(
             return Verification(False, "pair weights sum below the threshold")
         # t1*m1 + t2*m2 over the common denominator d1*d2*s1*s2, against psi.
         w1, w2, scale = n1 * d2 * s2, n2 * d1 * s1, d1 * d2 * s1 * s2
-        if (w1 * x1 + w2 * x2) * pd1 != pn1 * scale or (w1 * y1 + w2 * y2) * pd2 != pn2 * scale:
+        if (w1 * x1 + w2 * x2) * ps != c1 * scale or (w1 * y1 + w2 * y2) * ps != c2 * scale:
             return Verification(False, "weighted pair does not decompose psi")
         common = math.lcm(s1, s2)
         u1, u2 = common // s1, common // s2
@@ -181,8 +188,8 @@ def verify_certificate_lattice(
             return Verification(False, "violating point is not interior to the quadrant")
         value = _exact(cert.value)
         vn, vd = value.numerator, value.denominator
-        # psi . e = (pn1*pd2*e1 + pn2*pd1*e2)/(pd1*pd2*s), against value.
-        if (pn1 * pd2 * e1 + pn2 * pd1 * e2) * vd != vn * pd1 * pd2 * s:
+        # psi . e = (c1*e1 + c2*e2)/(ps*s), against value.
+        if (c1 * e1 + c2 * e2) * vd != vn * ps * s:
             return Verification(False, "recorded pairing value is wrong")
         if vn * td >= tn * vd:
             return Verification(False, "recorded value does not beat the threshold")
@@ -521,6 +528,30 @@ def _swap_forms(lattices: Iterable[Lattice]) -> Iterator[tuple[_Form, _Form, int
         yield lat.hnf, swap.hnf, basis_order(lat, swap)
 
 
+def _certificate(
+    germ: Germ, t: Rational, psi: Vec2, minimum: Minimum, data: Optional[CaseData]
+) -> Certificate:
+    """The germ's certificate at t > 0, checked by `verify_certificate_lattice`.
+
+    NotTLC when the minimum is below t; otherwise the covector
+    certificate, from `data` or a case analysis computed here.
+    VerificationFailure if the certificate fails its own check.
+    """
+    lat = germ.lattice
+    if minimum.value < t:
+        cert: Certificate = NotTLC(minimum.first, minimum.value)
+    else:
+        if data is None:
+            data = case_analysis_lattice(lat, psi, minimum)
+        cert = certificate_from_case_data(lat, data, psi, t)
+    outcome = verify_certificate_lattice(lat, psi, t, cert)
+    if not outcome:
+        raise VerificationFailure(
+            f"certificate rejected for {lat!r}, boundary ({germ.b1},{germ.b2}): {outcome.reason}"
+        )
+    return cert
+
+
 def classify_germ_record(
     germ: Germ,
     t: Rational,
@@ -542,19 +573,8 @@ def classify_germ_record(
     psi = psi_of(germ)
     if minimum is None:
         minimum = sail_minimum(lat, psi)
-    value = minimum.value
-    if value < t:
-        cert: Certificate = NotTLC(minimum.first, value)
-    else:
-        if data is None:
-            data = case_analysis_lattice(lat, psi, minimum)
-        cert = certificate_from_case_data(lat, data, psi, t)
-    outcome = verify_certificate_lattice(lat, psi, t, cert)
-    if not outcome:
-        raise VerificationFailure(
-            f"certificate rejected for {lat!r}, boundary ({germ.b1},{germ.b2}): {outcome.reason}"
-        )
-    return ClassifiedGerm(germ, t, value, cert, series_membership_lattice(lat, t))
+    cert = _certificate(germ, t, psi, minimum, data)
+    return ClassifiedGerm(germ, t, minimum.value, cert, series_membership_lattice(lat, t))
 
 
 def candidate_germs(
@@ -628,8 +648,10 @@ def enumerate_germs(
     """Classified canonical germs, each with a verified certificate.
 
     Records with value below t are withheld unless include_not_tlc is
-    set (those carry a NotTLC certificate). Withheld records need not
-    be classified: without include_not_tlc, a cyclic sweep walks only
+    set (those carry a NotTLC certificate). A withheld germ costs its
+    minimum and the check of its NotTLC certificate, which guards the
+    drop; it gets no series list. Most withheld germs need not be
+    classified at all: without include_not_tlc, a cyclic sweep walks only
     the lattices within Borisov's excess bound (2 - b1 - b2 - 2t)/t of
     some boundary pair, outside which no germ reaches t (proof in
     `_cyclic_forms`). The threshold, the mode and the boundary pairs
@@ -646,8 +668,21 @@ def enumerate_germs(
             default=-1,
         )
     germs = candidate_germs(mode, bound, boundaries, budget)
-    records = (classify_germ_record(germ, t) for germ in germs)
-    return (record for record in records if include_not_tlc or record.mld >= t)
+    if include_not_tlc:
+        return (classify_germ_record(germ, t) for germ in germs)
+
+    def kept() -> Iterator[ClassifiedGerm]:
+        for germ in germs:
+            psi = psi_of(germ)
+            minimum = sail_minimum(germ.lattice, psi)
+            if minimum.value >= t:
+                yield classify_germ_record(germ, t, minimum)
+            else:
+                # Withheld: the check of its NotTLC certificate guards the
+                # drop; it gets no series list and no record.
+                _certificate(germ, t, psi, minimum, None)
+
+    return kept()
 
 
 def quotient_type_of(germ: Germ) -> Optional[tuple[int, int, int]]:

@@ -26,7 +26,7 @@ from .certify import (
     enumerate_germs,
     lawrence,
     series_membership_lattice,
-    verify_certificate_lattice,
+    verify_certificate_scaled,
     verify_lawrence_result,
 )
 from .errors import VerificationFailure
@@ -38,6 +38,7 @@ from .germs import (
     mld_argmin,
     psi_of,
     sail_minimum,
+    scaled_psi,
 )
 from .lattices import (
     Lattice,
@@ -48,7 +49,7 @@ from .lattices import (
     simplex_ratio,
     superlattices,
 )
-from .oracle import lawrence_oracle, mld_oracle_value
+from .oracle import lawrence_oracle, mld_oracle_scaled
 from .records import (
     TABLE_COLUMNS,
     case_data_to_json,
@@ -58,7 +59,7 @@ from .records import (
     germ_to_json,
     lawrence_record_from_json,
     lawrence_record_to_json,
-    record_from_json,
+    record_fields,
     record_table_row,
     record_to_json,
     type_label,
@@ -251,9 +252,10 @@ class _LatticeEntry:
     """What `verify` derives from one record lattice alone.
 
     Holds the decoded lattice and its type label, and builds the series
-    list for one threshold on first use. Classification records in a
-    row with the same `germ.lattice` JSON share one entry; each still
-    runs every check, the oracle's column walk included.
+    list for one threshold, a reduced (tn, td), on first use.
+    Classification records in a row with the same `germ.lattice` JSON
+    share one entry; each still runs every check, the oracle's column
+    walk included.
     """
 
     __slots__ = ("raw", "lattice", "label", "_series_t", "_series")
@@ -261,12 +263,12 @@ class _LatticeEntry:
     def __init__(self, raw: list, lattice: Lattice):
         self.raw, self.lattice = raw, lattice
         self.label = type_label(lattice)
-        self._series_t: Optional[Fraction] = None
+        self._series_t: Optional[tuple[int, int]] = None
         self._series: list = []
 
-    def series(self, t: Fraction) -> list:
+    def series(self, t: tuple[int, int]) -> list:
         if self._series_t != t:
-            self._series, self._series_t = series_membership_lattice(self.lattice, t), t
+            self._series, self._series_t = series_membership_lattice(self.lattice, Fraction(*t)), t
         return self._series
 
 
@@ -276,22 +278,29 @@ _entry: Optional[_LatticeEntry] = None
 
 
 def _verify_classification(data: dict, line_no: int) -> None:
+    """Decode, then check the label, the oracle's mld, the certificate, its side and the series.
+
+    Everything runs in integers: the record's rationals are reduced
+    (num, den) pairs, psi is (c1, c2)/s, and rationals are compared by
+    cross-multiplying with their positive denominators.
+    """
     global _entry
     germ = data.get("germ")
     raw = germ.get("lattice") if isinstance(germ, dict) else None
     shared = _entry is not None and _entry.raw == raw
-    record = record_from_json(data, _entry.lattice if shared else None)
+    record = record_fields(data, _entry.lattice if shared else None)
     if not shared:
-        _entry = _LatticeEntry(raw, record.germ.lattice)
+        _entry = _LatticeEntry(raw, record.lattice)
     entry = _entry
     _require(type_label_agrees(data, entry.label), line_no, "type label disagrees with the lattice")
-    psi = psi_of(record.germ)
-    value = mld_oracle_value(entry.lattice, psi)
-    _require(value == record.mld, line_no, "recorded mld disagrees with the oracle")
-    outcome = verify_certificate_lattice(entry.lattice, psi, record.t, record.certificate)
+    psi = scaled_psi(*record.boundary)
+    num, den = mld_oracle_scaled(entry.lattice, psi)
+    (mn, md), (tn, td) = record.mld, record.t
+    _require(num * md == mn * den, line_no, "recorded mld disagrees with the oracle")
+    outcome = verify_certificate_scaled(entry.lattice, psi, record.t, record.certificate)
     _require(outcome.ok, line_no, f"certificate rejected: {outcome.reason}")
     _require(
-        isinstance(record.certificate, NotTLC) == (value < record.t),
+        isinstance(record.certificate, NotTLC) == (num * td < tn * den),
         line_no,
         "certificate side disagrees with the oracle threshold test",
     )

@@ -109,6 +109,16 @@ def psi_of(germ: Germ) -> Vec2:
     )
 
 
+def scaled_psi(b1: tuple[int, int], b2: tuple[int, int]) -> tuple[int, int, int]:
+    """psi of the boundary (n1/d1, n2/d2), d1, d2 > 0, as (s, c1, c2) with psi = (c1, c2)/s.
+
+    `psi_of` in integers: 1 - n/d = (d - n)/d over s = lcm(d1, d2).
+    """
+    (n1, d1), (n2, d2) = b1, b2
+    scale = math.lcm(d1, d2)
+    return scale, (d1 - n1) * (scale // d1), (d2 - n2) * (scale // d2)
+
+
 def swapped_germ(germ: Germ) -> Germ:
     """Image of the germ under the coordinate swap."""
     return Germ(swapped_lattice(germ.lattice), germ.b2, germ.b1)
@@ -246,9 +256,22 @@ def mld_lattice(lat: Lattice, psi: Vec2) -> Rational:
     return sail_minimum(lat, psi).value
 
 
+# Most minimizers `mld_argmin_lattice` lists; at zero psi that is the index.
+ARGMIN_LIMIT = 100_000
+
+
 def mld_argmin_lattice(lat: Lattice, psi: Vec2) -> tuple[Rational, list[Vec2]]:
-    """Minimum pairing and the sorted list of minimizing representatives."""
+    """Minimum pairing and the sorted list of minimizing representatives.
+
+    ValueError, before any point is built, when the list would hold
+    more than ARGMIN_LIMIT points: `sail_minimum` counts them first.
+    """
     minimum = sail_minimum(lat, psi)
+    if minimum.count > ARGMIN_LIMIT:
+        what = "index" if psi.is_zero() else "minimizer count"
+        raise ValueError(
+            f"{what} {minimum.count} is above the listing limit of {ARGMIN_LIMIT} minimizers"
+        )
     if psi.is_zero():
         return minimum.value, residues(lat)
     first, step = minimum.first, minimum.step

@@ -26,11 +26,13 @@ if TYPE_CHECKING:  # type-only; keeps the oracle import-independent
 ORACLE_LIMIT = 2_000_000
 
 
-def _columns(lat: Lattice) -> tuple[int, int, int, int, int]:
-    """(D, a, b, d, D/a) for the walk over the quotient's columns.
+def _columns(lat: Lattice, psi: tuple[int, int, int]) -> tuple[int, int, int, int, int]:
+    """(D, a, b, d, D/a) for the walk over the quotient's columns, at psi = (c1, c2)/s.
 
-    ValueError unless the lattice contains the integer plane, and when
-    its index (D/a)*(D/d) is above ORACLE_LIMIT.
+    ValueError unless the lattice contains the integer plane, when its
+    index (D/a)*(D/d) is above ORACLE_LIMIT, and unless psi has no
+    negative coordinate: the minimum over the whole open quadrant equals
+    the minimum over the (0,1]^2 representatives only then.
     """
     denom, a, b, d = lat.hnf
     if denom % a or denom % d or (denom // a * b) % d:
@@ -41,18 +43,13 @@ def _columns(lat: Lattice) -> tuple[int, int, int, int, int]:
         raise ValueError(
             f"index {order} is above the oracle limit of {ORACLE_LIMIT} quotient classes"
         )
+    if psi[1] < 0 or psi[2] < 0:
+        raise ValueError("oracle needs a componentwise nonnegative psi")
     return denom, a, b, d, columns
 
 
 def _scaled_psi(psi: Vec2) -> tuple[int, int, int]:
-    """(s, c1, c2) with psi = (c1, c2)/s.
-
-    The minimum over the whole open quadrant equals the minimum over the
-    (0,1]^2 representatives whenever psi has no negative coordinate;
-    that assumption is checked here.
-    """
-    if psi.x1 < 0 or psi.x2 < 0:
-        raise ValueError("oracle needs a componentwise nonnegative psi")
+    """(s, c1, c2) with psi = (c1, c2)/s."""
     scale = math.lcm(psi.x1.denominator, psi.x2.denominator)
     return (
         scale,
@@ -61,13 +58,25 @@ def _scaled_psi(psi: Vec2) -> tuple[int, int, int]:
     )
 
 
+def mld_oracle_scaled(lat: Lattice, psi: tuple[int, int, int]) -> tuple[int, int]:
+    """`mld_oracle_value` in integers: psi = (c1, c2)/s with s > 0, the value num/den, den > 0.
+
+    The pair is not reduced; compare it by cross-multiplying.
+    """
+    denom, a, b, d, columns = _columns(lat, psi)
+    scale, c1, c2 = psi
+    step = c1 * a
+    least = min(step * i + c2 * ((i * b - 1) % d + 1) for i in range(1, columns + 1))
+    return least, denom * scale
+
+
 def mld_oracle_value(lat: Lattice, psi: Vec2) -> Rational:
     """Minimum of the pairing over open-quadrant points, by a walk over columns.
 
     Reads the lattice's integer form `lat.hnf` = (D, a, b, d), the basis
     r1 = (a, b)/D, r2 = (0, d)/D, and takes O(1) memory. ValueError
-    unless the lattice contains the integer plane, and when the index
-    is above ORACLE_LIMIT.
+    unless the lattice contains the integer plane, when the index
+    is above ORACLE_LIMIT, and unless psi is componentwise nonnegative.
 
     Proof. An open-quadrant point reduces modulo Z^2, which the lattice
     contains, to a lattice point in (0, 1]^2 whose coordinates are no
@@ -83,11 +92,7 @@ def mld_oracle_value(lat: Lattice, psi: Vec2) -> Rational:
     psi = (c1, c2)/s, the minimum is the least c1*a*i + c2*y_i over
     the columns, divided by s*D: D/a <= index integer steps, no set.
     """
-    denom, a, b, d, columns = _columns(lat)
-    scale, c1, c2 = _scaled_psi(psi)
-    step = c1 * a
-    least = min(step * i + c2 * ((i * b - 1) % d + 1) for i in range(1, columns + 1))
-    return Fraction(least, denom * scale)
+    return Fraction(*mld_oracle_scaled(lat, _scaled_psi(psi)))
 
 
 def mld_oracle_lattice(lat: Lattice, psi: Vec2) -> tuple[Rational, list[Vec2]]:
@@ -100,8 +105,9 @@ def mld_oracle_lattice(lat: Lattice, psi: Vec2) -> tuple[Rational, list[Vec2]]:
     point (i*a, y_i + k*d)/D <= (1, 1) of it: along a column the pairing
     then stays constant, and otherwise it grows with k.
     """
-    denom, a, b, d, columns = _columns(lat)
-    scale, c1, c2 = _scaled_psi(psi)
+    scaled = _scaled_psi(psi)
+    denom, a, b, d, columns = _columns(lat, scaled)
+    scale, c1, c2 = scaled
     step = c1 * a
     # Every column's lowest point has coordinates at most denom, so this beats none.
     best = (c1 + c2) * denom + 1

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Optional
+from fractions import Fraction
+from typing import Any, NamedTuple, Optional
 
 from .certify import (
     CaseA,
@@ -43,6 +44,9 @@ from .lattices import (
     positive_threshold,
     simplex_ratio,
 )
+
+# A rational as a reduced (numerator, denominator) pair, denominator positive.
+Ratio = tuple[int, int]
 
 
 def _json_int(value: Any, field: str) -> int:
@@ -117,14 +121,34 @@ def germ_to_json(germ: Germ) -> dict:
     }
 
 
-def germ_from_json(data: Any, lattice: Optional[Lattice] = None) -> Germ:
-    """The germ of a record; `lattice`, when given, is `data["lattice"]` already decoded."""
+def _reduced(text: Any) -> Ratio:
+    """A "p/q" or "n" literal as a reduced pair; ValueError as `parse_rational`."""
+    num, den = parse_ratio(text)
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _germ_fields(data: Any, lattice: Optional[Lattice]) -> tuple[Lattice, Ratio, Ratio]:
+    """(lattice, b1, b2) of a germ record, the boundary as reduced pairs.
+
+    `lattice`, when given, is `data["lattice"]` already decoded. The
+    boundary literals are read before the lattice and checked against
+    [0, 1] after it.
+    """
     if not isinstance(data, dict) or "lattice" not in data or "boundary" not in data:
         raise ValueError(f"not a germ record: {data!r}")
-    b1, b2 = vec_from_json(data["boundary"])
+    b1, b2 = (_reduced(x) for x in _pair(data["boundary"]))
     if lattice is None:
         lattice = lattice_from_json(data["lattice"])
-    return Germ(lattice, *boundary_pair(b1, b2))
+    if not (0 <= b1[0] <= b1[1] and 0 <= b2[0] <= b2[1]):
+        boundary_pair(Fraction(*b1), Fraction(*b2))  # raises, naming the coefficient
+    return lattice, b1, b2
+
+
+def germ_from_json(data: Any, lattice: Optional[Lattice] = None) -> Germ:
+    """The germ of a record; `lattice`, when given, is `data["lattice"]` already decoded."""
+    lattice, b1, b2 = _germ_fields(data, lattice)
+    return Germ(lattice, Fraction(*b1), Fraction(*b2))
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -192,21 +216,53 @@ def record_to_json(record: ClassifiedGerm) -> dict:
     }
 
 
-def record_from_json(data: Any, lattice: Optional[Lattice] = None) -> ClassifiedGerm:
-    """The classification record; `lattice`, when given, is its germ's lattice already decoded."""
+class RecordFields(NamedTuple):
+    """A classification record read in integers; `record_from_json` wraps it in Fractions."""
+
+    lattice: Lattice
+    boundary: tuple[Ratio, Ratio]
+    t: Ratio
+    mld: Ratio
+    certificate: Certificate
+    series: list[tuple[int, int]]
+
+
+def record_fields(data: Any, lattice: Optional[Lattice] = None) -> RecordFields:
+    """The fields of a classification record, each rational a reduced integer pair.
+
+    `lattice`, when given, is `data["germ"]["lattice"]` already decoded.
+    The fields decode in the order series, germ (boundary literals,
+    lattice, boundary range), t, mld, certificate, and the first that
+    fails raises ValueError, or KeyError for a missing key.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"not a classification record: {data!r}")
     series = []
     for m in data["series"]:
         if not isinstance(m, (list, tuple)) or len(m) != 2:
             raise ValueError(f"not a series id: {m!r}")
-        series.append((_json_int(m[0], "series id"), _json_int(m[1], "series id")))
+        i, j = m
+        if not type(i) is type(j) is int:
+            _json_int(i, "series id"), _json_int(j, "series id")  # raises
+        series.append((i, j))
+    lattice, b1, b2 = _germ_fields(data["germ"], lattice)
+    t = _reduced(data["t"])
+    if t[0] <= 0:
+        positive_threshold(Fraction(*t))  # raises
+    mld = _reduced(data["mld"])
+    return RecordFields(lattice, (b1, b2), t, mld, certificate_from_json(data["certificate"]), series)
+
+
+def record_from_json(data: Any, lattice: Optional[Lattice] = None) -> ClassifiedGerm:
+    """The classification record; `lattice`, when given, is its germ's lattice already decoded."""
+    fields = record_fields(data, lattice)
+    (n1, d1), (n2, d2) = fields.boundary
     return ClassifiedGerm(
-        germ_from_json(data["germ"], lattice),
-        positive_threshold(parse_rational(data["t"])),
-        parse_rational(data["mld"]),
-        certificate_from_json(data["certificate"]),
-        series,
+        Germ(fields.lattice, Fraction(n1, d1), Fraction(n2, d2)),
+        Fraction(*fields.t),
+        Fraction(*fields.mld),
+        fields.certificate,
+        fields.series,
     )
 
 
@@ -297,7 +353,7 @@ def complement_record_from_json(data: Any) -> tuple[Germ, Complement, Optional[R
 
 def dumps(data: dict) -> str:
     """One-line JSON with stable key order (insertion order)."""
-    return json.dumps(data, separators=(", ", ": "))
+    return json.dumps(data)  # the default separators, through json's cached encoder
 
 
 def germ_label(germ: Germ) -> str:

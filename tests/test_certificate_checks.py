@@ -37,6 +37,7 @@ from toricmld import (
     vec,
     verify_certificate_lattice,
 )
+from toricmld.certify import verify_certificate_scaled
 from toricmld.cli import main
 
 SWEEP = (
@@ -209,8 +210,9 @@ def reference_verification(lat, psi, t, cert):
     return False, "unrecognized certificate"
 
 
+# Every reason the integer core of `verify_certificate_lattice` can give.
 REASONS = set(
-    re.findall(r'Verification\((?:True|False), "([^"]+)"\)', inspect.getsource(verify_certificate_lattice))
+    re.findall(r'Verification\((?:True|False), "([^"]+)"\)', inspect.getsource(verify_certificate_scaled))
 )
 
 

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -676,6 +677,32 @@ def test_verify_labels_a_huge_lattice_before_refusing_it(capsys, tmp_path, latti
     assert err == (
         f"error: line 1: index {order} is above the oracle limit of"
         f" {oracle.ORACLE_LIMIT} quotient classes\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--type", "20000003,1,7", "--boundary", "1,1"), "index 20000003"),
+        (("--type", BIG_ORDER, "--boundary", "1,1"), "index 1000000000000"),
+        (("--type", "200003,1,200002"), "minimizer count 200002"),
+    ],
+)
+def test_mld_refuses_a_listing_above_the_limit(capsys, argv, message):
+    # Zero psi lists every class, and 1/r(1, r-1) at psi = (1, 1) has r - 1
+    # minimizers: the count is known before any point is built.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, "mld", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 1 << 20, peak
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {message} is above the listing limit of {germs.ARGMIN_LIMIT} minimizers\n"
     )
 
 
