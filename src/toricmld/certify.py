@@ -557,20 +557,22 @@ def classify_germ_record(
     t: Rational,
     minimum: Optional[Minimum] = None,
     data: Optional[CaseData] = None,
+    psi: Optional[Vec2] = None,
 ) -> ClassifiedGerm:
     """Classify one germ, verify the certificate, attach series data.
 
     Returns the record, with a NotTLC certificate when the value is
     below the threshold (callers decide whether to stream those).
-    `minimum` and `data` are the germ's `sail_minimum` and case analysis
-    when the caller already has them; the case analysis is computed only
-    when the certificate needs it. Raises ValueError for a threshold
-    that is not positive, VerificationFailure if the certificate fails
-    its own check.
+    `minimum`, `data` and `psi` are the germ's `sail_minimum`, case
+    analysis and `psi_of` when the caller already has them; the case
+    analysis is computed only when the certificate needs it. Raises
+    ValueError for a threshold that is not positive, VerificationFailure
+    if the certificate fails its own check.
     """
     t = positive_threshold(Fraction(t))
     lat = germ.lattice
-    psi = psi_of(germ)
+    if psi is None:
+        psi = psi_of(germ)
     if minimum is None:
         minimum = sail_minimum(lat, psi)
     cert = _certificate(germ, t, psi, minimum, data)
@@ -668,21 +670,19 @@ def enumerate_germs(
             default=-1,
         )
     germs = candidate_germs(mode, bound, boundaries, budget)
-    if include_not_tlc:
-        return (classify_germ_record(germ, t) for germ in germs)
 
-    def kept() -> Iterator[ClassifiedGerm]:
+    def records() -> Iterator[ClassifiedGerm]:
         for germ in germs:
             psi = psi_of(germ)
             minimum = sail_minimum(germ.lattice, psi)
-            if minimum.value >= t:
-                yield classify_germ_record(germ, t, minimum)
+            if include_not_tlc or minimum.value >= t:
+                yield classify_germ_record(germ, t, minimum, psi=psi)
             else:
                 # Withheld: the check of its NotTLC certificate guards the
                 # drop; it gets no series list and no record.
                 _certificate(germ, t, psi, minimum, None)
 
-    return kept()
+    return records()
 
 
 def quotient_type_of(germ: Germ) -> Optional[tuple[int, int, int]]:

@@ -164,7 +164,7 @@ def _cmd_lawrence(args) -> int:
         r, w1, w2 = _parse_type(args.type)
         lattices = [lattice_from_quotient_type(r, w1, w2)]
     else:
-        lattices = list(superlattices(args.index_max))
+        lattices = superlattices(args.index_max)
     for lat in lattices:
         result = lawrence(lat, args.p, args.q)
         print(dumps(lawrence_record_to_json(lat, args.p, args.q, result)))

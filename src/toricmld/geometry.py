@@ -18,9 +18,11 @@ from .germs import (
     Germ,
     case_analysis,
     case_analysis_lattice,
+    gamma_max_lattice,
     gamma_of,
     make_germ,
     mld,
+    mld_lattice,
     psi_of,
     sail_minimum,
 )
@@ -29,11 +31,12 @@ from .lattices import (
     STANDARD_LATTICE,
     Vec2,
     _checker,
+    _scaled_covector,
     contains,
     cyclic_type,
     dual,
     in_cone,
-    points_in_box,
+    klein_sail,
     simplex_ratio,
 )
 from .oracle import mld_oracle_value
@@ -229,43 +232,61 @@ def complement_standard(germ: Germ, p: int, q: int) -> Complement:
     return comp
 
 
-def bounded_complement(germ: Germ, strict_floor: bool = False) -> Complement:
-    """Smallest complement with level bounded by twice the inverse value.
+def bounded_complement(germ: Germ) -> Complement:
+    """Complement of least level; the level is at most ceil(2/a) for the value a.
 
-    Scans levels n = 1, 2, ... up to ceil(2/a) and, inside each level,
-    dual covectors m in the box m <= n*psi in lexicographic order; the
-    first nonzero one wins, with boundary b' = 1 - m/n. Exhaustion would
-    contradict the level bound and raises. strict_floor caps the level
-    at floor(2/a) instead. The result passes `verify_complement`.
+    At the least level n whose box 0 <= m <= n*psi holds a nonzero dual
+    covector m, returns the lexicographically first such m, with
+    boundary b' = 1 - m/n. The result passes `verify_complement`. The
+    cost is two walks of the dual's Klein sail, O(log index), plus the
+    checker's oracle.
 
-    No candidate needs the oracle: psi' = m/n is nonzero and
+    The level: a nonzero quadrant covector m lies in the box exactly
+    when its scale gamma(m) = min psi_i/m_i over m_i > 0 is at least
+    1/n, since psi_i = 0 forces m_i = 0. So the least level is
+    ceil(1/gamma_max), and `gamma_max_lattice` checks gamma_max >= a/2,
+    which gives n <= ceil(2/a).
+
+    The covector: the first m has the least m_1 in the box and the
+    least m_2 in its column. A nonzero quadrant point below it would lie
+    in the box and come first, so m is Pareto-minimal in the quadrant
+    and lies on the Klein sail of the dual. Along the sail m_1 rises and
+    m_2 falls, so the first sail point with m_2 <= n*psi_2 has m_1 at
+    most that of m, and it lies in the box; distinct sail points have
+    distinct m_1, so it is m. On its edge one floor division finds it.
+
+    The covector needs no oracle: psi' = m/n is nonzero and
     nonnegative, so it pairs positively with every point of the open
     quadrant, and the value at psi' is positive.
 
-    Every candidate meets the rounding bound b' >= floor(b) +
+    The result meets the rounding bound b' >= floor(b) +
     floor((n+1)*frac(b))/n for each coefficient b. Proof: m_i is an
     integer, since the dual of a superlattice of the integer plane lies
     in it. For b = 1, psi_i = 0 forces m_i = 0 and b' = 1. For b in
     [0, 1), 0 <= m_i <= n*(1 - b) gives n*b' = n - m_i >= ceil(n*b) >=
     floor(n*b + b) = floor((n+1)*b), the middle step because b < 1.
     """
-    a = mld(germ)
+    psi = psi_of(germ)
+    a = mld_lattice(germ.lattice, psi)
     if a == 0:
         raise ValueError("bounded complements need a positive value")
-    psi = psi_of(germ)
     m_lat = dual(germ.lattice)
-    n_max = math.floor(2 / a) if strict_floor else math.ceil(2 / a)
-    found = next(
-        (
-            Complement(n, (1 - m.x1 / n, 1 - m.x2 / n), m)
-            for n in range(1, n_max + 1)
-            for m in points_in_box(m_lat, n * psi.x1, n * psi.x2)
-            if not m.is_zero()
-        ),
-        None,
-    )
+    gamma, _ = gamma_max_lattice(m_lat, psi, a)
+    n = math.ceil(1 / gamma)
     check = _checker(germ.lattice, psi)
-    check(found is not None, f"a complement of level <= {n_max} exists")
+    n_max = math.ceil(2 / a)
+    check(n <= n_max, f"a complement of level <= {n_max} exists")
+    # First sail point with y/D <= n*c2/s, that is y*s <= n*c2*D.
+    s, _, c2 = _scaled_covector(psi)
+    sail = klein_sail(m_lat)
+    bound = n * c2 * sail.denominator
+    edge = next(e for e in sail.edges if (e.y + e.length * e.dy) * s <= bound)
+    t = max(0, -((bound - edge.y * s) // (-edge.dy * s)))
+    m = Vec2(
+        Fraction(edge.x + t * edge.dx, sail.denominator),
+        Fraction(edge.y + t * edge.dy, sail.denominator),
+    )
+    found = Complement(n, (1 - m.x1 / n, 1 - m.x2 / n), m)
     outcome = verify_complement(germ, found, None)
     check(outcome.ok, f"verify_complement ({outcome.reason})")
     return found

@@ -263,22 +263,23 @@ def test_bounded_complement_examples():
         bounded_complement(make_germ(STANDARD_LATTICE, 1, 1))
 
 
-def test_bounded_complement_respects_floor_option():
-    for germ in (SMOOTH, FIFTH, CHAIN3, germ_from_quotient_type(7, 1, 3)):
-        a = mld(germ)
-        loose = bounded_complement(germ)
-        assert loose.n <= math.ceil(2 / a)
-        strict = bounded_complement(germ, strict_floor=True)
-        assert strict.n <= math.floor(2 / a)
-        # Strict candidates are a subset of loose ones in the same scan order.
-        assert loose.n <= strict.n
+def test_bounded_complement_respects_floor_option(standard_corpus):
+    # On standard boundaries the least level never exceeds floor(2/a).
+    for germ in (SMOOTH, FIFTH, CHAIN3, germ_from_quotient_type(7, 1, 3), *standard_corpus):
+        assert bounded_complement(germ).n <= math.floor(2 / mld(germ))
+    # Off them it may: the smooth germ at (1/3, 1/3) has value 4/3, so
+    # floor(2/a) = 1, and its least level is 2. That is no error.
+    light = make_germ(STANDARD_LATTICE, Fraction(1, 3), Fraction(1, 3))
+    assert mld(light) == Fraction(4, 3)
+    assert bounded_complement(light) == Complement(
+        2, (Fraction(1), Fraction(1, 2)), vec(0, 1)
+    )
 
 
-def _oracle_filtered_complement(germ, strict_floor):
+def _oracle_filtered_complement(germ):
     """The level-bounded search with an oracle test on every candidate."""
     a, psi = mld(germ), psi_of(germ)
-    n_max = math.floor(2 / a) if strict_floor else math.ceil(2 / a)
-    for n in range(1, n_max + 1):
+    for n in range(1, math.ceil(2 / a) + 1):
         for m in points_in_box(dual(germ.lattice), n * psi.x1, n * psi.x2):
             if not m.is_zero() and mld_oracle_lattice(germ.lattice, vec(m.x1 / n, m.x2 / n))[0] > 0:
                 return Complement(n, (1 - m.x1 / n, 1 - m.x2 / n), m)
@@ -288,20 +289,23 @@ def _oracle_filtered_complement(germ, strict_floor):
 def test_bounded_complement_needs_no_oracle_per_candidate(monkeypatch):
     # A nonzero covector of the box is nonnegative, so it pairs positively
     # with the open quadrant: an oracle test per candidate never rejects.
+    # The box search is the reference for the sail walk.
     values = (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1))
     pairs = [(b1, b2) for b1 in values for b2 in values if b1 + b2 < 2]
-    for lat in superlattices(8):
-        for b1, b2 in pairs:
-            germ = Germ(lat, b1, b2)
-            if mld(germ) == 0:
-                continue
-            for strict_floor in (False, True):
-                expected = _oracle_filtered_complement(germ, strict_floor)
-                if expected is None:
-                    with pytest.raises(VerificationFailure, match="a complement of level"):
-                        bounded_complement(germ, strict_floor)
-                else:
-                    assert bounded_complement(germ, strict_floor) == expected
+    germs = [Germ(lat, b1, b2) for lat in superlattices(8) for b1, b2 in pairs]
+    germs += [
+        germ_from_quotient_type(r, 1, w, *boundary)
+        for r in range(2, 61)
+        for w in range(1, r)
+        if math.gcd(w, r) == 1
+        for boundary in ((0, 0), (Fraction(1, 2), Fraction(1, 3)))
+    ]
+    for germ in germs:
+        if mld(germ) == 0:
+            continue
+        expected = _oracle_filtered_complement(germ)
+        assert expected is not None
+        assert bounded_complement(germ) == expected
 
     # The oracle runs once, on the result, inside `verify_complement`.
     calls = []

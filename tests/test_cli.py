@@ -510,9 +510,10 @@ def test_engine_runs_the_shared_checkers(monkeypatch, capsys):
         " fails for Lattice[(1,0), (0,1)]\n"
     )
 
-    # (1, 0) pairs with (1/5, 1/5) to 1/5, so it is off the dual of 1/5(1,1).
-    off_dual = [Vec2(Fraction(1), Fraction(0))]
-    monkeypatch.setattr(geometry, "points_in_box", lambda lat, c1, c2: off_dual)
+    # (1, 0) pairs with (1/5, 1/5) to 1/5, so it is off the dual of 1/5(1,1):
+    # a forged dual sail whose one edge starts there hands it out.
+    off_dual = lattices.Sail(1, [lattices.SailEdge(1, 0, 1, -1, 1)])
+    monkeypatch.setattr(geometry, "klein_sail", lambda lat: off_dual)
     code, out, err = run_cli(capsys, "complement", "--type", "5,1,1", "--bounded")
     assert (code, out) == (2, "")
     assert err == (
@@ -714,6 +715,31 @@ def test_complement_refuses_an_index_above_the_oracle_limit(capsys):
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
     assert err.startswith("error: index 1000000000000 is above the oracle limit of")
+
+
+def test_bounded_complement_at_a_large_order(capsys):
+    # The level and the covector come off the dual sail in O(log r); the
+    # checker's oracle walk is the only order-sized step.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "complement", "--type", "1000003,1,1", "--bounded")
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    assert json.loads(out)["complement"] == {
+        "n": 500002,
+        "boundary": ["1/500002", "0"],
+        "witness": ["500001", "500002"],
+    }
+
+
+def test_bounded_complement_refuses_an_index_above_the_oracle_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "complement", "--type", "1000000000039,1,1", "--bounded")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: index 1000000000039 is above the oracle limit of"
+        f" {oracle.ORACLE_LIMIT} quotient classes\n"
+    )
 
 
 def test_oracle_walk_is_bounded_by_the_index(capsys, tmp_path):
@@ -1029,9 +1055,10 @@ _CLASSIFY = (
 # ratios: when p/q was first reduced, equal to the --p 1 --q 3 record
 # but for p and q; the classify list: before the case analysis moved to
 # integers; the zero-psi mld: before `residues` listed the quotient by
-# its columns). Commands joined by "; " are hashed as one
-# concatenated stdout. A change to any record, its field order or its
-# formatting shows up here.
+# its columns; the order-801 bounded complement: before its level and
+# covector were read off the dual sail). Commands joined by "; " are
+# hashed as one concatenated stdout. A change to any record, its field
+# order or its formatting shows up here.
 PINNED_SWEEPS = [
     (
         "enumerate --mode cyclic --r-max 60 --t 1/2 --boundary-set file --include-not-tlc",
@@ -1079,6 +1106,10 @@ PINNED_SWEEPS = [
         "573a4c78c5816a9d2802081d6089a2607365c197aed64ca47b9b796ef9d188b3",
     ),
     (
+        "complement --type 801,1,1 --bounded",
+        "309b3cb2e767bb8686ec8fed279d59a1fc42ad6e71285a69ca4e14a0f28d57dc",
+    ),
+    (
         _complements("97,1,96", *_REACHABLE, *_HALF_REACHABLE),
         "0783f2c1d59358e9f122877b1b8a5e100e1d0fff59a0e5d026ba7a55cd6900f0",
     ),
@@ -1122,5 +1153,5 @@ def test_optimized_ci_step_checks_pinned_digests():
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     text = workflow.read_text(encoding="utf-8")
     digests = re.findall(r"\b[0-9a-f]{64}\b", text)
-    assert "python -O -m toricmld" in text and len(digests) == 5
+    assert "python -O -m toricmld" in text and len(digests) == 6
     assert set(digests) <= {digest for _, digest in PINNED_SWEEPS}

@@ -381,6 +381,23 @@ def test_module_has_no_assert_statement(module):
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
+def test_no_module_searches_a_box():
+    # `points_in_box` is the brute-force reference of the tests; the
+    # package defines and exports it but no computation calls it.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("__init__.py", "lattices.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.alias) and node.name == "points_in_box")
+        or (isinstance(node, ast.Name) and node.id == "points_in_box")
+        or (isinstance(node, ast.Attribute) and node.attr == "points_in_box")
+    ]
+    assert found == []
+    source = (PACKAGE / "lattices.py").read_text(encoding="utf-8")
+    assert source.count("points_in_box") == 1
+
+
 def test_bench_traced_names_resolve():
     # The benchmark's tracer wraps these by name and only lists a missing
     # one as absent, so a rename in the package would blind it. bench/ is
