@@ -38,7 +38,6 @@ from .lattices import (
     _scaled_covector,
     basis_order,
     contains,
-    cyclic_type,
     dual,
     format_rational,
     in_cone,
@@ -86,14 +85,11 @@ class Verification(NamedTuple):
 
 
 def classify_tlc_lattice(lat: Lattice, psi: Vec2, t: Rational) -> Certificate:
-    """Certificate for a full-rank superlattice of the integer plane."""
+    """Certificate at t for a full-rank superlattice of the integer plane (see `_certificate`)."""
     t = positive_threshold(Fraction(t))
     if psi.is_zero():
         raise ValueError("threshold classification needs a nonzero psi")
-    minimum = sail_minimum(lat, psi)
-    if minimum.value < t:
-        return NotTLC(minimum.first, minimum.value)
-    return certificate_from_case_data(lat, case_analysis_lattice(lat, psi, minimum), psi, t)
+    return _certificate(lat, t, psi, sail_minimum(lat, psi), None)
 
 
 def certificate_from_case_data(
@@ -529,15 +525,15 @@ def _swap_forms(lattices: Iterable[Lattice]) -> Iterator[tuple[_Form, _Form, int
 
 
 def _certificate(
-    germ: Germ, t: Rational, psi: Vec2, minimum: Minimum, data: Optional[CaseData]
+    lat: Lattice, t: Rational, psi: Vec2, minimum: Minimum, data: Optional[CaseData]
 ) -> Certificate:
-    """The germ's certificate at t > 0, checked by `verify_certificate_lattice`.
+    """The certificate at t > 0, checked by `verify_certificate_lattice`.
 
     NotTLC when the minimum is below t; otherwise the covector
     certificate, from `data` or a case analysis computed here.
-    VerificationFailure if the certificate fails its own check.
+    VerificationFailure, naming lat and psi, if the certificate fails
+    its own check.
     """
-    lat = germ.lattice
     if minimum.value < t:
         cert: Certificate = NotTLC(minimum.first, minimum.value)
     else:
@@ -545,10 +541,7 @@ def _certificate(
             data = case_analysis_lattice(lat, psi, minimum)
         cert = certificate_from_case_data(lat, data, psi, t)
     outcome = verify_certificate_lattice(lat, psi, t, cert)
-    if not outcome:
-        raise VerificationFailure(
-            f"certificate rejected for {lat!r}, boundary ({germ.b1},{germ.b2}): {outcome.reason}"
-        )
+    _checker(lat, psi)(outcome.ok, f"verify_certificate_lattice ({outcome.reason})")
     return cert
 
 
@@ -575,7 +568,7 @@ def classify_germ_record(
         psi = psi_of(germ)
     if minimum is None:
         minimum = sail_minimum(lat, psi)
-    cert = _certificate(germ, t, psi, minimum, data)
+    cert = _certificate(lat, t, psi, minimum, data)
     return ClassifiedGerm(germ, t, minimum.value, cert, series_membership_lattice(lat, t))
 
 
@@ -680,11 +673,7 @@ def enumerate_germs(
             else:
                 # Withheld: the check of its NotTLC certificate guards the
                 # drop; it gets no series list and no record.
-                _certificate(germ, t, psi, minimum, None)
+                _certificate(germ.lattice, t, psi, minimum, None)
 
     return records()
 
-
-def quotient_type_of(germ: Germ) -> Optional[tuple[int, int, int]]:
-    """Canonical cyclic quotient type of the germ lattice, if cyclic."""
-    return cyclic_type(germ.lattice)

@@ -42,6 +42,7 @@ from .germs import (
 )
 from .lattices import (
     Lattice,
+    Vec2,
     format_rational,
     lattice_from_quotient_type,
     parse_rational,
@@ -49,7 +50,7 @@ from .lattices import (
     simplex_ratio,
     superlattices,
 )
-from .oracle import lawrence_oracle, mld_oracle_scaled
+from .oracle import lawrence_oracle, mld_oracle_scaled, mld_oracle_value
 from .records import (
     TABLE_COLUMNS,
     case_data_to_json,
@@ -323,11 +324,23 @@ def _verify_lawrence(data: dict, line_no: int) -> None:
 
 
 def _verify_complement(data: dict, line_no: int) -> None:
+    """Check the label and the complement, then the oracle's value at witness/n.
+
+    The oracle runs last: `verify_complement` has by then made witness/n
+    nonnegative, which the oracle needs.
+    """
     germ, comp, target = complement_record_from_json(data)
     label = type_label(germ.lattice)
     _require(type_label_agrees(data, label), line_no, "type label disagrees with the lattice")
     outcome = verify_complement(germ, comp, target)
     _require(outcome.ok, line_no, f"complement rejected: {outcome.reason}")
+    n, _, witness = comp
+    value = mld_oracle_value(germ.lattice, Vec2(witness.x1 / n, witness.x2 / n))
+    _require(
+        value > 0 if target is None else value >= target,
+        line_no,
+        "complement value disagrees with the oracle",
+    )
 
 
 def _cmd_verify(args) -> int:

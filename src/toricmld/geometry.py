@@ -3,8 +3,9 @@
 Invariant hyperplane sections (covectors of the dual lattice inside the
 dual quadrant), the threshold up to which a section can be added to the
 boundary, the two-section dichotomy realizing the discrepancy minimum,
-and periodic complement boundaries with controlled level. Only the
-complement checker `verify_complement` runs the brute-force oracle.
+and periodic complement boundaries with controlled level. Nothing here
+runs the brute-force oracle: the complement checker `verify_complement`
+proves the value at the complement with a threshold certificate.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .certify import CaseB, Verification, certificate_from_case_data, pair_weights
+from .certify import (
+    CaseB,
+    NotTLC,
+    Verification,
+    certificate_from_case_data,
+    classify_tlc_lattice,
+    pair_weights,
+)
 from .germs import (
     Germ,
     case_analysis,
@@ -39,7 +47,6 @@ from .lattices import (
     klein_sail,
     simplex_ratio,
 )
-from .oracle import mld_oracle_value
 
 
 class HyperplaneSection(NamedTuple):
@@ -202,7 +209,8 @@ def complement_standard(germ: Germ, p: int, q: int) -> Complement:
     the coefficients makes the needed quantities integral, and the
     level is q*s with s at most 2q/p. The ratio p/q is reduced before
     any use, so the level bound holds for the reduced q. The result
-    passes `verify_complement` at target p/q.
+    passes `verify_complement` at target p/q. Every step, the check
+    included, walks Klein sails: O(log index).
     """
     t = simplex_ratio(p, q)
     p, q = t.numerator, t.denominator
@@ -238,8 +246,7 @@ def bounded_complement(germ: Germ) -> Complement:
     At the least level n whose box 0 <= m <= n*psi holds a nonzero dual
     covector m, returns the lexicographically first such m, with
     boundary b' = 1 - m/n. The result passes `verify_complement`. The
-    cost is two walks of the dual's Klein sail, O(log index), plus the
-    checker's oracle.
+    cost is two walks of the dual's Klein sail, O(log index).
 
     The level: a nonzero quadrant covector m lies in the box exactly
     when its scale gamma(m) = min psi_i/m_i over m_i > 0 is at least
@@ -255,16 +262,12 @@ def bounded_complement(germ: Germ) -> Complement:
     most that of m, and it lies in the box; distinct sail points have
     distinct m_1, so it is m. On its edge one floor division finds it.
 
-    The covector needs no oracle: psi' = m/n is nonzero and
-    nonnegative, so it pairs positively with every point of the open
-    quadrant, and the value at psi' is positive.
-
-    The result meets the rounding bound b' >= floor(b) +
-    floor((n+1)*frac(b))/n for each coefficient b. Proof: m_i is an
-    integer, since the dual of a superlattice of the integer plane lies
-    in it. For b = 1, psi_i = 0 forces m_i = 0 and b' = 1. For b in
-    [0, 1), 0 <= m_i <= n*(1 - b) gives n*b' = n - m_i >= ceil(n*b) >=
-    floor(n*b + b) = floor((n+1)*b), the middle step because b < 1.
+    The covector needs no oracle: m is a nonzero integral dual
+    covector in the closed quadrant (the dual of a superlattice of the
+    integer plane lies in it), so it pairs to a positive integer with
+    every open-quadrant lattice point, and the value at psi' = m/n is
+    at least 1/n. The rounding bound on b' follows (see
+    `verify_complement`).
     """
     psi = psi_of(germ)
     a = mld_lattice(germ.lattice, psi)
@@ -296,8 +299,23 @@ def verify_complement(germ: Germ, comp: Complement, target: Optional[Rational]) 
     """Re-check a complement from the germ and the complement only.
 
     n >= 1; the witness is n*(1 - b'), integral and in the dual; b <= b'
-    <= 1 with the rounding bound; the oracle value at psi' = witness/n
-    reaches the target, or is positive when it is None (bounded).
+    <= 1; the value at psi' = witness/n reaches the target, or is
+    positive when it is None (bounded). No step walks the quotient.
+
+    The rounding bound b' >= floor(b) + floor((n+1)*frac(b))/n needs no
+    check of its own: with w = floor(b), n*(b' - w) is an integer, as
+    n*b' = n - witness_i, and at least n*frac(b), as b' >= b; so it is
+    at least ceil(n*frac(b)) >= floor(n*frac(b) + frac(b)), the last
+    step because frac(b) < 1.
+
+    The value step. The checks above make the witness an integral dual
+    covector in the closed quadrant. A zero one has value 0. A nonzero
+    one pairs with every open-quadrant lattice point to a positive
+    integer, so the value at psi' is at least 1/n, which settles the
+    bounded case. With a target, `classify_tlc_lattice` gives the
+    threshold certificate at psi', which has passed
+    `verify_certificate_lattice`: a CaseA or CaseB proves the value
+    reaches the target, a NotTLC point pairs below it.
     """
     n, (c1, c2), witness = comp
     if n < 1:
@@ -310,13 +328,9 @@ def verify_complement(germ: Germ, comp: Complement, target: Optional[Rational]) 
         return Verification(False, "witness does not pair integrally with the lattice")
     if not (germ.b1 <= c1 <= 1 and germ.b2 <= c2 <= 1):
         return Verification(False, "boundary out of range")
-    for b, c in ((germ.b1, c1), (germ.b2, c2)):
-        whole = math.floor(b)
-        if n * (c - whole) < math.floor((n + 1) * (b - whole)):
-            return Verification(False, "boundary below floor(b) + floor((n+1)*frac(b))/n")
-    value = mld_oracle_value(germ.lattice, Vec2(witness.x1 / n, witness.x2 / n))
-    if target is None and value <= 0:
-        return Verification(False, "oracle value is not positive")
-    if target is not None and value < target:
-        return Verification(False, "oracle value below the target ratio")
+    if witness.is_zero():
+        return Verification(False, "witness is zero, so the value at witness/n is zero")
+    psi = Vec2(witness.x1 / n, witness.x2 / n)
+    if target is not None and isinstance(classify_tlc_lattice(germ.lattice, psi, target), NotTLC):
+        return Verification(False, "value at witness/n is below the target ratio")
     return Verification(True, "complement holds")

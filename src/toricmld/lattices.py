@@ -147,22 +147,17 @@ class Lattice:
     0 <= b < d and gcd(D, a, b, d) = 1, so D is the least common
     denominator of the lattice. `==` and hashing read those integers.
     `basis` is the rational form ((a/D, b/D), (0, d/D)), built on first
-    access and kept, so equal lattices have equal bases. `Lattice(rows)`
-    reduces the rows to `hnf`, raising ValueError when they do not span
-    the plane. Instances are immutable by convention; only the cached
-    `basis` is filled in after construction.
+    access and kept, so equal lattices have equal bases. `Lattice(hnf=...)`
+    takes a form that is already canonical; `lattice_from_generators`
+    reduces any spanning points to it. Instances are immutable by
+    convention; only the cached `basis` is filled in after construction.
     """
 
     __slots__ = ("hnf", "_basis")
 
-    def __init__(
-        self,
-        rows: Optional[tuple[Vec2, ...]] = None,
-        *,
-        hnf: Optional[tuple[int, int, int, int]] = None,
-    ):
+    def __init__(self, *, hnf: tuple[int, int, int, int]):
         self._basis: Optional[tuple[Vec2, ...]] = None
-        self.hnf = lattice_from_generators(rows).hnf if hnf is None else hnf
+        self.hnf = hnf
 
     @property
     def basis(self) -> tuple[Vec2, ...]:

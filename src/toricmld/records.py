@@ -145,9 +145,9 @@ def _germ_fields(data: Any, lattice: Optional[Lattice]) -> tuple[Lattice, Ratio,
     return lattice, b1, b2
 
 
-def germ_from_json(data: Any, lattice: Optional[Lattice] = None) -> Germ:
-    """The germ of a record; `lattice`, when given, is `data["lattice"]` already decoded."""
-    lattice, b1, b2 = _germ_fields(data, lattice)
+def germ_from_json(data: Any) -> Germ:
+    """The germ of a record."""
+    lattice, b1, b2 = _germ_fields(data, None)
     return Germ(lattice, Fraction(*b1), Fraction(*b2))
 
 
@@ -253,9 +253,9 @@ def record_fields(data: Any, lattice: Optional[Lattice] = None) -> RecordFields:
     return RecordFields(lattice, (b1, b2), t, mld, certificate_from_json(data["certificate"]), series)
 
 
-def record_from_json(data: Any, lattice: Optional[Lattice] = None) -> ClassifiedGerm:
-    """The classification record; `lattice`, when given, is its germ's lattice already decoded."""
-    fields = record_fields(data, lattice)
+def record_from_json(data: Any) -> ClassifiedGerm:
+    """The classification record, from `record_fields`."""
+    fields = record_fields(data)
     (n1, d1), (n2, d2) = fields.boundary
     return ClassifiedGerm(
         Germ(fields.lattice, Fraction(n1, d1), Fraction(n2, d2)),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import toricmld.certify
 import toricmld.geometry
 import toricmld.germs
+import toricmld.oracle
 from toricmld import (
     CaseB,
     Complement,
@@ -19,9 +20,12 @@ from toricmld import (
     Germ,
     HyperplaneSection,
     NotApplicable,
+    NotTLC,
     ProductCase,
     QuotientCase,
     STANDARD_LATTICE,
+    Sail,
+    SailEdge,
     SingleH,
     VerificationFailure,
     bounded_complement,
@@ -159,8 +163,8 @@ def test_series_certificate_log_keeps_discrepancies_at_level(standard_corpus):
 
 
 def test_constructions_run_above_the_oracle_limit():
-    # No construction but the complement checker runs the oracle, so an
-    # order far above ORACLE_LIMIT costs what the Klein sail costs.
+    # No construction runs the oracle, so an order far above ORACLE_LIMIT
+    # costs what the Klein sail costs.
     r = 10**12 + 39
     assert r > ORACLE_LIMIT
     start = time.perf_counter()
@@ -180,6 +184,16 @@ def test_constructions_run_above_the_oracle_limit():
     assert hyperplane_dichotomy(chain) == SingleH(ones, Fraction(1))
     assert half_mld_section(chain) == ones
     assert series_certificate_log(chain, vec(1, 1), 1) == (1, (Fraction(0), Fraction(0)))
+    n = (r + 1) // 2
+    assert bounded_complement(light) == Complement(
+        n, (Fraction(1, n), Fraction(0)), vec(n - 1, n)
+    )
+    assert complement_standard(light, 1, r) == Complement(
+        r, (Fraction(n, r), Fraction(n - 1, r)), vec(n - 1, n)
+    )
+    assert complement_standard(chain, 1, 2) == Complement(
+        2, (Fraction(1, 2), Fraction(1, 2)), vec(1, 1)
+    )
     assert time.perf_counter() - start < 1
 
 
@@ -307,19 +321,24 @@ def test_bounded_complement_needs_no_oracle_per_candidate(monkeypatch):
         assert expected is not None
         assert bounded_complement(germ) == expected
 
-    # The oracle runs once, on the result, inside `verify_complement`.
-    calls = []
-    original = toricmld.geometry.mld_oracle_value
+    # No oracle runs in either construction, their checker included.
+    germs = (SMOOTH, FIFTH, CHAIN3, germ_from_quotient_type(30, 1, 11))
+    expected = [
+        (bounded_complement(germ), complement_standard(germ, *_ratio(mld(germ)))) for germ in germs
+    ]
 
-    def counting(lat, psi):
-        calls.append(psi)
-        return original(lat, psi)
+    def refuse(*args):
+        raise AssertionError("the oracle ran")
 
-    monkeypatch.setattr(toricmld.geometry, "mld_oracle_value", counting)
-    for germ in (SMOOTH, FIFTH, CHAIN3, germ_from_quotient_type(30, 1, 11)):
-        calls.clear()
-        comp = bounded_complement(germ)
-        assert calls == [vec(comp.witness_m.x1 / comp.n, comp.witness_m.x2 / comp.n)]
+    for name in ("mld_oracle_value", "mld_oracle_scaled", "mld_oracle_lattice"):
+        monkeypatch.setattr(toricmld.oracle, name, refuse)
+    for germ, (bounded, standard) in zip(germs, expected):
+        assert bounded_complement(germ) == bounded
+        assert complement_standard(germ, *_ratio(mld(germ))) == standard
+
+
+def _ratio(value):
+    return value.numerator, value.denominator
 
 
 def test_bounded_complement_boundary_is_valid(standard_corpus):
@@ -374,19 +393,22 @@ def test_pair_witness_is_shared(germ, twelfths):
 
 
 def test_engine_failures_name_the_lattice(monkeypatch):
-    # An oracle that finds value 0 everywhere breaks the closing identity
-    # of each construction; the failure names the lattice it broke on.
-    def zero(lat, psi):
-        return Fraction(0)
-
-    monkeypatch.setattr(toricmld.geometry, "mld_oracle_value", zero)
+    # A step that goes wrong breaks the closing identity of each
+    # construction; the failure names the lattice it broke on.
     monkeypatch.setattr(toricmld.geometry, "cyclic_type", lambda lat: None)
+    # A threshold certificate at witness/n that claims a point below p/q.
+    below = NotTLC(vec(1, 1), Fraction(0))
+    monkeypatch.setattr(toricmld.geometry, "classify_tlc_lattice", lambda lat, psi, t: below)
+    # A dual sail whose one edge starts at the zero covector.
+    zero_sail = Sail(1, [SailEdge(0, 0, 1, -1, 1)])
+    monkeypatch.setattr(toricmld.geometry, "klein_sail", lambda lat: zero_sail)
     germ = germ_from_quotient_type(5, 1, 1)
-    broken = (
-        lambda: classify_mld_ge_one(CHAIN3),
-        lambda: complement_standard(germ, 1, 3),
-        lambda: bounded_complement(germ),
-    )
-    for call in broken:
-        with pytest.raises(VerificationFailure, match=r"fails for Lattice\["):
+    broken = {
+        "mld >= 1 only on the product": lambda: classify_mld_ge_one(CHAIN3),
+        "value at witness/n is below": lambda: complement_standard(germ, 1, 3),
+        "witness is zero": lambda: bounded_complement(germ),
+    }
+    for identity, call in broken.items():
+        with pytest.raises(VerificationFailure, match=r"fails for Lattice\[") as failure:
             call()
+        assert identity in str(failure.value)

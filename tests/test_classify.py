@@ -21,7 +21,9 @@ from toricmld import (
     candidate_germs,
     classify_germ_record,
     classify_tlc,
+    classify_tlc_lattice,
     cyclic_lattices,
+    cyclic_type,
     dot,
     dual,
     enumerate_germs,
@@ -42,7 +44,8 @@ from toricmld import (
     verify_certificate,
     verify_certificate_lattice,
 )
-from toricmld.certify import quotient_type_of, verify_lawrence_result
+from toricmld import certify
+from toricmld.certify import verify_lawrence_result
 from toricmld.records import (
     complement_from_json,
     complement_to_json,
@@ -195,6 +198,33 @@ def test_lawrence_pair_outside_the_dual_quadrant_is_rejected():
     )
 
 
+@pytest.mark.parametrize(
+    "result, reason",
+    [
+        (EqualsIntersection(vec(0, 3), vec(3, 0), 0, 1), "weights must be positive"),
+        (EqualsIntersection(vec(0, 3), vec(3, 0), 2, -1), "weights must be positive"),
+        (EqualsIntersection(vec(0, 3), vec(3, 0), 3, 2), "weights exceed twice the denominator"),
+        (CaseA(vec(0, 3)), "unrecognized simplex-avoidance result"),
+    ],
+)
+def test_lawrence_result_rejections(result, reason):
+    # EqualsIntersection(vec(0, 3), vec(3, 0), 2, 1) proves avoidance at 1/2;
+    # k1 + k2 = 5 exceeds 2q = 4.
+    assert verify_lawrence_result(THIRD_PLANE, 1, 2, result) == (False, reason)
+
+
+def test_classify_tlc_lattice_checks_its_certificate(monkeypatch):
+    # A forged covector certificate is caught by the same checker as the
+    # sweep's: VerificationFailure naming the lattice and psi.
+    monkeypatch.setattr(certify, "certificate_from_case_data", lambda *args: CaseA(vec(0, 0)))
+    with pytest.raises(VerificationFailure) as failure:
+        classify_tlc_lattice(FIFTH_GERM.lattice, vec(1, 1), Fraction(1, 3))
+    assert str(failure.value) == (
+        "verify_certificate_lattice (witness covector is zero)"
+        " fails for Lattice[(1/5,1/5), (0,1)] at psi (1,1)"
+    )
+
+
 def test_lawrence_agrees_with_oracle():
     rng = random.Random(302)
     pool = list(superlattices(20))
@@ -285,6 +315,45 @@ def test_series_certificate_log():
     assert series_certificate_log(blocked, vec(1, 1), Fraction(1, 2)) is None
 
 
+def test_series_certificate_log_at_the_rounded_level():
+    # At t = 2/5 the level 3 lies in (1/t, ceil(1/t)] = (5/2, 3]; with
+    # w = 1/(3t) = 5/6 the boundary must clear (1 - w) + w*b = 1/6 + 5b/6.
+    half = make_germ(STANDARD_LATTICE, Fraction(1, 2), Fraction(1, 2))
+    # m = (1, 1) needs n = 2 <= 5/2: accepted directly.
+    assert series_certificate_log(half, vec(1, 1), Fraction(2, 5)) == (
+        2,
+        (Fraction(1, 2), Fraction(1, 2)),
+    )
+    # m = (1, 0) at b = (2/3, 0) needs n = 3: b' = (2/3, 1) falls short of
+    # (13/18, 1/6) in the first coordinate, so it is refused.
+    assert series_certificate_log(
+        make_germ(STANDARD_LATTICE, Fraction(2, 3), 0), vec(1, 0), Fraction(2, 5)
+    ) is None
+    # m = (1, 0) at b = (3/5, 0) needs n = 3: b' = (2/3, 1) clears
+    # (2/3, 1/6), so it is accepted at the rounded level.
+    assert series_certificate_log(
+        make_germ(STANDARD_LATTICE, Fraction(3, 5), 0), vec(1, 0), Fraction(2, 5)
+    ) == (3, (Fraction(2, 3), Fraction(1)))
+    # m = (1, 0) at b = (3/4, 0) needs n = 4 > ceil(5/2): refused.
+    assert series_certificate_log(
+        make_germ(STANDARD_LATTICE, Fraction(3, 4), 0), vec(1, 0), Fraction(2, 5)
+    ) is None
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (vec(0, 0), "witness must be a nonzero integer covector in the dual quadrant"),
+        (vec(-1, 1), "witness must be a nonzero integer covector in the dual quadrant"),
+        (vec(Fraction(1, 2), 1), "witness must be a nonzero integer covector in the dual quadrant"),
+        (vec(1, 0), "witness does not pair integrally with the germ lattice"),
+    ],
+)
+def test_series_certificate_log_refuses_a_bad_witness(m, message):
+    with pytest.raises(ValueError, match=message):
+        series_certificate_log(FIFTH_GERM, m, Fraction(1, 2))
+
+
 def test_classified_record_and_failure():
     record = classify_germ_record(FIFTH_GERM, Fraction(2, 5))
     assert record.mld == Fraction(2, 5)
@@ -317,7 +386,7 @@ def test_cyclic_lattice_stream():
 def test_enumerate_germs_examples():
     zero = ((Fraction(0), Fraction(0)),)
     records = list(enumerate_germs("cyclic", 3, Fraction(1), zero))
-    types = [quotient_type_of(r.germ) for r in records]
+    types = [cyclic_type(r.germ.lattice) for r in records]
     assert types == [(1, 0, 0), (2, 1, 1), (3, 1, 2)]
     for record in records:
         assert record.mld >= 1
@@ -346,13 +415,13 @@ def test_candidate_germs_canonical_dedupe():
 
 
 def test_quotient_type_of():
-    assert quotient_type_of(FIFTH_GERM) == (5, 1, 1)
-    assert quotient_type_of(make_germ(STANDARD_LATTICE, 0, 0)) == (1, 0, 0)
+    assert cyclic_type(FIFTH_GERM.lattice) == (5, 1, 1)
+    assert cyclic_type(make_germ(STANDARD_LATTICE, 0, 0).lattice) == (1, 0, 0)
     half_germ = next(
         g for g in candidate_germs("all", 4, ((Fraction(0), Fraction(0)),))
         if g.lattice == HALF_PLANE
     )
-    assert quotient_type_of(half_germ) is None
+    assert cyclic_type(half_germ.lattice) is None
 
 
 def test_record_json_round_trip(random_corpus):

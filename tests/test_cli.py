@@ -522,6 +522,34 @@ def test_engine_runs_the_shared_checkers(monkeypatch, capsys):
     )
 
 
+def test_verify_cross_checks_complements_with_the_oracle(monkeypatch, capsys, tmp_path):
+    # The complement checker proves the value at witness/n without the
+    # oracle; `verify` still asks the oracle, so an oracle that finds 0
+    # there disagrees with a valid record.
+    calls = []
+
+    def zero(lat, psi):
+        calls.append(psi)
+        return Fraction(0)
+
+    path = tmp_path / "complement.jsonl"
+    for argv in (("--bounded",), ("--p", "2", "--q", "5")):
+        code, out, _ = run_cli(capsys, "complement", "--type", "5,1,1", *argv)
+        assert code == 0
+        path.write_text(out)
+        assert run_cli(capsys, "verify", "--in", str(path)) == (0, "verified 1 records\n", "")
+        monkeypatch.setattr(cli, "mld_oracle_value", zero)
+        calls.clear()
+        assert run_cli(capsys, "verify", "--in", str(path)) == (
+            2,
+            "",
+            "verification failure: line 1: complement value disagrees with the oracle\n",
+        )
+        comp = json.loads(out)["complement"]
+        assert calls == [Vec2(*(parse_rational(x) / comp["n"] for x in comp["witness"]))]
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -707,19 +735,43 @@ def test_mld_refuses_a_listing_above_the_limit(capsys, argv, message):
     )
 
 
-def test_complement_refuses_an_index_above_the_oracle_limit(capsys):
+def _answers_then_verify_refuses(capsys, tmp_path, argv, complement, order):
+    # The construction walks Klein sails only, so it answers at once; the
+    # oracle's refusal moves to `verify`, which exits 1 at once.
     start = time.perf_counter()
-    code, out, err = run_cli(
-        capsys, "complement", "--type", BIG_ORDER, "--p", "1", "--q", "1000000000000"
+    code, out, err = run_cli(capsys, "complement", "--type", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert json.loads(out)["complement"] == complement
+    path = tmp_path / "big.jsonl"
+    path.write_text(out)
+    start = time.perf_counter()
+    assert run_cli(capsys, "verify", "--in", str(path)) == (
+        1,
+        "",
+        f"error: line 1: index {order} is above the oracle limit of"
+        f" {oracle.ORACLE_LIMIT} quotient classes\n",
     )
     assert time.perf_counter() - start < 1
-    assert (code, out) == (1, "")
-    assert err.startswith("error: index 1000000000000 is above the oracle limit of")
+
+
+def test_complement_answers_above_the_oracle_limit(capsys, tmp_path):
+    _answers_then_verify_refuses(
+        capsys,
+        tmp_path,
+        (BIG_ORDER, "--p", "1", "--q", "1000000000000"),
+        {
+            "n": 1000000000000,
+            "boundary": ["7/8", "7/8"],
+            "witness": ["125000000000", "125000000000"],
+        },
+        1000000000000,
+    )
 
 
 def test_bounded_complement_at_a_large_order(capsys):
-    # The level and the covector come off the dual sail in O(log r); the
-    # checker's oracle walk is the only order-sized step.
+    # The level and the covector come off the dual sail in O(log r), and
+    # the checker proves the value without the oracle.
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "complement", "--type", "1000003,1,1", "--bounded")
     assert time.perf_counter() - start < 2
@@ -731,14 +783,17 @@ def test_bounded_complement_at_a_large_order(capsys):
     }
 
 
-def test_bounded_complement_refuses_an_index_above_the_oracle_limit(capsys):
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "complement", "--type", "1000000000039,1,1", "--bounded")
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (1, "")
-    assert err == (
-        f"error: index 1000000000039 is above the oracle limit of"
-        f" {oracle.ORACLE_LIMIT} quotient classes\n"
+def test_bounded_complement_answers_above_the_oracle_limit(capsys, tmp_path):
+    _answers_then_verify_refuses(
+        capsys,
+        tmp_path,
+        ("1000000000039,1,1", "--bounded"),
+        {
+            "n": 500000000020,
+            "boundary": ["1/500000000020", "0"],
+            "witness": ["500000000019", "500000000020"],
+        },
+        1000000000039,
     )
 
 
@@ -1056,7 +1111,9 @@ _CLASSIFY = (
 # but for p and q; the classify list: before the case analysis moved to
 # integers; the zero-psi mld: before `residues` listed the quotient by
 # its columns; the order-801 bounded complement: before its level and
-# covector were read off the dual sail). Commands joined by "; " are
+# covector were read off the dual sail; the order 10^12 + 39 bounded
+# complement: when its checker still ran the oracle, from the same
+# construction, which then refused it). Commands joined by "; " are
 # hashed as one concatenated stdout. A change to any record, its field
 # order or its formatting shows up here.
 PINNED_SWEEPS = [
@@ -1110,6 +1167,10 @@ PINNED_SWEEPS = [
         "309b3cb2e767bb8686ec8fed279d59a1fc42ad6e71285a69ca4e14a0f28d57dc",
     ),
     (
+        "complement --type 1000000000039,1,1 --bounded",
+        "80446658fc11bf6202db5330a6210d50bd56b2e860f75900ce71997065cc5196",
+    ),
+    (
         _complements("97,1,96", *_REACHABLE, *_HALF_REACHABLE),
         "0783f2c1d59358e9f122877b1b8a5e100e1d0fff59a0e5d026ba7a55cd6900f0",
     ),
@@ -1153,5 +1214,5 @@ def test_optimized_ci_step_checks_pinned_digests():
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     text = workflow.read_text(encoding="utf-8")
     digests = re.findall(r"\b[0-9a-f]{64}\b", text)
-    assert "python -O -m toricmld" in text and len(digests) == 6
+    assert "python -O -m toricmld" in text and len(digests) == 7
     assert set(digests) <= {digest for _, digest in PINNED_SWEEPS}

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from toricmld import (
-    Lattice,
     STANDARD_LATTICE,
     basis_order,
     contains,
@@ -100,7 +99,7 @@ def test_generators_examples():
         with pytest.raises(ValueError, match="do not span the plane"):
             lattice_from_generators(gens)
     with pytest.raises(ValueError, match="do not span the plane"):
-        Lattice((vec(1, 2), vec(2, 4)))
+        lattice_from_generators((vec(1, 2), vec(2, 4)))
 
 
 def test_quotient_type_examples():
@@ -263,7 +262,7 @@ def test_equal_lattices_share_one_basis():
     # A lattice given by sheared rows is the same lattice, so everything
     # read off its basis (box points, the JSON rows) must agree too.
     lat = lattice_from_quotient_type(5, 1, 2)
-    sheared = Lattice((lat.basis[0], lat.basis[0] + lat.basis[1]))
+    sheared = lattice_from_generators((lat.basis[0], lat.basis[0] + lat.basis[1]))
     assert sheared == lat and sheared.basis == lat.basis
     assert points_in_box(sheared, 1, 1) == points_in_box(lat, 1, 1)
     assert all(contains(lat, p) for p in points_in_box(sheared, 1, 1))

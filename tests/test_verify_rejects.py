@@ -1,8 +1,9 @@
-"""What `verify` says about each tampered field of a classification record.
+"""What `verify` says about each tampered field of a record.
 
-One record per certificate case, one tampering per field: each gets its
-exact exit code and stderr line. Decoding problems exit 1 before any
-check runs; a record that decodes but fails a check exits 2.
+One classification record per certificate case, and one complement and
+one lawrence record, one tampering per field: each gets its exact exit
+code and stderr line. Decoding problems exit 1 before any check runs; a
+record that decodes but fails a check exits 2.
 """
 
 import json
@@ -83,6 +84,13 @@ MATRIX = {
     "series id true": (_series_id(True), 1, ERROR + "series id must be a JSON integer: True"),
     "series id float": (_series_id(1.0), 1, ERROR + "series id must be a JSON integer: 1.0"),
     "series id string": (_series_id("1"), 1, ERROR + "series id must be a JSON integer: '1'"),
+    "series id not a pair": (
+        lambda data: data["series"].__setitem__(0, [1]), 1, ERROR + "not a series id: [1]"
+    ),
+    "germ not an object": (_put("germ", "g"), 1, ERROR + "not a germ record: 'g'"),
+    "certificate not an object": (
+        _put("certificate", "a"), 1, ERROR + "not a certificate record: 'a'"
+    ),
     "malformed literal": (_put("mld", "1/0"), 1, ERROR + "not a rational literal: '1/0'"),
     "missing key": (lambda data: data.pop("t"), 1, ERROR + "record misses key 't'"),
     "zero witness": (
@@ -185,3 +193,83 @@ def test_verify_accepts_unreduced_equal_literals(capsys, tmp_path):
     data["t"] = "3/12"
     data["mld"] = "6/20"
     assert _verify(capsys, tmp_path, data) == (0, "verified 1 records\n", "")
+
+
+# The other record kinds: a bounded and a standard complement of 1/5(1,1),
+# n = 3 with witness (2, 3) and, at 2/5, n = 5 with witness (5, 5), and
+# the lawrence hit at (1/5, 1/5).
+OTHER_RECORDS = {
+    "bounded": ("complement", "--type", "5,1,1", "--bounded"),
+    "standard": ("complement", "--type", "5,1,1", "--p", "2", "--q", "5"),
+    "lawrence": ("lawrence", "--type", "5,1,1", "--p", "1", "--q", "2"),
+}
+
+
+def _complement(**fields):
+    def mutate(data):
+        data["complement"].update(fields)
+
+    return mutate
+
+
+def _lawrence_kind(data):
+    data["lawrence"]["kind"] = "z"
+
+
+# (record, tampering, exit code, stderr line).
+OTHER_MATRIX = {
+    "level zero": (
+        "bounded", _complement(n=0), 2, CHECK + "complement rejected: level must be positive"
+    ),
+    "level negative": (
+        "standard", _complement(n=-5), 2, CHECK + "complement rejected: level must be positive"
+    ),
+    "witness off the boundary": (
+        "bounded",
+        _complement(witness=["1", "4"]),
+        2,
+        CHECK + "complement rejected: witness does not match the scaled boundary complement",
+    ),
+    "zero witness, bounded": (
+        "bounded",
+        _complement(boundary=["1", "1"], witness=["0", "0"]),
+        2,
+        CHECK + "complement rejected: witness is zero, so the value at witness/n is zero",
+    ),
+    # (4, 1) is in the dual of 1/5(1,1), and (1/5, 1/5) pairs with (4, 1)/5
+    # to 1/5 < 2/5: the certificate at witness/n is that point.
+    "witness lowered below the target": (
+        "standard",
+        _complement(boundary=["1/5", "4/5"], witness=["4", "1"]),
+        2,
+        CHECK + "complement rejected: value at witness/n is below the target ratio",
+    ),
+    "zero witness, standard": (
+        "standard",
+        _complement(boundary=["1", "1"], witness=["0", "0"]),
+        2,
+        CHECK + "complement rejected: witness is zero, so the value at witness/n is zero",
+    ),
+    "complement germ not an object": (
+        "bounded", _put("germ", []), 1, ERROR + "not a germ record: []"
+    ),
+    "complement not an object": (
+        "standard", _put("complement", "x"), 1, ERROR + "not a complement record: 'x'"
+    ),
+    "lawrence not an object": (
+        "lawrence", _put("lawrence", 3), 1, ERROR + "not a simplex-avoidance record: 3"
+    ),
+    "lawrence kind unknown": (
+        "lawrence", _lawrence_kind, 1, ERROR + "unknown simplex-avoidance kind: 'z'"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OTHER_MATRIX)
+def test_verify_reject_matrix_of_other_kinds(capsys, tmp_path, name):
+    kind, tamper, code, line = OTHER_MATRIX[name]
+    assert main(list(OTHER_RECORDS[kind])) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert _verify(capsys, tmp_path, data) == (0, "verified 1 records\n", "")
+    tamper(data)
+    assert _verify(capsys, tmp_path, data) == (code, "", line + "\n")
