@@ -7,6 +7,14 @@ under psi, or a weighted pair that decomposes psi exactly); the
 negative side by an explicit interior point pairing below t. Verifiers
 here recompute everything from raw pairings and membership tests, so
 they share no conclusions with the classifier.
+
+Certificates hold integers: each covector or point is a `Scaled` triple
+(s, x, y) standing for (x, y)/s, and each weight or value a `Ratio`
+(num, den). The engine's are reduced, and its covectors integral
+(s = 1). A sweep does each piece of work once at the level it depends
+on: the threshold once per sweep, psi once per boundary pair, the Klein
+sails and the series list once per lattice (`_LatticeWork`), and only
+the minimum, the certificate and its check per germ.
 """
 
 from __future__ import annotations
@@ -24,12 +32,17 @@ from .germs import (
     Minimum,
     boundary_pair,
     case_analysis_lattice,
+    germ_psi,
     psi_of,
     sail_minimum,
+    scaled_psi,
 )
 from .lattices import (
     Lattice,
+    Ratio,
     Rational,
+    Sail,
+    Scaled,
     Vec2,
     _checker,
     _coordinates,
@@ -42,8 +55,10 @@ from .lattices import (
     format_rational,
     in_cone,
     index,
+    klein_sail,
     lattice_from_generators,
     positive_threshold,
+    reduced,
     simplex_ratio,
     superlattices,
     swapped_lattice,
@@ -52,25 +67,31 @@ from .lattices import (
 
 
 class CaseA(NamedTuple):
-    """Single covector witness: psi - t*m stays in the dual quadrant."""
+    """Single covector witness: psi - t*m stays in the dual quadrant. m is (s, x, y)."""
 
-    m: Vec2
+    m: Scaled
 
 
 class CaseB(NamedTuple):
-    """Weighted pair witness: t1*m1 + t2*m2 = psi with t1 + t2 >= t."""
+    """Weighted pair witness: t1*m1 + t2*m2 = psi with t1 + t2 >= t.
 
-    m1: Vec2
-    m2: Vec2
-    t1: Rational
-    t2: Rational
+    m1 and m2 are (s, x, y) triples, t1 and t2 (num, den) pairs.
+    """
+
+    m1: Scaled
+    m2: Scaled
+    t1: Ratio
+    t2: Ratio
 
 
 class NotTLC(NamedTuple):
-    """Interior subgroup point whose pairing with psi is below t."""
+    """Interior subgroup point whose pairing with psi is below t.
 
-    e: Vec2
-    value: Rational
+    e is (s, x, y) and value (num, den).
+    """
+
+    e: Scaled
+    value: Ratio
 
 
 Certificate = Union[CaseA, CaseB, NotTLC]
@@ -89,24 +110,37 @@ def classify_tlc_lattice(lat: Lattice, psi: Vec2, t: Rational) -> Certificate:
     t = positive_threshold(Fraction(t))
     if psi.is_zero():
         raise ValueError("threshold classification needs a nonzero psi")
-    return _certificate(lat, t, psi, sail_minimum(lat, psi), None)
+    scaled = _scaled_covector(psi)
+    ratio = (t.numerator, t.denominator)
+    return _certificate(_LatticeWork(lat), ratio, scaled, sail_minimum(lat, scaled))
 
 
-def certificate_from_case_data(
-    lat: Lattice, data: CaseData, psi: Vec2, t: Rational
-) -> Certificate:
-    """Covector certificate for t <= data.mld; at t = data.mld, the section dichotomy."""
-    if data.gamma >= t:
-        return CaseA(data.v1)
+def certificate_from_case_data(lat: Lattice, data: CaseData, psi: Scaled, t: Ratio) -> Certificate:
+    """Covector certificate for t <= data.mld; at t = data.mld, the section dichotomy.
+
+    psi = (c1, c2)/s and t = tn/td. The weights of a pair are
+    t2 = (mld - gamma)/(1 - alpha) and t1 = mld - t2, computed over
+    their common denominator and then reduced.
+    """
+    tn, td = t
+    (gn, gd), (vx, vy) = data.gamma, data.v1
+    if gn * td >= tn * gd:
+        return CaseA((1, vx, vy))
     # gamma < t <= lam only happens in the split case with positive
     # kernel component; the exact decomposition of psi gives the pair.
     check = _checker(lat, psi)
-    check(data.tag is CaseTag.SPLIT and data.psi_prime > 0, "split case with psi_prime > 0")
-    t2 = (data.mld - data.gamma) / (1 - data.alpha)
-    t1 = data.mld - t2
+    check(data.tag is CaseTag.SPLIT and data.psi_prime[0] > 0, "split case with psi_prime > 0")
+    (ln, ld), (an, ad), (wx, wy) = data.mld, data.alpha, data.v2
+    den = ld * gd * (ad - an)
+    t2 = (ln * gd - gn * ld) * ad
+    t1 = ln * gd * (ad - an) - t2
     check(t1 > 0 and t2 > 0, "t1 > 0 and t2 > 0")
-    check(data.v1.scaled(t1) + data.v2.scaled(t2) == psi, "t1*v1 + t2*v2 == psi")
-    return CaseB(data.v1, data.v2, t1, t2)
+    s, c1, c2 = psi
+    check(
+        (t1 * vx + t2 * wx) * s == c1 * den and (t1 * vy + t2 * wy) * s == c2 * den,
+        "t1*v1 + t2*v2 == psi",
+    )
+    return CaseB((1, vx, vy), (1, wx, wy), reduced(t1, den), reduced(t2, den))
 
 
 def classify_tlc(germ: Germ, t: Rational) -> Certificate:
@@ -130,10 +164,10 @@ def verify_certificate_scaled(
     Raw pairings and membership tests; nothing is taken from the
     classifier, so a classifier bug cannot vouch for itself. The checks
     run in integers: the basis is ((a, b), (0, d))/D from `lat.hnf`,
-    each covector or point is its integer multiple over its common
-    denominator (`_scaled_covector`), a pairing is integral when the
-    scale divides it, and rationals are compared by cross-multiplying
-    with their positive denominators, so no rational is built.
+    each covector or point is the certificate's (s, x, y) and each
+    weight or value its (num, den), with s, den > 0 and neither needing
+    to be reduced; a pairing is integral when the scale divides it, and
+    rationals are compared by cross-multiplying, so no rational is built.
     """
     ps, c1, c2 = psi
     tn, td = t
@@ -141,7 +175,7 @@ def verify_certificate_scaled(
         return Verification(False, "threshold must be positive")
     denom, a, b, d = lat.hnf
     if isinstance(cert, CaseA):
-        s, m1, m2 = _scaled_covector(cert.m)
+        s, m1, m2 = cert.m
         if m1 == 0 and m2 == 0:
             return Verification(False, "witness covector is zero")
         if m1 < 0 or m2 < 0:
@@ -154,14 +188,12 @@ def verify_certificate_scaled(
             return Verification(False, "threshold multiple of the witness overshoots psi")
         return Verification(True, "single-witness certificate holds")
     if isinstance(cert, CaseB):
-        s1, x1, y1 = _scaled_covector(cert.m1)
-        s2, x2, y2 = _scaled_covector(cert.m2)
+        (s1, x1, y1), (s2, x2, y2) = cert.m1, cert.m2
         if min(x1, y1, x2, y2) < 0:
             return Verification(False, "pair covectors outside the dual quadrant")
         if x1 * y2 - y1 * x2 == 0:
             return Verification(False, "pair covectors are linearly dependent")
-        t1, t2 = _exact(cert.t1), _exact(cert.t2)
-        n1, d1, n2, d2 = t1.numerator, t1.denominator, t2.numerator, t2.denominator
+        (n1, d1), (n2, d2) = cert.t1, cert.t2
         if not (n1 > 0 and n2 > 0):
             return Verification(False, "pair weights must be positive")
         if (n1 * d2 + n2 * d1) * td < tn * d1 * d2:
@@ -177,13 +209,12 @@ def verify_certificate_scaled(
             return Verification(False, "subgroup differs from the pair's joint integrality locus")
         return Verification(True, "dual-pair certificate holds")
     if isinstance(cert, NotTLC):
-        s, e1, e2 = _scaled_covector(cert.e)
+        s, e1, e2 = cert.e
         if _coordinates(lat, s, e1, e2) is None:
             return Verification(False, "violating point lies outside the subgroup")
         if not (e1 > 0 and e2 > 0):
             return Verification(False, "violating point is not interior to the quadrant")
-        value = _exact(cert.value)
-        vn, vd = value.numerator, value.denominator
+        vn, vd = cert.value
         # psi . e = (c1*e1 + c2*e2)/(ps*s), against value.
         if (c1 * e1 + c2 * e2) * vd != vn * ps * s:
             return Verification(False, "recorded pairing value is wrong")
@@ -241,12 +272,13 @@ def pair_weights(lat: Lattice, data: CaseData, p: int, q: int) -> tuple[int, int
     weights at least 1, and k1 + k2 = p*(1 - alpha)/gamma.
     """
     check = _checker(lat)
-    scale = 1 / data.gamma
-    check(scale.denominator == 1, "1/gamma is an integer")
-    offset = scale * data.alpha
-    check(offset.denominator == 1, "alpha/gamma is an integer")
-    k1 = q - p * int(offset)
-    k2 = int(scale) * p - q
+    (gn, gd), (an, ad) = data.gamma, data.alpha
+    scale, rest = divmod(gd, gn)
+    check(rest == 0, "1/gamma is an integer")
+    offset, rest = divmod(an * gd, ad * gn)
+    check(rest == 0, "alpha/gamma is an integer")
+    k1 = q - p * offset
+    k2 = scale * p - q
     check(k1 >= 1 and k2 >= 1, "k1 >= 1 and k2 >= 1")
     return k1, k2
 
@@ -263,22 +295,25 @@ def lawrence(lat: Lattice, p: int, q: int) -> LawrenceResult:
     t = simplex_ratio(p, q)
     index(lat)  # raises ValueError unless the lattice contains the integer plane
     p, q = t.numerator, t.denominator
-    psi = vec(1, 1)
+    psi = (1, 1, 1)
 
     minimum = sail_minimum(lat, psi)
-    if minimum.value < t:
-        result: LawrenceResult = Hit(minimum.first)
+    (vn, vd), denom = minimum.value, lat.hnf[0]
+    if vn * q < p * vd:
+        x, y = minimum.first
+        result: LawrenceResult = Hit(vec(Fraction(x, denom), Fraction(y, denom)))
     else:
         data = case_analysis_lattice(lat, psi, minimum)
-        if data.gamma >= t:
-            result = Contained(box_maximal(data.v1, 1 / t))
+        gn, gd = data.gamma
+        if gn * q >= p * gd:
+            result = Contained(box_maximal(vec(*data.v1), 1 / t))
         else:
             k1, k2 = pair_weights(lat, data, p, q)
             if p == 1 and q > 1 and k1 + k2 == 2 * q:
                 # Saturated weights only happen with offset 0 and scale 2q,
                 # where the plain average of the pair already lands in the box.
                 k1 = k2 = 1
-            result = EqualsIntersection(data.v1, data.v2, k1, k2)
+            result = EqualsIntersection(vec(*data.v1), vec(*data.v2), k1, k2)
     outcome = verify_lawrence_result(lat, p, q, result)
     _checker(lat)(outcome.ok, f"verify_lawrence_result ({outcome.reason})")
     return result
@@ -288,7 +323,7 @@ def verify_lawrence_result(lat: Lattice, p: int, q: int, result: LawrenceResult)
     """Re-check a simplex-avoidance result from the lattice and the result only.
 
     At psi = (1, 1) and t = p/q, a hit is `NotTLC(e, e.x1 + e.x2)` and a
-    containment an integral `CaseA(m)` for `verify_certificate_lattice`.
+    containment an integral `CaseA(m)` for `verify_certificate_scaled`.
     A pair needs k1, k2 >= 1, k1 + k2 <= 2q (q reduced), independent
     covectors in the closed dual quadrant whose joint integrality locus
     is the lattice, and a weighted average in [0, q/p]^2. Then the pair
@@ -297,13 +332,15 @@ def verify_lawrence_result(lat: Lattice, p: int, q: int, result: LawrenceResult)
     least 1 with e, while the box bound gives less than (q/p)(p/q) = 1.
     """
     t = simplex_ratio(p, q)
-    psi = vec(1, 1)
+    psi, ratio = (1, 1, 1), (t.numerator, t.denominator)
     if isinstance(result, Hit):
-        return verify_certificate_lattice(lat, psi, t, NotTLC(result.e, result.e.x1 + result.e.x2))
+        value = result.e.x1 + result.e.x2
+        hit = NotTLC(_scaled_covector(result.e), (value.numerator, value.denominator))
+        return verify_certificate_scaled(lat, psi, ratio, hit)
     if isinstance(result, Contained):
         if result.m.x1.denominator != 1 or result.m.x2.denominator != 1:
             return Verification(False, "containment witness is not integral")
-        return verify_certificate_lattice(lat, psi, t, CaseA(result.m))
+        return verify_certificate_scaled(lat, psi, ratio, CaseA(_scaled_covector(result.m)))
     if not isinstance(result, EqualsIntersection):
         return Verification(False, "unrecognized simplex-avoidance result")
     m1, m2, k1, k2 = result
@@ -432,13 +469,21 @@ _Form = tuple[int, int, int, int]
 
 
 class ClassifiedGerm(NamedTuple):
-    """One enumeration record: germ, threshold, value, proof, series."""
+    """One enumeration record: germ, threshold, value, proof, series.
+
+    `value` is the mld as a reduced (num, den) pair; `mld` is the same
+    as a `Fraction`, built on each access.
+    """
 
     germ: Germ
     t: Rational
-    mld: Rational
+    value: Ratio
     certificate: Certificate
     series: list[tuple[int, int]]
+
+    @property
+    def mld(self) -> Rational:
+        return Fraction(*self.value)
 
 
 def _cyclic_forms(r_max: int, budget: Optional[int] = None) -> Iterator[tuple[_Form, _Form, int]]:
@@ -524,24 +569,68 @@ def _swap_forms(lattices: Iterable[Lattice]) -> Iterator[tuple[_Form, _Form, int
         yield lat.hnf, swap.hnf, basis_order(lat, swap)
 
 
-def _certificate(
-    lat: Lattice, t: Rational, psi: Vec2, minimum: Minimum, data: Optional[CaseData]
-) -> Certificate:
-    """The certificate at t > 0, checked by `verify_certificate_lattice`.
+class _LatticeWork:
+    """What the classification of a lattice's germs shares, each part built on its first use.
 
-    NotTLC when the minimum is below t; otherwise the covector
-    certificate, from `data` or a case analysis computed here.
-    VerificationFailure, naming lat and psi, if the certificate fails
-    its own check.
+    The Klein sails of the lattice and of its dual, and the series list
+    at one threshold. A sweep makes one per form of its stream, so each
+    is built once per lattice and lives while the sweep walks that
+    form's germs; a single classification makes its own.
     """
-    if minimum.value < t:
-        cert: Certificate = NotTLC(minimum.first, minimum.value)
+
+    __slots__ = ("lattice", "_sail", "_dual_sail", "_series")
+
+    def __init__(self, lattice: Lattice):
+        self.lattice = lattice
+        self._sail: Optional[Sail] = None
+        self._dual_sail: Optional[Sail] = None
+        self._series: Optional[list[tuple[int, int]]] = None
+
+    def sail(self) -> Sail:
+        if self._sail is None:
+            self._sail = klein_sail(self.lattice)
+        return self._sail
+
+    def dual_sail(self) -> Sail:
+        if self._dual_sail is None:
+            self._dual_sail = klein_sail(dual(self.lattice))
+        return self._dual_sail
+
+    def series(self, t: Rational) -> list[tuple[int, int]]:
+        """`series_membership_lattice` at t, the same t on every call."""
+        if self._series is None:
+            self._series = series_membership_lattice(self.lattice, t)
+        return self._series
+
+
+def _certificate(
+    work: _LatticeWork,
+    t: Ratio,
+    psi: Scaled,
+    minimum: Minimum,
+    data: Optional[CaseData] = None,
+) -> Certificate:
+    """The certificate at t = tn/td > 0 and psi = (c1, c2)/s, checked by `verify_certificate_scaled`.
+
+    NotTLC, its point reduced, when the minimum is below t; otherwise
+    the covector certificate, from `data` or a case analysis computed
+    here on the dual sail of `work`. VerificationFailure, naming the
+    lattice and psi, if the certificate fails its own check.
+    """
+    lat = work.lattice
+    (vn, vd), (tn, td) = minimum.value, t
+    if vn * td < tn * vd:
+        denom = lat.hnf[0]
+        x, y = minimum.first
+        g = math.gcd(denom, x, y)
+        cert: Certificate = NotTLC((denom // g, x // g, y // g), minimum.value)
     else:
         if data is None:
-            data = case_analysis_lattice(lat, psi, minimum)
+            data = case_analysis_lattice(lat, psi, minimum, work.dual_sail())
         cert = certificate_from_case_data(lat, data, psi, t)
-    outcome = verify_certificate_lattice(lat, psi, t, cert)
-    _checker(lat, psi)(outcome.ok, f"verify_certificate_lattice ({outcome.reason})")
+    outcome = verify_certificate_scaled(lat, psi, t, cert)
+    if not outcome.ok:
+        _checker(lat, psi)(False, f"verify_certificate_lattice ({outcome.reason})")
     return cert
 
 
@@ -550,26 +639,99 @@ def classify_germ_record(
     t: Rational,
     minimum: Optional[Minimum] = None,
     data: Optional[CaseData] = None,
-    psi: Optional[Vec2] = None,
+    psi: Optional[Scaled] = None,
+    work: Optional[_LatticeWork] = None,
 ) -> ClassifiedGerm:
     """Classify one germ, verify the certificate, attach series data.
 
     Returns the record, with a NotTLC certificate when the value is
     below the threshold (callers decide whether to stream those).
     `minimum`, `data` and `psi` are the germ's `sail_minimum`, case
-    analysis and `psi_of` when the caller already has them; the case
-    analysis is computed only when the certificate needs it. Raises
-    ValueError for a threshold that is not positive, VerificationFailure
-    if the certificate fails its own check.
+    analysis and `germ_psi` when the caller already has them, and `work`
+    the `_LatticeWork` of its lattice in a sweep; the case analysis is
+    computed only when the certificate needs it. A `Fraction` threshold
+    is used as it is, so a sweep builds none per germ. Raises ValueError
+    for a threshold that is not positive, VerificationFailure if the
+    certificate fails its own check.
     """
-    t = positive_threshold(Fraction(t))
+    if not isinstance(t, Fraction):
+        t = Fraction(t)
+    if t.numerator <= 0:
+        positive_threshold(t)  # raises
     lat = germ.lattice
     if psi is None:
-        psi = psi_of(germ)
+        psi = germ_psi(germ)
     if minimum is None:
         minimum = sail_minimum(lat, psi)
-    cert = _certificate(lat, t, psi, minimum, data)
-    return ClassifiedGerm(germ, t, minimum.value, cert, series_membership_lattice(lat, t))
+    if work is None:
+        work = _LatticeWork(lat)
+    cert = _certificate(work, (t.numerator, t.denominator), psi, minimum, data)
+    return ClassifiedGerm(germ, t, minimum.value, cert, work.series(t))
+
+
+def _fraction(b) -> Rational:
+    """b as a `Fraction`, the same object when it is one already."""
+    return b if isinstance(b, Fraction) else Fraction(b)
+
+
+def _germ_stream(
+    mode: str,
+    bound: int,
+    boundaries: Sequence[tuple[Rational, Rational]],
+    budget: Optional[int],
+) -> Iterator[tuple[_LatticeWork, tuple[Rational, Rational], Scaled]]:
+    """`candidate_germs` as (lattice work, boundary pair, psi) triples.
+
+    psi is built once per boundary pair, and one `_LatticeWork` serves
+    every germ of a form. The mode, the bound and each boundary pair are
+    checked on the call.
+    """
+    if mode == "cyclic":
+        forms = _cyclic_forms(bound, budget)
+    elif mode == "all":
+        forms = _swap_forms(superlattices(bound))
+    else:
+        raise ValueError(f"unknown enumeration mode: {mode!r}")
+
+    # Each boundary pair and its swap, with a small integer id for the
+    # dedupe keys and its psi, and whether the pair is the least of the two.
+    ids: dict[tuple[Rational, Rational], tuple[int, Scaled]] = {}
+
+    def entry(pair: tuple[Rational, Rational]) -> tuple[int, Scaled]:
+        if pair not in ids:
+            b1, b2 = pair
+            psi = scaled_psi((b1.numerator, b1.denominator), (b2.numerator, b2.denominator))
+            ids[pair] = (len(ids), psi)
+        return ids[pair]
+
+    plan = []
+    for b1, b2 in boundaries:
+        pair = boundary_pair(_fraction(b1), _fraction(b2))
+        swapped = pair[::-1]
+        plan.append((pair, *entry(pair), swapped, *entry(swapped), pair <= swapped))
+
+    def stream() -> Iterator[tuple[_LatticeWork, tuple[Rational, Rational], Scaled]]:
+        # Keys are (integer form of the canonical lattice, boundary id).
+        # Every germ of a form has the same canonical lattice: the swap's
+        # when the swap comes first, else the form's own (order 0 means
+        # the two forms are equal). Its work is built with the first germ.
+        seen: set[tuple[_Form, int]] = set()
+        for form, swap, order in forms:
+            canon = swap if order > 0 else form
+            work = None
+            for pair, own, psi, swapped, other, swapped_psi, least in plan:
+                if order < 0 or (order == 0 and least):
+                    key = (canon, own)
+                else:
+                    key, pair, psi = (canon, other), swapped, swapped_psi
+                if key in seen:
+                    continue
+                seen.add(key)
+                if work is None:
+                    work = _LatticeWork(Lattice(hnf=canon))
+                yield work, pair, psi
+
+    return stream()
 
 
 def candidate_germs(
@@ -593,44 +755,8 @@ def candidate_germs(
     `_cyclic_forms`): the stream is the full one with the other
     lattices' germs left out. Mode "all" walks every lattice.
     """
-    if mode == "cyclic":
-        forms = _cyclic_forms(bound, budget)
-    elif mode == "all":
-        forms = _swap_forms(superlattices(bound))
-    else:
-        raise ValueError(f"unknown enumeration mode: {mode!r}")
-
-    # Each boundary pair and its swap, with small integer ids for the
-    # dedupe keys, and whether the pair is the least of the two.
-    ids: dict[tuple[Rational, Rational], int] = {}
-    plan = []
-    for b1, b2 in boundaries:
-        pair = boundary_pair(Fraction(b1), Fraction(b2))
-        swapped = pair[::-1]
-        own, other = ids.setdefault(pair, len(ids)), ids.setdefault(swapped, len(ids))
-        plan.append((pair, own, swapped, other, pair <= swapped))
-
-    def stream() -> Iterator[Germ]:
-        # Keys are (integer form of the canonical lattice, boundary id). A
-        # Lattice is built only when a germ is yielded, at most once per
-        # form of the current pair.
-        seen: set[tuple[_Form, int]] = set()
-        for form, swap, order in forms:
-            built: dict[_Form, Lattice] = {}
-            for pair, own, swapped, other, least in plan:
-                if order < 0 or (order == 0 and least):
-                    key = (form, own)
-                else:
-                    key, pair = (swap, other), swapped
-                if key in seen:
-                    continue
-                seen.add(key)
-                lat = built.get(key[0])
-                if lat is None:
-                    lat = built[key[0]] = Lattice(hnf=key[0])
-                yield Germ(lat, *pair)
-
-    return stream()
+    stream = _germ_stream(mode, bound, boundaries, budget)
+    return (Germ(work.lattice, *pair) for work, pair, _ in stream)
 
 
 def enumerate_germs(
@@ -645,35 +771,42 @@ def enumerate_germs(
     Records with value below t are withheld unless include_not_tlc is
     set (those carry a NotTLC certificate). A withheld germ costs its
     minimum and the check of its NotTLC certificate, which guards the
-    drop; it gets no series list. Most withheld germs need not be
-    classified at all: without include_not_tlc, a cyclic sweep walks only
-    the lattices within Borisov's excess bound (2 - b1 - b2 - 2t)/t of
-    some boundary pair, outside which no germ reaches t (proof in
-    `_cyclic_forms`). The threshold, the mode and the boundary pairs
+    drop. No per-germ step builds a rational: the threshold is reduced
+    once, psi is built once per boundary pair, and the sails and the
+    series list once per lattice (see `_germ_stream`). Most withheld
+    germs need not be classified at all: without include_not_tlc, a
+    cyclic sweep walks only the lattices within Borisov's excess bound
+    (2 - b1 - b2 - 2t)/t of some boundary pair, outside which no germ
+    reaches t (proof in `_cyclic_forms`). The threshold, the mode and the boundary pairs
     are checked on the call, before the first record; so is the size
     of the series lists (`series_membership_lattice`).
     """
     t = positive_threshold(Fraction(t))
+    tn, td = ratio = t.numerator, t.denominator
     # The order-1 lattice, first in every stream, has the longest series list.
-    _check_series_size(t, math.floor(1 / t), 1, 1)
+    _check_series_size(t, td // tn, 1, 1)
     budget = None
     if not include_not_tlc:
-        budget = max(
-            (math.floor((2 - Fraction(b1) - Fraction(b2) - 2 * t) / t) for b1, b2 in boundaries),
-            default=-1,
-        )
-    germs = candidate_germs(mode, bound, boundaries, budget)
+        # floor((2 - b1 - b2 - 2t)/t) for b_i = n_i/d_i, over the common denominator.
+        budget = -1
+        for b1, b2 in boundaries:
+            b1, b2 = _fraction(b1), _fraction(b2)
+            (n1, d1), (n2, d2) = (b1.numerator, b1.denominator), (b2.numerator, b2.denominator)
+            room = (2 * d1 * d2 - n1 * d2 - n2 * d1) * td - 2 * tn * d1 * d2
+            budget = max(budget, room // (d1 * d2 * tn))
+    stream = _germ_stream(mode, bound, boundaries, budget)
 
     def records() -> Iterator[ClassifiedGerm]:
-        for germ in germs:
-            psi = psi_of(germ)
-            minimum = sail_minimum(germ.lattice, psi)
-            if include_not_tlc or minimum.value >= t:
-                yield classify_germ_record(germ, t, minimum, psi=psi)
+        for work, pair, psi in stream:
+            lat = work.lattice
+            minimum = sail_minimum(lat, psi, work.sail())
+            vn, vd = minimum.value
+            if include_not_tlc or vn * td >= tn * vd:
+                yield classify_germ_record(Germ(lat, *pair), t, minimum, psi=psi, work=work)
             else:
                 # Withheld: the check of its NotTLC certificate guards the
                 # drop; it gets no series list and no record.
-                _certificate(germ.lattice, t, psi, minimum, None)
+                _certificate(work, ratio, psi, minimum)
 
     return records()
 

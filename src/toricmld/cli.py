@@ -35,8 +35,8 @@ from .germs import (
     Germ,
     case_analysis_lattice,
     germ_from_quotient_type,
+    germ_psi,
     mld_argmin,
-    psi_of,
     sail_minimum,
     scaled_psi,
 )
@@ -63,6 +63,7 @@ from .records import (
     record_fields,
     record_table_row,
     record_to_json,
+    records_to_json,
     type_label,
     type_label_agrees,
 )
@@ -146,13 +147,13 @@ def _cmd_mld(args) -> int:
 def _cmd_classify(args) -> int:
     germ = _germ_from_args(args)
     t = positive_threshold(parse_rational(args.t))
-    lat, psi = germ.lattice, psi_of(germ)
-    if psi.is_zero():
+    lat, psi = germ.lattice, germ_psi(germ)
+    if not (psi[1] or psi[2]):
         raise ValueError("threshold classification needs a nonzero psi (boundary below (1,1))")
     minimum = sail_minimum(lat, psi)
     data = case_analysis_lattice(lat, psi, minimum)
     out = record_to_json(classify_germ_record(germ, t, minimum, data))
-    out["case_data"] = case_data_to_json(data)
+    out["case_data"] = case_data_to_json(data, lat)
     print(dumps(out))
     return 0
 
@@ -214,8 +215,8 @@ def _cmd_enumerate(args) -> int:
     mode = "a" if args.resume else "w"
     with open(args.out, mode, encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
         if args.format == "jsonl":
-            for record in records:
-                out.write(dumps(record_to_json(record)) + "\n")
+            for data in records_to_json(records):
+                out.write(dumps(data) + "\n")
         else:
             _emit_table(records, out, args.format)
     return 0

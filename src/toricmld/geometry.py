@@ -24,10 +24,10 @@ from .certify import (
 )
 from .germs import (
     Germ,
-    case_analysis,
     case_analysis_lattice,
     gamma_max_lattice,
     gamma_of,
+    germ_psi,
     make_germ,
     mld,
     mld_lattice,
@@ -37,15 +37,16 @@ from .germs import (
 from .lattices import (
     Rational,
     STANDARD_LATTICE,
+    Scaled,
     Vec2,
     _checker,
-    _scaled_covector,
     contains,
     cyclic_type,
     dual,
     in_cone,
     klein_sail,
     simplex_ratio,
+    vec,
 )
 
 
@@ -72,9 +73,9 @@ def lct_invariant(germ: Germ, section: HyperplaneSection) -> Rational:
     Componentwise binding constraint, so this is exactly the largest
     scale of the section covector under psi.
     """
-    psi = psi_of(germ)
-    value = gamma_of(section.m, psi)
-    _checker(germ.lattice, psi)(value is not None, "a nonzero section has a finite scale")
+    value = gamma_of(section.m, psi_of(germ))
+    check = _checker(germ.lattice, germ_psi(germ))
+    check(value is not None, "a nonzero section has a finite scale")
     return value
 
 
@@ -105,7 +106,7 @@ def classify_mld_ge_one(germ: Germ) -> Union[ProductCase, QuotientCase, NotAppli
     a = mld(germ)
     if a < 1:
         return NotApplicable()
-    check = _checker(germ.lattice, psi_of(germ))
+    check = _checker(germ.lattice, germ_psi(germ))
     if germ.lattice == STANDARD_LATTICE:
         check(
             a == 2 - germ.b1 - germ.b2 and germ.b1 + germ.b2 <= 1,
@@ -146,17 +147,28 @@ def hyperplane_dichotomy(germ: Germ) -> Union[SingleH, DoubleH]:
     exact weights summing to the minimum. The single section needs no
     oracle: psi - mld*m is checked to be zero, and a zero psi has value 0.
     """
-    psi = psi_of(germ)
-    data = case_analysis(germ)
+    psi = germ_psi(germ)
+    data = case_analysis_lattice(germ.lattice, psi)
     cert = certificate_from_case_data(germ.lattice, data, psi, data.mld)
     if isinstance(cert, CaseB):
-        return DoubleH(HyperplaneSection(cert.m1), HyperplaneSection(cert.m2), cert.t1, cert.t2)
-    check = _checker(germ.lattice, psi)
-    a = data.mld
-    # gamma == mld here, so psi = a * v1 and the pushed boundary is the full one.
-    residual = psi - cert.m.scaled(a)
-    check(residual.is_zero(), "psi == mld*v1")
-    return SingleH(HyperplaneSection(cert.m), a)
+        return DoubleH(
+            HyperplaneSection(_unscaled(cert.m1)),
+            HyperplaneSection(_unscaled(cert.m2)),
+            Fraction(*cert.t1),
+            Fraction(*cert.t2),
+        )
+    # gamma == mld here, so psi = mld * m and the pushed boundary is the full one.
+    (s, c1, c2), (ln, ld), (ms, mx, my) = psi, data.mld, cert.m
+    _checker(germ.lattice, psi)(
+        c1 * ld * ms == s * ln * mx and c2 * ld * ms == s * ln * my, "psi == mld*v1"
+    )
+    return SingleH(HyperplaneSection(_unscaled(cert.m)), Fraction(ln, ld))
+
+
+def _unscaled(v: Scaled) -> Vec2:
+    """The vector (x, y)/s of a certificate's (s, x, y)."""
+    s, x, y = v
+    return Vec2(Fraction(x, s), Fraction(y, s))
 
 
 def half_mld_section(germ: Germ) -> HyperplaneSection:
@@ -179,9 +191,8 @@ def half_mld_section(germ: Germ) -> HyperplaneSection:
             section = outcome.h2
         else:
             section = min(outcome.h1, outcome.h2)
-    psi = psi_of(germ)
-    check = _checker(germ.lattice, psi)
-    pushed = psi - section.m.scaled(a / 2)
+    check = _checker(germ.lattice, germ_psi(germ))
+    pushed = psi_of(germ) - section.m.scaled(a / 2)
     check(in_cone(pushed), "psi - (mld/2)*m lies in the dual quadrant")
     return section
 
@@ -216,25 +227,27 @@ def complement_standard(germ: Germ, p: int, q: int) -> Complement:
     p, q = t.numerator, t.denominator
     if not (is_standard_coefficient(germ.b1) and is_standard_coefficient(germ.b2)):
         raise ValueError("boundary coefficients must be standard")
-    psi = psi_of(germ)
+    psi = germ_psi(germ)
     minimum = sail_minimum(germ.lattice, psi)
-    if minimum.value < t:
+    vn, vd = minimum.value
+    if vn * q < p * vd:
         raise ValueError("the germ's value is below the target ratio")
     data = case_analysis_lattice(germ.lattice, psi, minimum)
     check = _checker(germ.lattice, psi)
 
-    if data.gamma >= t:
-        n = q
-        witness = data.v1.scaled(Fraction(p))
-        s = 1
+    (gn, gd), (v1x, v1y) = data.gamma, data.v1
+    if gn * q >= p * gd:
+        n, s = q, 1
+        wx, wy = p * v1x, p * v1y
     else:
         k1, k2 = pair_weights(germ.lattice, data, p, q)
         s, rest = divmod(k1 + k2, p)
         check(rest == 0, "k1 + k2 == p*s")
         n = s * q
-        witness = data.v1.scaled(Fraction(k1)) + data.v2.scaled(Fraction(k2))
+        (v2x, v2y) = data.v2
+        wx, wy = k1 * v1x + k2 * v2x, k1 * v1y + k2 * v2y
     check(1 <= s and s * p <= 2 * q, "1 <= s <= 2q/p")
-    comp = Complement(n, (1 - witness.x1 / n, 1 - witness.x2 / n), witness)
+    comp = Complement(n, (Fraction(n - wx, n), Fraction(n - wy, n)), vec(wx, wy))
     outcome = verify_complement(germ, comp, t)
     check(outcome.ok, f"verify_complement ({outcome.reason})")
     return comp
@@ -276,11 +289,12 @@ def bounded_complement(germ: Germ) -> Complement:
     m_lat = dual(germ.lattice)
     gamma, _ = gamma_max_lattice(m_lat, psi, a)
     n = math.ceil(1 / gamma)
-    check = _checker(germ.lattice, psi)
+    scaled = germ_psi(germ)
+    check = _checker(germ.lattice, scaled)
     n_max = math.ceil(2 / a)
     check(n <= n_max, f"a complement of level <= {n_max} exists")
     # First sail point with y/D <= n*c2/s, that is y*s <= n*c2*D.
-    s, _, c2 = _scaled_covector(psi)
+    s, _, c2 = scaled
     sail = klein_sail(m_lat)
     bound = n * c2 * sail.denominator
     edge = next(e for e in sail.edges if (e.y + e.length * e.dy) * s <= bound)

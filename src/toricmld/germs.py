@@ -15,13 +15,17 @@ normal form instead. The best single covector v1 and the scale gamma it
 supports come from the sail of the dual lattice the same way. When psi
 is interior, an adapted lattice basis whose slice interval
 (alpha, beta) controls everything else completes the case analysis,
-which works in the same integers and builds rationals only for the
-fields it returns. Every derived identity is checked on the spot
-against the sail minimum and raises VerificationFailure, naming the
-lattice and psi, when it breaks. No step enumerates the quotient
-except to return it: the minimizers of zero psi are all of the
-representatives, which `residues` lists column by column off the
-Hermite normal form, with no set and no sort.
+which works in the same integers and returns them: rationals as
+reduced (num, den) pairs, covectors as integer pairs (the dual of a
+superlattice of the integer plane lies in it) and lattice points over
+the common denominator D of the Hermite normal form. `Fraction`s are
+built only by the library functions of a germ (`mld`, `mld_argmin`,
+`gamma_max`) and their lattice forms. Every derived identity is
+checked on the spot against the sail minimum and raises
+VerificationFailure, naming the lattice and psi, when it breaks. No
+step enumerates the quotient except to return it: the minimizers of
+zero psi are all of the representatives, which `residues` lists column
+by column off the Hermite normal form, with no set and no sort.
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ from .lattices import (
     E1,
     E2,
     Lattice,
+    Ratio,
     Rational,
     Sail,
+    Scaled,
     Vec2,
     _checker,
     _scaled_covector,
@@ -52,6 +58,7 @@ from .lattices import (
     is_primitive,
     klein_sail,
     lattice_from_quotient_type,
+    reduced,
     residues,
     swapped_lattice,
     vec,
@@ -109,7 +116,7 @@ def psi_of(germ: Germ) -> Vec2:
     )
 
 
-def scaled_psi(b1: tuple[int, int], b2: tuple[int, int]) -> tuple[int, int, int]:
+def scaled_psi(b1: Ratio, b2: Ratio) -> Scaled:
     """psi of the boundary (n1/d1, n2/d2), d1, d2 > 0, as (s, c1, c2) with psi = (c1, c2)/s.
 
     `psi_of` in integers: 1 - n/d = (d - n)/d over s = lcm(d1, d2).
@@ -117,6 +124,12 @@ def scaled_psi(b1: tuple[int, int], b2: tuple[int, int]) -> tuple[int, int, int]
     (n1, d1), (n2, d2) = b1, b2
     scale = math.lcm(d1, d2)
     return scale, (d1 - n1) * (scale // d1), (d2 - n2) * (scale // d2)
+
+
+def germ_psi(germ: Germ) -> Scaled:
+    """`scaled_psi` of the germ's boundary."""
+    b1, b2 = germ.b1, germ.b2
+    return scaled_psi((b1.numerator, b1.denominator), (b2.numerator, b2.denominator))
 
 
 def swapped_germ(germ: Germ) -> Germ:
@@ -150,22 +163,19 @@ def log_discrepancy(germ: Germ, e: Sequence) -> Rational:
 
 
 class Minimum(NamedTuple):
-    """Least pairing of psi over the open quadrant and where it is attained.
+    """Least pairing of psi over the open quadrant and where it is attained, in integers.
 
-    The minimizers in (0,1]^2 are first + k*step for 0 <= k < count, in
+    `value` is a reduced (num, den) pair. The minimizers in (0,1]^2 are
+    (first + k*step)/D for 0 <= k < count, D = lat.hnf[0], in
     lexicographic order; a unique minimizer has a zero step. Zero psi is
     the exception: every representative attains the value 0, count is
     the index and the full list is `residues(lat)`.
     """
 
-    value: Rational
-    first: Vec2
-    step: Vec2
+    value: Ratio
+    first: tuple[int, int]
+    step: tuple[int, int]
     count: int
-
-
-# The step of a single minimizer, built once rather than per minimum.
-_NO_STEP = vec(0, 0)
 
 
 def _open_sail_argmin(sail: Sail, c1: int, c2: int) -> tuple[int, int, int, int, int]:
@@ -226,34 +236,30 @@ def _axis_argmin(lat: Lattice, c1: int, c2: int) -> tuple[int, int, int, int, in
     return a, y, 0, 0, index(lat)
 
 
-def sail_minimum(lat: Lattice, psi: Vec2) -> Minimum:
+def sail_minimum(lat: Lattice, psi: Scaled, sail: Optional[Sail] = None) -> Minimum:
     """Minimum pairing over the open quadrant, with its minimizers as one run.
 
-    `lat` is a full-rank superlattice of the integer plane and psi is
-    componentwise nonnegative. Interior psi reads the minimum off the
-    Klein sail in O(log index) steps (`klein_sail`), psi on an axis off
-    the Hermite normal form (`_axis_argmin`). Rationals are built only
-    for the returned value and points.
+    `lat` is a full-rank superlattice of the integer plane and psi =
+    (c1, c2)/s is componentwise nonnegative; `sail` is `klein_sail(lat)`
+    when the caller already has it. Interior psi reads the minimum off
+    the Klein sail in O(log index) steps, psi on an axis off the Hermite
+    normal form (`_axis_argmin`). No rational is built.
     """
-    scale, c1, c2 = _scaled_covector(psi)
+    scale, c1, c2 = psi
     if c1 < 0 or c2 < 0:
         raise ValueError("psi must lie in the closed dual quadrant")
-    denom = lat.hnf[0]
     if c1 and c2:
-        x, y, dx, dy, count = _open_sail_argmin(klein_sail(lat), c1, c2)
+        x, y, dx, dy, count = _open_sail_argmin(
+            klein_sail(lat) if sail is None else sail, c1, c2
+        )
     else:
         x, y, dx, dy, count = _axis_argmin(lat, c1, c2)
-    return Minimum(
-        Fraction(c1 * x + c2 * y, scale * denom),
-        Vec2(Fraction(x, denom), Fraction(y, denom)),
-        Vec2(Fraction(dx, denom), Fraction(dy, denom)) if dx or dy else _NO_STEP,
-        count,
-    )
+    return Minimum(reduced(c1 * x + c2 * y, scale * lat.hnf[0]), (x, y), (dx, dy), count)
 
 
 def mld_lattice(lat: Lattice, psi: Vec2) -> Rational:
     """Minimum pairing over the open quadrant (see `sail_minimum`)."""
-    return sail_minimum(lat, psi).value
+    return Fraction(*sail_minimum(lat, _scaled_covector(psi)).value)
 
 
 # Most minimizers `mld_argmin_lattice` lists; at zero psi that is the index.
@@ -266,21 +272,26 @@ def mld_argmin_lattice(lat: Lattice, psi: Vec2) -> tuple[Rational, list[Vec2]]:
     ValueError, before any point is built, when the list would hold
     more than ARGMIN_LIMIT points: `sail_minimum` counts them first.
     """
-    minimum = sail_minimum(lat, psi)
+    minimum = sail_minimum(lat, _scaled_covector(psi))
     if minimum.count > ARGMIN_LIMIT:
         what = "index" if psi.is_zero() else "minimizer count"
         raise ValueError(
             f"{what} {minimum.count} is above the listing limit of {ARGMIN_LIMIT} minimizers"
         )
+    value = Fraction(*minimum.value)
     if psi.is_zero():
-        return minimum.value, residues(lat)
-    first, step = minimum.first, minimum.step
-    return minimum.value, [first + step.scaled(Fraction(k)) for k in range(minimum.count)]
+        return value, residues(lat)
+    denom = lat.hnf[0]
+    (x, y), (dx, dy) = minimum.first, minimum.step
+    return value, [
+        Vec2(Fraction(x + k * dx, denom), Fraction(y + k * dy, denom))
+        for k in range(minimum.count)
+    ]
 
 
 def mld(germ: Germ) -> Rational:
     """Minimal log discrepancy of the germ."""
-    return mld_lattice(germ.lattice, psi_of(germ))
+    return Fraction(*sail_minimum(germ.lattice, germ_psi(germ)).value)
 
 
 def mld_argmin(germ: Germ) -> tuple[Rational, list[Vec2]]:
@@ -309,16 +320,16 @@ def gamma_of(m: Vec2, psi: Vec2) -> Optional[Rational]:
 
 
 def _best_covector(
-    m_lat: Lattice, scale: int, c1: int, c2: int, lam: Rational, check: Callable[[bool, str], None]
+    sail: Sail, scale: int, c1: int, c2: int, lam: Ratio, check: Callable[[bool, str], None]
 ) -> tuple[int, int, int, int, int]:
-    """`gamma_max_lattice` for psi = (c1, c2)/scale, in integers.
+    """`gamma_max_lattice` for psi = (c1, c2)/scale and lam = ln/ld, in integers.
 
-    Returns (gn, gd, x, y, S): the scale gn/gd and the maximizer (x, y)/S,
-    S the denominator of the dual's Klein sail. A sail point's scale is
-    min(c1*S/(scale*x), c2*S/(scale*y)) over its positive coordinates,
-    compared by cross-multiplying.
+    `sail` is the Klein sail of the dual lattice. Returns (gn, gd, x, y,
+    S): the scale gn/gd and the maximizer (x, y)/S, S the sail's
+    denominator. A sail point's scale is min(c1*S/(scale*x),
+    c2*S/(scale*y)) over its positive coordinates, compared by
+    cross-multiplying.
     """
-    sail = klein_sail(m_lat)
     for edge in sail.edges:
         g0 = edge.x * c2 - edge.y * c1
         slope = edge.dx * c2 - edge.dy * c1
@@ -339,7 +350,8 @@ def _best_covector(
         if best is None or gn * best[1] > best[0] * gd:
             best = (gn, gd, x, y)
     gn, gd, x, y = best
-    check(2 * gn * lam.denominator >= lam.numerator * gd, "best covector scale >= lam/2")
+    ln, ld = lam
+    check(2 * gn * ld >= ln * gd, "best covector scale >= lam/2")
     return gn, gd, x, y, denom
 
 
@@ -360,8 +372,11 @@ def gamma_max_lattice(m_lat: Lattice, psi: Vec2, lam: Rational) -> tuple[Rationa
         raise ValueError("psi must lie in the closed dual quadrant")
     if psi.is_zero():
         raise ValueError("the covector bound needs a nonzero psi")
-    scale, c1, c2 = _scaled_covector(psi)
-    gn, gd, x, y, denom = _best_covector(m_lat, scale, c1, c2, lam, _checker(m_lat, psi))
+    scaled = _scaled_covector(psi)
+    lam = Fraction(lam)
+    gn, gd, x, y, denom = _best_covector(
+        klein_sail(m_lat), *scaled, (lam.numerator, lam.denominator), _checker(m_lat, scaled)
+    )
     return Fraction(gn, gd), Vec2(Fraction(x, denom), Fraction(y, denom))
 
 
@@ -382,80 +397,87 @@ class CaseTag(Enum):
     SPLIT = "split"
 
 
-@dataclass(frozen=True)
-class CaseData:
-    """Complete output of the case analysis.
+class CaseData(NamedTuple):
+    """Complete output of the case analysis, in integers.
 
-    `mld` is the exact minimum of the discrepancy pairing. The split
-    fields: (e1p, e2p) is the adapted lattice basis, (alpha, beta) the
-    slice interval with beta None meaning unbounded, psi_prime the
-    kernel component of the rescaled residual, v2 the covector dual to
-    e2p, q_min the denominator of alpha, lambda_prime the second-order
-    minimum, and c the pivot bound 1 + psi_prime*(beta - alpha) for
-    bounded slices.
+    Rationals are reduced (num, den) pairs, covectors integer pairs and
+    lattice points integer pairs over D = lat.hnf[0]. `mld` is the exact
+    minimum of the discrepancy pairing, `gamma` the best covector scale
+    and `v1` its covector. The split fields: (e1p, e2p) is the adapted
+    lattice basis, (alpha, beta) the slice interval with beta None
+    meaning unbounded, psi_prime the kernel component of the rescaled
+    residual, v2 the covector dual to e2p, q_min the denominator of
+    alpha, lambda_prime the second-order minimum, and c the pivot bound
+    1 + psi_prime*(beta - alpha) for bounded slices.
     """
 
     tag: CaseTag
-    gamma: Rational
-    v1: Vec2
-    mld: Rational
-    e1p: Optional[Vec2] = None
-    e2p: Optional[Vec2] = None
-    alpha: Optional[Rational] = None
-    beta: Optional[Rational] = None
-    psi_prime: Optional[Rational] = None
-    v2: Optional[Vec2] = None
-    lambda_prime: Optional[Rational] = None
+    gamma: Ratio
+    v1: tuple[int, int]
+    mld: Ratio
+    e1p: Optional[tuple[int, int]] = None
+    e2p: Optional[tuple[int, int]] = None
+    alpha: Optional[Ratio] = None
+    beta: Optional[Ratio] = None
+    psi_prime: Optional[Ratio] = None
+    v2: Optional[tuple[int, int]] = None
+    lambda_prime: Optional[Ratio] = None
     q_min: Optional[int] = None
-    c: Optional[Rational] = None
+    c: Optional[Ratio] = None
 
 
 def case_analysis_lattice(
-    lat: Lattice, psi: Vec2, minimum: Optional[Minimum] = None
+    lat: Lattice,
+    psi: Scaled,
+    minimum: Optional[Minimum] = None,
+    dual_sail: Optional[Sail] = None,
 ) -> CaseData:
     """Closed-form discrepancy data for a superlattice of the integer plane.
 
-    `minimum` is `sail_minimum(lat, psi)` when the caller already has
-    it. Every derived identity is checked against that minimum; a
+    psi = (c1, c2)/s. `minimum` is `sail_minimum(lat, psi)` and
+    `dual_sail` is `klein_sail(dual(lat))` when the caller already has
+    them. Every derived identity is checked against that minimum; a
     failure raises VerificationFailure, because it means the closed
     forms disagree with each other, which is a bug, not bad input.
 
-    The analysis runs in integers; rationals are built only for the
-    returned fields. With psi = (c1, c2)/s, the best covector
-    v1 = (vx, vy)/vs and gamma = gn/gd (`_best_covector`), and the split
-    e1p = (e1x, e1y)/D, e2p = (e2x, e2y)/D (`_split_scaled`):
-    psi_prime = gd*(c1*e2x + c2*e2y)/(gn*s*D), because v1 pairs e2p to 0;
+    The analysis runs in integers and returns them (see `CaseData`).
+    With the best covector v1 = (vx, vy) and gamma = gn/gd
+    (`_best_covector`), and the split e1p = (e1x, e1y)/D,
+    e2p = (e2x, e2y)/D (`_split_scaled`): psi_prime =
+    gd*(c1*e2x + c2*e2y)/(gn*s*D), because v1 pairs e2p to 0;
     v2 = (-e1y, e1x)*D/det with det = e1x*e2y - e1y*e2x; and the
-    residual psi - gamma*v1 = (r1, r2)/(s*gd*vs). The slice interval
+    residual psi - gamma*v1 = (r1, r2)/(s*gd). The slice interval
     (alpha, beta) is where e1p + t*e2p lies in the open quadrant: each
     coordinate with a positive step bounds t below, a negative one
     above, and e1p is then shifted by floor(alpha) steps.
     """
-    s, c1, c2 = _scaled_covector(psi)
+    s, c1, c2 = psi
     if c1 < 0 or c2 < 0:
         raise ValueError("psi must lie in the closed dual quadrant")
     if not (c1 or c2):
         raise ValueError("case analysis needs a nonzero psi")
     if minimum is None:
         minimum = sail_minimum(lat, psi)
+    if dual_sail is None:
+        dual_sail = klein_sail(dual(lat))
+    if dual_sail.denominator != 1:
+        raise ValueError("case analysis needs a lattice containing the integer plane")
     check = _checker(lat, psi)
-    lam = minimum.value
-    ln, ld = lam.numerator, lam.denominator
-    gn, gd, vx, vy, vs = _best_covector(dual(lat), s, c1, c2, lam, check)
+    lam = ln, ld = minimum.value
+    gn, gd, vx, vy, _ = _best_covector(dual_sail, s, c1, c2, lam, check)
     check(gn * ld <= ln * gd <= 2 * gn * ld, "gamma <= lam <= 2*gamma")
-    gamma = Fraction(gn, gd)
-    v1 = Vec2(Fraction(vx, vs), Fraction(vy, vs))
+    gamma = reduced(gn, gd)
 
     if not (c1 and c2):
         # Boundary psi: the best covector realizes psi exactly.
         check(
-            ln * gd == gn * ld and vx * gn * s == c1 * vs * gd and vy * gn * s == c2 * vs * gd,
+            ln * gd == gn * ld and vx * gn * s == c1 * gd and vy * gn * s == c2 * gd,
             "lam*v1 == psi",
         )
-        return CaseData(tag=CaseTag.BOUNDARY_PSI, gamma=gamma, v1=v1, mld=lam)
+        return CaseData(CaseTag.BOUNDARY_PSI, gamma, (vx, vy), reduced(ln, ld))
 
     denom = lat.hnf[0]
-    e1x, e1y, e2x, e2y = _split_scaled(lat, vs, vx, vy)
+    e1x, e1y, e2x, e2y = _split_scaled(lat, 1, vx, vy)
     pn = c1 * e2x + c2 * e2y
     if pn < 0:
         e2x, e2y, pn = -e2x, -e2y, -pn
@@ -482,14 +504,16 @@ def case_analysis_lattice(
     an -= shift * ad
     e1x, e1y = e1x + shift * e2x, e1y + shift * e2y
     check(0 <= an < ad, "0 <= alpha < 1")
-    check(vx * e1x + vy * e1y == vs * denom and vx * e2x + vy * e2y == 0, "v1 pairs to (1, 0)")
+    check(vx * e1x + vy * e1y == denom and vx * e2x + vy * e2y == 0, "v1 pairs to (1, 0)")
 
+    # v2 = (-e1y, e1x)*D/det lies in the dual, so the divisions are exact
+    # exactly when the pairings below hold.
     det = e1x * e2y - e1y * e2x
-    v2x, v2y = -e1y * denom, e1x * denom  # v2 = (v2x, v2y)/det
-    check(v2x * e1x + v2y * e1y == 0 and v2x * e2x + v2y * e2y == det * denom, "v2 pairs to (0, 1)")
+    v2x, v2y = -e1y * denom // det, e1x * denom // det
+    check(v2x * e1x + v2y * e1y == 0 and v2x * e2x + v2y * e2y == denom, "v2 pairs to (0, 1)")
 
     # Residual vanishes along the slice's lower endpoint direction.
-    r1, r2 = c1 * gd * vs - s * gn * vx, c2 * gd * vs - s * gn * vy
+    r1, r2 = c1 * gd - s * gn * vx, c2 * gd - s * gn * vy
     check(
         r1 * (e1x * ad + an * e2x) + r2 * (e1y * ad + an * e2y) == 0,
         "residual vanishes at the lower end",
@@ -507,7 +531,7 @@ def case_analysis_lattice(
         cd = pd * bd * ad
         cn = cd + pn * (bn * ad - an * bd)  # c = 1 + psi_prime*(beta - alpha)
         check(bn * cd >= cn * bd and bn > bd, "beta >= c and beta > 1")
-        beta, c = Fraction(bn, bd), Fraction(cn, cd)
+        beta, c = reduced(bn, bd), reduced(cn, cd)
 
     check(
         gn * (pd * ad + pn * (ad - an)) * ld == ln * gd * pd * ad,
@@ -517,23 +541,20 @@ def case_analysis_lattice(
     # Positive kernel component forces a unique minimizer (the converse
     # can fail, e.g. on the index-2 diagonal superlattice).
     if pn > 0:
-        x1, x2 = minimum.first
         check(
-            minimum.count == 1
-            and x1.numerator * denom == (e1x + e2x) * x1.denominator
-            and x2.numerator * denom == (e1y + e2y) * x2.denominator,
+            minimum.count == 1 and minimum.first == (e1x + e2x, e1y + e2y),
             "minimizers == [e1p + e2p]",
         )
 
-    alpha = Fraction(an, ad)
-    q_min = alpha.denominator
+    alpha = reduced(an, ad)
+    q_min = alpha[1]
     lpn, lpd = gn * pn, gd * pd * q_min  # lambda_prime = gamma*psi_prime/q_min
     # gamma is the binding scale, so the residual lies on an axis of the
     # dual quadrant, where its minimum is read off the Hermite normal form.
     check(r1 >= 0 and r2 >= 0 and (r1 == 0 or r2 == 0), "residual psi - gamma*v1 lies on an axis")
     x, y, *_ = _axis_argmin(lat, r1, r2)
     check(
-        lpn * s * gd * vs * denom == (r1 * x + r2 * y) * lpd,
+        lpn * s * gd * denom == (r1 * x + r2 * y) * lpd,
         "lambda_prime == mld of the residual psi - gamma*v1",
     )
     if an > 0:
@@ -543,22 +564,22 @@ def case_analysis_lattice(
         )
 
     return CaseData(
-        tag=CaseTag.SPLIT,
-        gamma=gamma,
-        v1=v1,
-        mld=lam,
-        e1p=Vec2(Fraction(e1x, denom), Fraction(e1y, denom)),
-        e2p=Vec2(Fraction(e2x, denom), Fraction(e2y, denom)),
-        alpha=alpha,
-        beta=beta,
-        psi_prime=Fraction(pn, pd),
-        v2=Vec2(Fraction(v2x, det), Fraction(v2y, det)),
-        lambda_prime=Fraction(lpn, lpd),
-        q_min=q_min,
-        c=c,
+        CaseTag.SPLIT,
+        gamma,
+        (vx, vy),
+        reduced(ln, ld),
+        (e1x, e1y),
+        (e2x, e2y),
+        alpha,
+        beta,
+        reduced(pn, pd),
+        (v2x, v2y),
+        reduced(lpn, lpd),
+        q_min,
+        c,
     )
 
 
 def case_analysis(germ: Germ) -> CaseData:
     """Case analysis of a germ; rejects zero psi."""
-    return case_analysis_lattice(germ.lattice, psi_of(germ))
+    return case_analysis_lattice(germ.lattice, germ_psi(germ))

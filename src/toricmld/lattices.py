@@ -21,6 +21,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import VerificationFailure
 
 Rational = Fraction
+# A rational as (num, den) with den > 0; reduced wherever the engine returns one.
+Ratio = tuple[int, int]
+# A point or covector (x, y)/s of the rational plane as the integers (s, x, y), s > 0.
+Scaled = tuple[int, int, int]
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?\Z")
 
@@ -64,6 +68,18 @@ def format_rational(x: Rational) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_ratio(num: int, den: int) -> str:
+    """`format_rational` of num/den for den > 0, reduced in integers."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def reduced(num: int, den: int) -> Ratio:
+    """num/den, den > 0, as a reduced (num, den) pair."""
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 class Vec2(NamedTuple):
@@ -260,8 +276,8 @@ def lattice_from_quotient_type(r: int, w1: int, w2: int) -> Lattice:
     return Lattice(hnf=(r, 1, w2 * pow(w1, -1, r) % r, r))
 
 
-def _scaled_covector(m: Vec2) -> tuple[int, int, int]:
-    """(s, c1, c2): the vector m times its common denominator s."""
+def _scaled_covector(m: Vec2) -> Scaled:
+    """(s, c1, c2): the vector m times its least common denominator s."""
     scale = math.lcm(m.x1.denominator, m.x2.denominator)
     return (
         scale,
@@ -293,14 +309,18 @@ def contains(lat: Lattice, v: Sequence) -> bool:
     return _coordinates(lat, *_scaled_covector(v)) is not None
 
 
-def _checker(lat: Lattice, psi: Optional[Vec2] = None) -> Callable[[bool, str], None]:
-    """check(ok, identity) raises VerificationFailure naming lat, psi if given, and the identity."""
+def _checker(lat: Lattice, psi: Optional[Scaled] = None) -> Callable[[bool, str], None]:
+    """check(ok, identity) raises VerificationFailure naming lat, psi if given, and the identity.
+
+    psi is (s, c1, c2) for (c1, c2)/s.
+    """
 
     def check(ok: bool, identity: str) -> None:
         if not ok:
             where = repr(lat)
             if psi is not None:
-                where += f" at psi ({format_rational(psi.x1)},{format_rational(psi.x2)})"
+                s, c1, c2 = psi
+                where += f" at psi ({format_ratio(c1, s)},{format_ratio(c2, s)})"
             raise VerificationFailure(f"{identity} fails for {where}")
 
     return check

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Any, NamedTuple, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from .certify import (
     CaseA,
@@ -33,20 +33,21 @@ from .geometry import Complement
 from .germs import CaseData, CaseTag, Germ, boundary_pair
 from .lattices import (
     Lattice,
+    Ratio,
     Rational,
+    Scaled,
     Vec2,
     _lattice_from_rows,
     cyclic_type,
+    format_ratio,
     format_rational,
     index,
     parse_ratio,
     parse_rational,
     positive_threshold,
+    reduced,
     simplex_ratio,
 )
-
-# A rational as a reduced (numerator, denominator) pair, denominator positive.
-Ratio = tuple[int, int]
 
 
 def _json_int(value: Any, field: str) -> int:
@@ -84,16 +85,23 @@ def vec_from_json(data: Any) -> Vec2:
     return Vec2(parse_rational(x1), parse_rational(x2))
 
 
-def _ratio_to_json(num: int, den: int) -> str:
-    """`format_rational` of num/den for den > 0, reduced in integers."""
-    g = math.gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
+def _scaled_to_json(v: Scaled) -> list[str]:
+    """The vector (x, y)/s of (s, x, y), each coordinate reduced."""
+    s, x, y = v
+    return [format_ratio(x, s), format_ratio(y, s)]
+
+
+def _scaled_from_json(data: Any) -> Scaled:
+    """A two-element array of rational literals as (s, x, y), s the least common denominator."""
+    (n1, d1), (n2, d2) = (_reduced(x) for x in _pair(data))
+    s = d1 // math.gcd(d1, d2) * d2
+    return s, n1 * (s // d1), n2 * (s // d2)
 
 
 def lattice_to_json(lat: Lattice) -> list[list[str]]:
     """The canonical basis ((a/D, b/D), (0, d/D)) of `lat.hnf`, each entry reduced."""
     denom, a, b, d = lat.hnf
-    return [[_ratio_to_json(a, denom), _ratio_to_json(b, denom)], ["0", _ratio_to_json(d, denom)]]
+    return [[format_ratio(a, denom), format_ratio(b, denom)], ["0", format_ratio(d, denom)]]
 
 
 def lattice_from_json(data: Any) -> Lattice:
@@ -113,19 +121,31 @@ def lattice_from_json(data: Any) -> Lattice:
     return lat
 
 
-def germ_to_json(germ: Germ) -> dict:
+class LatticeJSON(NamedTuple):
+    """What a record says about its lattice alone: `lattice_to_json` and `type_label`."""
+
+    rows: list[list[str]]
+    label: dict
+
+
+def lattice_json(lat: Lattice) -> LatticeJSON:
+    return LatticeJSON(lattice_to_json(lat), type_label(lat))
+
+
+def germ_to_json(germ: Germ, lattice: Optional[LatticeJSON] = None) -> dict:
+    """The germ's record; `lattice` is `lattice_json(germ.lattice)` when the caller has it."""
+    if lattice is None:
+        lattice = lattice_json(germ.lattice)
     return {
-        "lattice": lattice_to_json(germ.lattice),
+        "lattice": lattice.rows,
         "boundary": [format_rational(germ.b1), format_rational(germ.b2)],
-        **type_label(germ.lattice),
+        **lattice.label,
     }
 
 
 def _reduced(text: Any) -> Ratio:
     """A "p/q" or "n" literal as a reduced pair; ValueError as `parse_rational`."""
-    num, den = parse_ratio(text)
-    g = math.gcd(num, den)
-    return num // g, den // g
+    return reduced(*parse_ratio(text))
 
 
 def _germ_fields(data: Any, lattice: Optional[Lattice]) -> tuple[Lattice, Ratio, Ratio]:
@@ -153,71 +173,101 @@ def germ_from_json(data: Any) -> Germ:
 
 def certificate_to_json(cert: Certificate) -> dict:
     if isinstance(cert, CaseA):
-        return {"case": "a", "m": vec_to_json(cert.m)}
+        return {"case": "a", "m": _scaled_to_json(cert.m)}
     if isinstance(cert, CaseB):
         return {
             "case": "b",
-            "m1": vec_to_json(cert.m1),
-            "m2": vec_to_json(cert.m2),
-            "t1": format_rational(cert.t1),
-            "t2": format_rational(cert.t2),
+            "m1": _scaled_to_json(cert.m1),
+            "m2": _scaled_to_json(cert.m2),
+            "t1": format_ratio(*cert.t1),
+            "t2": format_ratio(*cert.t2),
         }
     if isinstance(cert, NotTLC):
-        return {"case": "not_tlc", "e": vec_to_json(cert.e), "value": format_rational(cert.value)}
+        return {"case": "not_tlc", "e": _scaled_to_json(cert.e), "value": format_ratio(*cert.value)}
     raise ValueError(f"not a certificate: {cert!r}")
 
 
 def certificate_from_json(data: Any) -> Certificate:
+    """The certificate of a record, straight to integers; no rational is built.
+
+    Each covector or point is read as (s, x, y) with s its least common
+    denominator, each weight or value as a reduced pair, so a record's
+    covector may be non-integral, negative or zero and still reaches the
+    verifier, which names what is wrong with it.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"not a certificate record: {data!r}")
     kind = data.get("case")
     if kind == "a":
-        return CaseA(vec_from_json(data["m"]))
+        return CaseA(_scaled_from_json(data["m"]))
     if kind == "b":
         return CaseB(
-            vec_from_json(data["m1"]),
-            vec_from_json(data["m2"]),
-            parse_rational(data["t1"]),
-            parse_rational(data["t2"]),
+            _scaled_from_json(data["m1"]),
+            _scaled_from_json(data["m2"]),
+            _reduced(data["t1"]),
+            _reduced(data["t2"]),
         )
     if kind == "not_tlc":
-        return NotTLC(vec_from_json(data["e"]), parse_rational(data["value"]))
+        return NotTLC(_scaled_from_json(data["e"]), _reduced(data["value"]))
     raise ValueError(f"unknown certificate case: {kind!r}")
 
 
-def case_data_to_json(data: CaseData) -> dict:
+def case_data_to_json(data: CaseData, lat: Lattice) -> dict:
+    """The case analysis of `lat` as the `case_data` field of `classify`."""
+    denom = lat.hnf[0]
+
+    def point(v: tuple[int, int]) -> list[str]:
+        return [format_ratio(v[0], denom), format_ratio(v[1], denom)]
+
     out: dict = {
         "tag": data.tag.value,
-        "gamma": format_rational(data.gamma),
-        "v1": vec_to_json(data.v1),
-        "mld": format_rational(data.mld),
+        "gamma": format_ratio(*data.gamma),
+        "v1": [str(x) for x in data.v1],
+        "mld": format_ratio(*data.mld),
     }
     if data.tag is CaseTag.SPLIT:
-        out["e1p"] = vec_to_json(data.e1p)
-        out["e2p"] = vec_to_json(data.e2p)
-        out["alpha"] = format_rational(data.alpha)
-        out["beta"] = "inf" if data.beta is None else format_rational(data.beta)
-        out["psi_prime"] = format_rational(data.psi_prime)
-        out["v2"] = vec_to_json(data.v2)
-        out["lambda_prime"] = format_rational(data.lambda_prime)
+        out["e1p"] = point(data.e1p)
+        out["e2p"] = point(data.e2p)
+        out["alpha"] = format_ratio(*data.alpha)
+        out["beta"] = "inf" if data.beta is None else format_ratio(*data.beta)
+        out["psi_prime"] = format_ratio(*data.psi_prime)
+        out["v2"] = [str(x) for x in data.v2]
+        out["lambda_prime"] = format_ratio(*data.lambda_prime)
         out["q_min"] = data.q_min
         if data.c is not None:
-            out["c"] = format_rational(data.c)
+            out["c"] = format_ratio(*data.c)
     return out
 
 
-def record_to_json(record: ClassifiedGerm) -> dict:
+def record_to_json(record: ClassifiedGerm, lattice: Optional[LatticeJSON] = None) -> dict:
+    """The record's JSON; `lattice` is `lattice_json` of its lattice when the caller has it."""
     return {
-        "germ": germ_to_json(record.germ),
+        "germ": germ_to_json(record.germ, lattice),
         "t": format_rational(record.t),
-        "mld": format_rational(record.mld),
+        "mld": format_ratio(*record.value),
         "certificate": certificate_to_json(record.certificate),
         "series": [list(m) for m in record.series],
     }
 
 
+def records_to_json(records: Iterable[ClassifiedGerm]) -> Iterator[dict]:
+    """`record_to_json` of each record, encoding a lattice once per run of records that share it.
+
+    A sweep yields the germs of one lattice in a row, so this encodes
+    each of its lattices and their type labels once. Records of a run
+    share their `lattice` rows: dump each one before changing it.
+    """
+    lat: Optional[Lattice] = None
+    encoded: Optional[LatticeJSON] = None
+    for record in records:
+        if record.germ.lattice != lat:
+            lat = record.germ.lattice
+            encoded = lattice_json(lat)
+        yield record_to_json(record, encoded)
+
+
 class RecordFields(NamedTuple):
-    """A classification record read in integers; `record_from_json` wraps it in Fractions."""
+    """A classification record read in integers; `record_from_json` makes it a `ClassifiedGerm`."""
 
     lattice: Lattice
     boundary: tuple[Ratio, Ratio]
@@ -260,7 +310,7 @@ def record_from_json(data: Any) -> ClassifiedGerm:
     return ClassifiedGerm(
         Germ(fields.lattice, Fraction(n1, d1), Fraction(n2, d2)),
         Fraction(*fields.t),
-        Fraction(*fields.mld),
+        fields.mld,
         fields.certificate,
         fields.series,
     )
@@ -378,7 +428,7 @@ def record_table_row(record: ClassifiedGerm) -> list[str]:
         germ_label(record.germ),
         lattice_str,
         boundary_str,
-        format_rational(record.mld),
+        format_ratio(*record.value),
         certificate_to_json(record.certificate)["case"],
         series_str,
     ]

@@ -1,19 +1,75 @@
-"""Shared corpora and the acceptance reporting hook.
+"""Shared corpora, rational views of the engine's integers, and the acceptance reporting hook.
 
 Every randomized fixture is seeded, so the whole suite is reproducible
 run to run. Acceptance tests wrap their body in the `criterion` context
 manager; the terminal summary then shows one PASS/FAIL line per
-criterion regardless of pytest verbosity.
+criterion regardless of pytest verbosity. The engine returns integers
+(see `toricmld.germs.CaseData` and `toricmld.certify`); the `Fraction`
+views below let tests state identities in rational arithmetic, the way
+the definitions read.
 """
 
 import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from toricmld import Germ, germ_from_quotient_type, mld, psi_of
+from toricmld import CaseA, CaseB, Germ, NotTLC, Vec2, germ_from_quotient_type, mld, psi_of
+from toricmld.lattices import _scaled_covector
+
+
+def fraction_case_data(data, lat) -> SimpleNamespace:
+    """The case analysis `data` of `lat` with `Fraction` and `Vec2` fields of the same names."""
+    denom = lat.hnf[0]
+
+    def ratio(r):
+        return None if r is None else Fraction(*r)
+
+    def over(v, s):
+        return None if v is None else Vec2(Fraction(v[0], s), Fraction(v[1], s))
+
+    return SimpleNamespace(
+        tag=data.tag,
+        gamma=ratio(data.gamma),
+        v1=over(data.v1, 1),
+        mld=ratio(data.mld),
+        e1p=over(data.e1p, denom),
+        e2p=over(data.e2p, denom),
+        alpha=ratio(data.alpha),
+        beta=ratio(data.beta),
+        psi_prime=ratio(data.psi_prime),
+        v2=over(data.v2, 1),
+        lambda_prime=ratio(data.lambda_prime),
+        q_min=data.q_min,
+        c=ratio(data.c),
+    )
+
+
+def fraction_certificate(cert):
+    """The certificate of the same class with `Vec2` covectors and points and `Fraction` weights."""
+
+    def field(f):
+        if len(f) == 3:
+            s, x, y = f
+            return Vec2(Fraction(x, s), Fraction(y, s))
+        return Fraction(*f)
+
+    return type(cert)(*map(field, cert))
+
+
+def scaled_certificate(cert):
+    """`fraction_certificate` undone: (s, x, y) covectors and points, (num, den) weights."""
+
+    def field(f):
+        if isinstance(f, Vec2):
+            return _scaled_covector(f)
+        return f.numerator, f.denominator
+
+    return type(cert)(*map(field, cert))
+
 
 _RESULTS: list[tuple[int, str, str]] = []
 

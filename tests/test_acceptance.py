@@ -56,6 +56,8 @@ from toricmld import (
     verify_certificate_lattice,
 )
 
+from conftest import fraction_case_data, fraction_certificate
+
 ONES = vec(1, 1)
 HALF_PLANE = lattice_from_generators([(Fraction(1, 2), 0), (0, Fraction(1, 2))])
 RATIOS = ((1, 1), (1, 2), (2, 5), (1, 3))
@@ -89,7 +91,7 @@ def test_unit_threshold_certificates(criterion):
             cert = classify_tlc_lattice(lat, ONES, 1)
             assert verify_certificate_lattice(lat, ONES, 1, cert)
             if isinstance(cert, CaseA):
-                assert box_maximal(cert.m, 1) in allowed
+                assert box_maximal(fraction_certificate(cert).m, 1) in allowed
             else:
                 assert isinstance(cert, CaseB)
                 pair_groups.add(lat)
@@ -177,7 +179,7 @@ def test_structural_identities(criterion, random_corpus):
             psi = psi_of(germ)
             if psi.is_zero():
                 continue
-            data = case_analysis(germ)
+            data = fraction_case_data(case_analysis(germ), germ.lattice)
             assert data.gamma <= data.mld <= 2 * data.gamma
             m_lat = dual(germ.lattice)
             assert contains(m_lat, data.v1) and is_primitive(m_lat, data.v1)

@@ -57,6 +57,8 @@ from toricmld import (
 )
 from toricmld.oracle import ORACLE_LIMIT
 
+from conftest import fraction_certificate
+
 SMOOTH = make_germ(STANDARD_LATTICE, 0, 0)
 FIFTH = germ_from_quotient_type(5, 1, 1)
 CHAIN3 = germ_from_quotient_type(3, 2, 1)
@@ -231,15 +233,15 @@ def test_complement_standard_computes_the_minimum_once(monkeypatch):
     calls = []
     original = toricmld.germs.sail_minimum
 
-    def counting(lat, psi):
+    def counting(lat, psi, *sail):
         calls.append(psi)
-        return original(lat, psi)
+        return original(lat, psi, *sail)
 
     monkeypatch.setattr(toricmld.germs, "sail_minimum", counting)
     monkeypatch.setattr(toricmld.geometry, "sail_minimum", counting)
     germ = germ_from_quotient_type(7, 1, 3)
     comp = complement_standard(germ, 1, 2)
-    assert calls == [psi_of(germ)]
+    assert calls == [(1, 1, 1)]  # psi of the zero boundary
     monkeypatch.undo()
     assert comp == complement_standard(germ, 1, 2)
 
@@ -375,7 +377,7 @@ def test_pair_witness_is_shared(germ, twelfths):
     # complement recombines the pair with lawrence's weights.
     a = mld(germ)
     outcome = hyperplane_dichotomy(germ)
-    cert = classify_tlc(germ, a)
+    cert = fraction_certificate(classify_tlc(germ, a))
     if isinstance(cert, CaseB):
         assert outcome == DoubleH(
             hyperplane_section(germ, cert.m1), hyperplane_section(germ, cert.m2), cert.t1, cert.t2
@@ -383,7 +385,7 @@ def test_pair_witness_is_shared(germ, twelfths):
     else:
         assert outcome == SingleH(hyperplane_section(germ, cert.m), a)
     # A threshold in (gamma, mld], where the pair is needed.
-    gamma = case_analysis(germ).gamma
+    gamma = Fraction(*case_analysis(germ).gamma)
     t = gamma + (a - gamma) * Fraction(twelfths, 12)
     p, q = t.numerator, t.denominator
     result = lawrence(germ.lattice, p, q)

@@ -8,10 +8,13 @@ Property tests are seeded (`derandomize=True`), so every run draws the
 same examples. The pruned cyclic sweep, which walks Hirzebruch-Jung
 chains under Borisov's excess bound, is checked against the full
 stream: its lattices are those within the budget, in the same order,
-and its germs are those that reach the threshold.
+and its germs are those that reach the threshold. A sweep does its
+lattice work once per lattice and builds psi once per boundary pair.
 """
 
+import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,9 +22,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import toricmld.certify
+import toricmld.germs
+import toricmld.records
 from toricmld.certify import ClassifiedGerm, _cyclic_forms, candidate_germs, enumerate_germs
-from toricmld.cli import STANDARD_BOUNDARY_VALUES
-from toricmld.germs import psi_of, sail_minimum
+from toricmld.cli import STANDARD_BOUNDARY_VALUES, main
+from toricmld.germs import germ_psi, sail_minimum
 from toricmld.lattices import (
     E1,
     E2,
@@ -161,12 +166,42 @@ def test_pruned_sweep_keeps_every_germ_reaching_the_threshold(monkeypatch, bound
     # The claim is about which germs the sweep reaches, so each germ is
     # classified by its exact value alone; the records of kept germs are
     # pinned byte for byte in tests/test_cli.py. The sweep passes the
-    # minimum and psi it has already taken; the value is taken afresh here.
-    def value_only(germ, t, minimum=None, psi=None):
-        return ClassifiedGerm(germ, t, sail_minimum(germ.lattice, psi_of(germ)).value, None, [])
+    # minimum, psi and lattice work it has already taken; the value is
+    # taken afresh here.
+    def value_only(germ, t, minimum=None, psi=None, work=None):
+        return ClassifiedGerm(germ, t, sail_minimum(germ.lattice, germ_psi(germ)).value, None, [])
 
     monkeypatch.setattr(toricmld.certify, "classify_germ_record", value_only)
     full = [value_only(germ, None) for germ in candidate_germs("cyclic", bound, boundaries)]
     for t in THRESHOLDS:
         got = [(r.germ, r.mld) for r in enumerate_germs("cyclic", bound, t, boundaries)]
         assert got == [(r.germ, r.mld) for r in full if r.mld >= t], t
+
+
+def test_sweep_does_lattice_work_once_per_lattice(monkeypatch, tmp_path):
+    # The benchmark's mixed sweep: 546 germs on 15 lattices and 49 boundary
+    # pairs. The series list and the type label depend on the lattice only,
+    # psi on the boundary pair only, and no covector is taken apart.
+    counts = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(toricmld.certify, "series_membership_lattice")
+    count(toricmld.records, "cyclic_type")
+    count(toricmld.certify, "scaled_psi")
+    for module in (toricmld.certify, toricmld.germs):
+        count(module, "_scaled_covector")
+    out = tmp_path / "mixed.jsonl"
+    argv = ["enumerate", "--mode", "all", "--index-max", "5", "--boundary-set", "standard"]
+    assert main([*argv, "--t", "1/4", "--include-not-tlc", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    lattices = {json.dumps(record["germ"]["lattice"]) for record in records}
+    assert (len(records), len(lattices)) == (546, 15)
+    assert counts == {"series_membership_lattice": 15, "cyclic_type": 15, "scaled_psi": 49}

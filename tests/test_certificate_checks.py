@@ -3,9 +3,11 @@
 `verify_certificate_lattice` works in scaled integers. Here it is held
 to a `Fraction` reference written from the definitions, on seeded
 `hypothesis` draws of genuine and perturbed certificates, and every
-reason it can give must come up. The command line tests tamper with
-the last record of each certificate case of a mixed sweep and expect
-exit 2 with the reason of the check that catches it.
+reason it can give must come up. Each drawn certificate is also sent
+through the record codec, which must hand the verifier the same
+integers. The command line tests tamper with the last record of each
+certificate case of a mixed sweep and expect exit 2 with the reason of
+the check that catches it.
 """
 
 import inspect
@@ -39,6 +41,9 @@ from toricmld import (
 )
 from toricmld.certify import verify_certificate_scaled
 from toricmld.cli import main
+from toricmld.records import certificate_from_json, certificate_to_json
+
+from conftest import fraction_certificate, scaled_certificate
 
 SWEEP = (
     "enumerate", "--mode", "all", "--index-max", "5", "--boundary-set", "standard",
@@ -168,6 +173,8 @@ def test_verify_rejects_a_tampered_record_of_each_case(capsys, tmp_path, last_of
 
 def reference_verification(lat, psi, t, cert):
     """(ok, reason) of a certificate, in `Fraction`s, from the definitions in order."""
+    if isinstance(cert, (CaseA, CaseB, NotTLC)):
+        cert = fraction_certificate(cert)
     if t <= 0:
         return False, "threshold must be positive"
     if isinstance(cert, CaseA):
@@ -245,14 +252,18 @@ def _scalar_fields(cert):
 
 @st.composite
 def instances(draw):
-    """(lattice, psi, t, certificate): a genuine certificate, perhaps perturbed."""
+    """(lattice, psi, t, certificate): a genuine certificate, perhaps perturbed.
+
+    The certificate is perturbed in its `fraction_certificate` form and
+    then read back from its record (`_through_the_codec`).
+    """
     lat = draw(lattices())
     psi = vec(*draw(st.tuples(small, small).filter(lambda p: p != (0, 0))))
     t = draw(st.fractions(min_value=Fraction(1, 30), max_value=2, max_denominator=30))
     value = mld_lattice(lat, psi)
     if value > 0 and draw(st.booleans()):
         t = value  # the dichotomy at t = mld gives case b whenever gamma < mld
-    cert = classify_tlc_lattice(lat, psi, t)
+    cert = fraction_certificate(classify_tlc_lattice(lat, psi, t))
     fields = list(cert)
     how = draw(
         st.sampled_from(
@@ -298,10 +309,22 @@ def instances(draw):
     elif how == "other kind":
         v = fields[_vector_fields(cert)[0]]
         fields = draw(st.sampled_from([[v], [v, dot(psi, v)], [v, v.swapped(), t, t]]))
-        return lat, psi, t, {1: CaseA, 2: NotTLC, 4: CaseB}[len(fields)](*fields)
+        return lat, psi, t, _through_the_codec({1: CaseA, 2: NotTLC, 4: CaseB}[len(fields)](*fields))
     elif how == "not a certificate":
         return lat, psi, t, tuple(fields)
-    return lat, psi, t, type(cert)(*fields)
+    return lat, psi, t, _through_the_codec(type(cert)(*fields))
+
+
+def _through_the_codec(cert):
+    """The certificate's integers, read back from the JSON of its record.
+
+    A record's covector may be non-integral, negative or zero: the codec
+    keeps it as (s, x, y), so `verify` rejects it for the same reason.
+    """
+    scaled = scaled_certificate(cert)
+    decoded = certificate_from_json(json.loads(json.dumps(certificate_to_json(scaled))))
+    assert decoded == scaled
+    return decoded
 
 
 PROPERTIES = settings(derandomize=True, database=None, deadline=None, max_examples=500)

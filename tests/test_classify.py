@@ -66,15 +66,15 @@ THIRD_PLANE = lattice_from_generators([(Fraction(1, 3), 0), (0, Fraction(1, 3))]
 
 def test_classify_three_outcomes():
     cert = classify_tlc(FIFTH_GERM, Fraction(2, 5))
-    assert cert == CaseB(vec(2, 3), vec(3, 2), Fraction(1, 5), Fraction(1, 5))
+    assert cert == CaseB((1, 2, 3), (1, 3, 2), (1, 5), (1, 5))
     assert verify_certificate(FIFTH_GERM, Fraction(2, 5), cert)
 
     cert = classify_tlc(FIFTH_GERM, Fraction(1, 3))
-    assert cert == CaseA(vec(2, 3))
+    assert cert == CaseA((1, 2, 3))
     assert verify_certificate(FIFTH_GERM, Fraction(1, 3), cert)
 
     cert = classify_tlc(FIFTH_GERM, Fraction(1, 2))
-    assert cert == NotTLC(vec(Fraction(1, 5), Fraction(1, 5)), Fraction(2, 5))
+    assert cert == NotTLC((5, 1, 1), (2, 5))
     assert verify_certificate(FIFTH_GERM, Fraction(1, 2), cert)
 
     with pytest.raises(ValueError):
@@ -87,38 +87,38 @@ def test_verify_rejects_corrupted_certificates():
     psi = vec(1, 1)
     lat = FIFTH_GERM.lattice
     # Valid covector, but its threshold multiple overshoots psi.
-    out = verify_certificate_lattice(lat, psi, Fraction(2, 5), CaseA(vec(2, 3)))
+    out = verify_certificate_lattice(lat, psi, Fraction(2, 5), CaseA((1, 2, 3)))
     assert not out and "overshoot" in out.reason
-    out = verify_certificate_lattice(lat, psi, Fraction(1, 3), CaseA(vec(0, 0)))
+    out = verify_certificate_lattice(lat, psi, Fraction(1, 3), CaseA((1, 0, 0)))
     assert not out and "zero" in out.reason
     # (1,1) pairs to 2/5 with the generator: not integral.
-    out = verify_certificate_lattice(lat, psi, Fraction(1, 3), CaseA(vec(1, 1)))
+    out = verify_certificate_lattice(lat, psi, Fraction(1, 3), CaseA((1, 1, 1)))
     assert not out and "non-integrally" in out.reason
 
-    good = CaseB(vec(2, 3), vec(3, 2), Fraction(1, 5), Fraction(1, 5))
+    good = CaseB((1, 2, 3), (1, 3, 2), (1, 5), (1, 5))
     out = verify_certificate_lattice(lat, psi, Fraction(1, 2), good)
     assert not out and "below the threshold" in out.reason
-    bad = good._replace(t1=Fraction(1, 4))
+    bad = good._replace(t1=(1, 4))
     out = verify_certificate_lattice(lat, psi, Fraction(2, 5), bad)
     assert not out and "decompose" in out.reason
-    bad = good._replace(t1=Fraction(-1, 5))
+    bad = good._replace(t1=(-1, 5))
     assert not verify_certificate_lattice(lat, psi, Fraction(-1), bad)
     # Right decomposition of psi over the wrong subgroup.
     out = verify_certificate_lattice(STANDARD_LATTICE, psi, Fraction(2, 5), good)
     assert not out and "integrality locus" in out.reason
-    dependent = CaseB(vec(1, 1), vec(2, 2), Fraction(1, 3), Fraction(1, 3))
+    dependent = CaseB((1, 1, 1), (1, 2, 2), (1, 3), (1, 3))
     assert not verify_certificate_lattice(lat, psi, Fraction(1, 3), dependent)
 
-    witness = NotTLC(vec(Fraction(1, 5), Fraction(1, 5)), Fraction(2, 5))
+    witness = NotTLC((5, 1, 1), (2, 5))
     out = verify_certificate_lattice(lat, psi, Fraction(1, 3), witness)
     assert not out and "does not beat" in out.reason
-    out = verify_certificate_lattice(lat, psi, Fraction(1, 2), witness._replace(value=Fraction(1, 5)))
+    out = verify_certificate_lattice(lat, psi, Fraction(1, 2), witness._replace(value=(1, 5)))
     assert not out and "wrong" in out.reason
     out = verify_certificate_lattice(
-        lat, psi, Fraction(1, 2), NotTLC(vec(Fraction(2, 5), Fraction(2, 5)), Fraction(4, 5))
+        lat, psi, Fraction(1, 2), NotTLC((5, 2, 2), (4, 5))
     )
     assert not out
-    out = verify_certificate_lattice(lat, psi, Fraction(1, 2), NotTLC(vec(0, 1), Fraction(1)))
+    out = verify_certificate_lattice(lat, psi, Fraction(1, 2), NotTLC((1, 0, 1), (1, 1)))
     assert not out and "interior" in out.reason
 
 
@@ -131,8 +131,8 @@ def test_certified_threshold_is_sound():
         w = rng.choice([u for u in range(1, r + 1) if math.gcd(u, r) == 1])
         lat = lattice_from_quotient_type(r, 1, w)
         psi = vec(Fraction(rng.randint(1, 4), 4), Fraction(rng.randint(1, 4), 4))
-        m = vec(rng.randint(0, 6), rng.randint(0, 6))
-        if m.is_zero():
+        m = (1, rng.randint(0, 6), rng.randint(0, 6))
+        if m == (1, 0, 0):
             continue
         t = Fraction(rng.randint(1, 8), rng.randint(1, 8))
         cert = CaseA(m)
@@ -142,7 +142,7 @@ def test_certified_threshold_is_sound():
 
 def test_hand_built_pair_certificate():
     lat = dual(lattice_from_generators([(0, 3), (3, 1)]))
-    cert = CaseB(vec(0, 3), vec(3, 1), Fraction(2, 9), Fraction(1, 3))
+    cert = CaseB((1, 0, 3), (1, 3, 1), (2, 9), (1, 3))
     t = Fraction(1, 2)
     assert verify_certificate_lattice(lat, vec(1, 1), t, cert)
     assert mld_oracle_lattice(lat, vec(1, 1))[0] >= t
@@ -216,7 +216,7 @@ def test_lawrence_result_rejections(result, reason):
 def test_classify_tlc_lattice_checks_its_certificate(monkeypatch):
     # A forged covector certificate is caught by the same checker as the
     # sweep's: VerificationFailure naming the lattice and psi.
-    monkeypatch.setattr(certify, "certificate_from_case_data", lambda *args: CaseA(vec(0, 0)))
+    monkeypatch.setattr(certify, "certificate_from_case_data", lambda *args: CaseA((1, 0, 0)))
     with pytest.raises(VerificationFailure) as failure:
         classify_tlc_lattice(FIFTH_GERM.lattice, vec(1, 1), Fraction(1, 3))
     assert str(failure.value) == (
@@ -362,7 +362,7 @@ def test_classified_record_and_failure():
     # Zero psi records carry the violating residue directly.
     record = classify_germ_record(make_germ(STANDARD_LATTICE, 1, 1), Fraction(1, 2))
     assert record.mld == 0
-    assert record.certificate == NotTLC(vec(1, 1), Fraction(0))
+    assert record.certificate == NotTLC((1, 1, 1), (0, 1))
 
 
 @pytest.mark.parametrize("t", [0, -1])

@@ -1,7 +1,6 @@
 """End-to-end command line behavior, run in process."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -614,9 +613,10 @@ def test_broken_identity_exits_two(monkeypatch, capsys, command):
     # A wrong slice offset breaks an integrality identity of the split case.
     real = certify.case_analysis_lattice
 
-    def skewed(lat, psi, minimum=None):
-        data = real(lat, psi, minimum)
-        return dataclasses.replace(data, alpha=data.alpha + Fraction(1, 7))
+    def skewed(lat, psi, *rest):
+        data = real(lat, psi, *rest)
+        an, ad = data.alpha
+        return data._replace(alpha=(7 * an + ad, 7 * ad))  # alpha + 1/7
 
     for module in (certify, geometry):
         monkeypatch.setattr(module, "case_analysis_lattice", skewed)
@@ -1134,6 +1134,10 @@ PINNED_SWEEPS = [
         "edfef59cb0461a65d92a6dc929620ece412981e7caa60bd77e5337feda15a7a6",
     ),
     (
+        "enumerate --mode all --index-max 8 --boundary-set standard --t 1/4",
+        "e41476b5542d944a511704bc5ccb51647da7dce278b7735a551a6d11e3951de5",
+    ),
+    (
         "enumerate --mode all --index-max 8 --boundary-set standard --t 1/4 --include-not-tlc"
         " --format csv",
         "e4e633fd756564d312a21e0aff39f1963dcba423e6e657ba1f9e3c8295ec6216",
@@ -1214,5 +1218,5 @@ def test_optimized_ci_step_checks_pinned_digests():
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     text = workflow.read_text(encoding="utf-8")
     digests = re.findall(r"\b[0-9a-f]{64}\b", text)
-    assert "python -O -m toricmld" in text and len(digests) == 7
+    assert "python -O -m toricmld" in text and len(digests) == 8
     assert set(digests) <= {digest for _, digest in PINNED_SWEEPS}

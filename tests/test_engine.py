@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from toricmld import (
+    CaseData,
     CaseTag,
     STANDARD_LATTICE,
     canonical_germ,
@@ -33,7 +34,14 @@ from toricmld import (
     vec,
 )
 
+from conftest import fraction_case_data
+
 FIFTH = lattice_from_quotient_type(5, 1, 1)
+
+
+def _case_data(germ):
+    """`case_analysis` of the germ with rational fields (see `fraction_case_data`)."""
+    return fraction_case_data(case_analysis(germ), germ.lattice)
 
 
 def test_make_germ_validation():
@@ -162,7 +170,12 @@ def test_gamma_max_is_a_maximum():
 
 
 def test_case_analysis_worked_thread():
-    data = case_analysis(make_germ(FIFTH, 0, 0))
+    # In integers: ratios reduced, covectors integral, points over D = 5.
+    assert case_analysis(make_germ(FIFTH, 0, 0)) == CaseData(
+        CaseTag.SPLIT, (1, 3), (2, 3), (2, 5), (-2, 3), (3, -2), (2, 3), (3, 2), (3, 5), (3, 2),
+        (1, 15), 3, (3, 2),
+    )
+    data = _case_data(make_germ(FIFTH, 0, 0))
     assert data.tag is CaseTag.SPLIT
     assert data.gamma == Fraction(1, 3)
     assert data.v1 == vec(2, 3)
@@ -179,7 +192,7 @@ def test_case_analysis_worked_thread():
 
 
 def test_case_analysis_smooth():
-    data = case_analysis(make_germ(STANDARD_LATTICE, 0, 0))
+    data = _case_data(make_germ(STANDARD_LATTICE, 0, 0))
     assert data.tag is CaseTag.SPLIT
     assert (data.gamma, data.v1) == (Fraction(1), vec(0, 1))
     assert data.e2p == vec(1, 0) and data.e1p == vec(0, 1)
@@ -190,7 +203,7 @@ def test_case_analysis_smooth():
 
 
 def test_case_analysis_chain_quotient():
-    data = case_analysis(germ_from_quotient_type(3, 2, 1))
+    data = _case_data(germ_from_quotient_type(3, 2, 1))
     assert data.tag is CaseTag.SPLIT
     assert (data.gamma, data.v1, data.mld) == (Fraction(1), vec(1, 1), Fraction(1))
     assert data.psi_prime == 0
@@ -204,7 +217,7 @@ def test_case_analysis_diagonal_half():
     # Kernel component zero yet the minimizer is still unique: the
     # uniqueness implication only runs forward.
     germ = germ_from_quotient_type(2, 1, 1)
-    data = case_analysis(germ)
+    data = _case_data(germ)
     assert data.tag is CaseTag.SPLIT
     assert (data.gamma, data.v1, data.mld) == (Fraction(1), vec(1, 1), Fraction(1))
     assert data.psi_prime == 0
@@ -214,11 +227,11 @@ def test_case_analysis_diagonal_half():
 
 
 def test_case_analysis_boundary_psi():
-    data = case_analysis(make_germ(STANDARD_LATTICE, 0, 1))
+    data = _case_data(make_germ(STANDARD_LATTICE, 0, 1))
     assert data.tag is CaseTag.BOUNDARY_PSI
     assert (data.gamma, data.v1, data.mld) == (Fraction(1), vec(1, 0), Fraction(1))
     assert data.e1p is None and data.v2 is None
-    data = case_analysis(make_germ(FIFTH, 1, Fraction(1, 2)))
+    data = _case_data(make_germ(FIFTH, 1, Fraction(1, 2)))
     assert data.tag is CaseTag.BOUNDARY_PSI
     assert data.v1.scaled(data.gamma) == psi_of(make_germ(FIFTH, 1, Fraction(1, 2)))
 
@@ -227,7 +240,7 @@ def test_case_analysis_rejections():
     with pytest.raises(ValueError):
         case_analysis(make_germ(STANDARD_LATTICE, 1, 1))
     with pytest.raises(ValueError):
-        case_analysis_lattice(STANDARD_LATTICE, vec(-1, 1))
+        case_analysis_lattice(STANDARD_LATTICE, (1, -1, 1))
 
 
 def _check_slice_direction(data, psi):
@@ -250,7 +263,7 @@ def test_case_analysis_properties(random_corpus):
         psi = psi_of(germ)
         if psi.is_zero():
             continue
-        data = case_analysis(germ)
+        data = _case_data(germ)
         assert data.gamma <= data.mld <= 2 * data.gamma
         assert data.mld == mld(germ) == mld_oracle_lattice(germ.lattice, psi)[0]
         m_lat = dual(germ.lattice)

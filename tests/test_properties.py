@@ -34,6 +34,9 @@ from toricmld import (
 )
 from toricmld.cli import main
 from toricmld.germs import sail_minimum
+from toricmld.lattices import _scaled_covector
+
+from conftest import fraction_case_data, fraction_certificate
 
 PROPERTIES = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -61,7 +64,7 @@ psis = st.tuples(coefficients, coefficients).filter(lambda psi: psi != (0, 0))
 @given(st.one_of(cyclic_lattices(), general_lattices()), psis)
 def test_case_data_meets_its_definitions(lat, pair):
     psi = vec(*pair)
-    data = case_analysis_lattice(lat, psi)
+    data = fraction_case_data(case_analysis_lattice(lat, _scaled_covector(psi)), lat)
     assert data.mld == mld_oracle_lattice(lat, psi)[0]
 
     v1 = data.v1
@@ -78,7 +81,7 @@ def test_case_data_meets_its_definitions(lat, pair):
     assert abs(e1p.x1 * e2p.x2 - e1p.x2 * e2p.x1) * index(lat) == 1
     assert 0 <= data.alpha < 1
     if data.gamma < data.mld:
-        cert = classify_tlc_lattice(lat, psi, data.mld)
+        cert = fraction_certificate(classify_tlc_lattice(lat, psi, data.mld))
         assert isinstance(cert, CaseB)
         assert cert.m1.scaled(cert.t1) + cert.m2.scaled(cert.t2) == psi
         assert cert.t1 + cert.t2 == data.mld
@@ -91,7 +94,7 @@ def test_draws_reach_every_shape_of_the_case_analysis():
     @PROPERTIES
     @given(st.one_of(cyclic_lattices(), general_lattices()), psis)
     def record(lat, pair):
-        data = case_analysis_lattice(lat, vec(*pair))
+        data = fraction_case_data(case_analysis_lattice(lat, _scaled_covector(vec(*pair))), lat)
         if data.tag is CaseTag.BOUNDARY_PSI:
             seen.add("boundary psi")
             return
@@ -108,15 +111,12 @@ def test_draws_reach_every_shape_of_the_case_analysis():
 
 
 FIFTH = lattice_from_quotient_type(5, 1, 1)
-ONES = vec(1, 1)
+ONES = (1, 1, 1)
 MINIMUM = sail_minimum(FIFTH, ONES)  # 2/5 at (1/5, 1/5) only; psi_prime = 3/5
 WRONG_MINIMA = [
-    (MINIMUM._replace(first=vec(Fraction(2, 5), Fraction(2, 5))), "minimizers == [e1p + e2p]"),
+    (MINIMUM._replace(first=(2, 2)), "minimizers == [e1p + e2p]"),  # (2/5, 2/5)
     (MINIMUM._replace(count=2), "minimizers == [e1p + e2p]"),
-    (
-        MINIMUM._replace(value=MINIMUM.value + Fraction(1, 1000)),
-        "gamma*(1 + psi_prime*(1 - alpha)) == lam",
-    ),
+    (MINIMUM._replace(value=(2001, 5000)), "gamma*(1 + psi_prime*(1 - alpha)) == lam"),  # + 1/1000
 ]
 
 

@@ -35,6 +35,7 @@ from toricmld.lattices import (
     E1,
     E2,
     Vec2,
+    _scaled_covector,
     dual,
     is_primitive,
     klein_sail,
@@ -143,9 +144,10 @@ def box_gamma_max(lat, psi, lam):
 def check_against_brute_force(lat, psi) -> None:
     expected = mld_oracle_lattice(lat, psi)
     assert mld_argmin_lattice(lat, psi) == expected, (lat, psi)
-    minimum = sail_minimum(lat, psi)
-    assert (minimum.value, minimum.first, minimum.count) == (
-        expected[0],
+    minimum = sail_minimum(lat, _scaled_covector(psi))
+    denom, (x, y) = lat.hnf[0], minimum.first
+    assert (minimum.value, Vec2(Fraction(x, denom), Fraction(y, denom)), minimum.count) == (
+        (expected[0].numerator, expected[0].denominator),
         expected[1][0],
         len(expected[1]),
     )
@@ -262,13 +264,14 @@ def test_classify_at_order_ten_to_the_eighteen(w, t, expected):
 def test_wrong_sail_minimum_is_a_verification_failure(monkeypatch, capsys):
     real = toricmld.germs.sail_minimum
 
-    def wrong(lat, psi):
-        minimum = real(lat, psi)
-        return minimum._replace(value=minimum.value + Fraction(1, 1000))
+    def wrong(lat, psi, *sail):
+        minimum = real(lat, psi, *sail)
+        num, den = minimum.value
+        return minimum._replace(value=(1000 * num + den, 1000 * den))  # value + 1/1000
 
     lat = lattice_from_quotient_type(5, 1, 1)
     with pytest.raises(VerificationFailure, match=r"fails for Lattice\[.*\] at psi \(1,1\)"):
-        case_analysis_lattice(lat, vec(1, 1), wrong(lat, vec(1, 1)))
+        case_analysis_lattice(lat, (1, 1, 1), wrong(lat, (1, 1, 1)))
 
     for module in (toricmld.germs, toricmld.certify, toricmld.cli):
         monkeypatch.setattr(module, "sail_minimum", wrong)
