@@ -6,194 +6,48 @@ in a canonical integer form), a classification engine that produces
 machine-checkable certificates for threshold questions, and an
 independent brute-force oracle used to re-check every produced
 certificate.
+
+The package exports the library of the README and the classes its
+results are built from; everything else is imported from its module.
 """
 
 from .certify import (
     CaseA,
     CaseB,
-    ClassifiedGerm,
     Contained,
     EqualsIntersection,
     Hit,
     NotTLC,
-    Verification,
-    box_maximal,
-    candidate_germs,
-    classify_germ_record,
     classify_tlc,
-    classify_tlc_lattice,
-    cyclic_lattices,
-    enumerate_germs,
     lawrence,
-    series_certificate_log,
-    series_membership,
-    series_membership_lattice,
     verify_certificate,
-    verify_certificate_lattice,
 )
 from .errors import VerificationFailure
-from .geometry import (
-    Complement,
-    DoubleH,
-    HyperplaneSection,
-    NotApplicable,
-    ProductCase,
-    QuotientCase,
-    SingleH,
-    bounded_complement,
-    classify_mld_ge_one,
-    complement_standard,
-    half_mld_section,
-    hyperplane_dichotomy,
-    hyperplane_section,
-    is_standard_coefficient,
-    lct_invariant,
-)
-from .germs import (
-    CaseData,
-    CaseTag,
-    Germ,
-    Minimum,
-    canonical_germ,
-    case_analysis,
-    case_analysis_lattice,
-    gamma_max,
-    gamma_max_lattice,
-    gamma_of,
-    germ_from_quotient_type,
-    log_discrepancy,
-    make_germ,
-    mld,
-    mld_argmin,
-    mld_argmin_lattice,
-    mld_lattice,
-    psi_of,
-    sail_minimum,
-    swapped_germ,
-)
-from .lattices import (
-    CovectorSplit,
-    Lattice,
-    Rational,
-    STANDARD_LATTICE,
-    Sail,
-    SailEdge,
-    Vec2,
-    basis_order,
-    contains,
-    cyclic_type,
-    dot,
-    dual,
-    format_rational,
-    in_cone,
-    in_cone_interior,
-    index,
-    is_primitive,
-    klein_sail,
-    lattice_from_generators,
-    lattice_from_quotient_type,
-    parse_rational,
-    points_in_box,
-    residues,
-    split_along_covector,
-    sublattices_of_standard,
-    superlattices,
-    swapped_lattice,
-    vec,
-)
-from .oracle import lawrence_oracle, mld_oracle, mld_oracle_lattice, mld_oracle_value, tlc_oracle
+from .geometry import Complement, bounded_complement
+from .germs import Germ, germ_from_quotient_type, mld, mld_argmin
+from .lattices import Lattice, Vec2
+from .oracle import mld_oracle
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CaseA",
     "CaseB",
-    "CaseData",
-    "CaseTag",
-    "ClassifiedGerm",
     "Complement",
     "Contained",
-    "CovectorSplit",
-    "DoubleH",
     "EqualsIntersection",
     "Germ",
     "Hit",
-    "HyperplaneSection",
     "Lattice",
-    "Minimum",
-    "NotApplicable",
     "NotTLC",
-    "ProductCase",
-    "QuotientCase",
-    "Rational",
-    "Sail",
-    "SailEdge",
-    "SingleH",
-    "STANDARD_LATTICE",
     "Vec2",
-    "Verification",
     "VerificationFailure",
     "bounded_complement",
-    "basis_order",
-    "box_maximal",
-    "candidate_germs",
-    "canonical_germ",
-    "case_analysis",
-    "case_analysis_lattice",
-    "classify_germ_record",
-    "classify_mld_ge_one",
     "classify_tlc",
-    "classify_tlc_lattice",
-    "complement_standard",
-    "contains",
-    "cyclic_lattices",
-    "cyclic_type",
-    "dot",
-    "dual",
-    "enumerate_germs",
-    "format_rational",
-    "gamma_max",
-    "gamma_max_lattice",
-    "gamma_of",
     "germ_from_quotient_type",
-    "half_mld_section",
-    "hyperplane_dichotomy",
-    "hyperplane_section",
-    "in_cone",
-    "in_cone_interior",
-    "index",
-    "is_primitive",
-    "klein_sail",
-    "is_standard_coefficient",
-    "lattice_from_generators",
-    "lattice_from_quotient_type",
     "lawrence",
-    "lawrence_oracle",
-    "lct_invariant",
-    "log_discrepancy",
-    "make_germ",
     "mld",
     "mld_argmin",
-    "mld_argmin_lattice",
-    "mld_lattice",
     "mld_oracle",
-    "mld_oracle_lattice",
-    "mld_oracle_value",
-    "parse_rational",
-    "points_in_box",
-    "psi_of",
-    "sail_minimum",
-    "residues",
-    "series_certificate_log",
-    "series_membership",
-    "series_membership_lattice",
-    "split_along_covector",
-    "sublattices_of_standard",
-    "superlattices",
-    "swapped_germ",
-    "swapped_lattice",
-    "tlc_oracle",
-    "vec",
     "verify_certificate",
-    "verify_certificate_lattice",
 ]

@@ -423,10 +423,6 @@ def series_membership_lattice(lat: Lattice, t: Rational) -> list[tuple[int, int]
     return out
 
 
-def series_membership(germ: Germ, t: Rational) -> list[tuple[int, int]]:
-    return series_membership_lattice(germ.lattice, t)
-
-
 def series_certificate_log(
     germ: Germ, m: Vec2, t: Rational
 ) -> Optional[tuple[int, tuple[Rational, Rational]]]:
@@ -549,17 +545,6 @@ def _cyclic_forms(r_max: int, budget: Optional[int] = None) -> Iterator[tuple[_F
                 heapq.heappush(heap, (c * r - w, r, excess + c - 2))
 
     return forms() if budget is None or budget >= r_max - 2 else chains(budget)
-
-
-def cyclic_lattices(r_max: int) -> Iterator[tuple[Lattice, tuple[int, int, int]]]:
-    """Cyclic-quotient germ lattices of order up to r_max, with types.
-
-    Unit normalization fixes the first weight to 1 for orders above 1,
-    so each subgroup appears exactly once before swap deduplication.
-    """
-    for form, _, _ in _cyclic_forms(r_max):
-        r, _, w, _ = form
-        yield Lattice(hnf=form), ((1, 0, 0) if r == 1 else (r, 1, w))
 
 
 def _swap_forms(lattices: Iterable[Lattice]) -> Iterator[tuple[_Form, _Form, int]]:

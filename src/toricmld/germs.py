@@ -19,13 +19,14 @@ which works in the same integers and returns them: rationals as
 reduced (num, den) pairs, covectors as integer pairs (the dual of a
 superlattice of the integer plane lies in it) and lattice points over
 the common denominator D of the Hermite normal form. `Fraction`s are
-built only by the library functions of a germ (`mld`, `mld_argmin`,
-`gamma_max`) and their lattice forms. Every derived identity is
-checked on the spot against the sail minimum and raises
-VerificationFailure, naming the lattice and psi, when it breaks. No
-step enumerates the quotient except to return it: the minimizers of
-zero psi are all of the representatives, which `residues` lists column
-by column off the Hermite normal form, with no set and no sort.
+built only by the library functions of a germ (`mld`, `mld_argmin`)
+and by the lattice forms (`mld_lattice`, `mld_argmin_lattice`,
+`gamma_max_lattice`). Every derived identity is checked on the spot
+against the sail minimum and raises VerificationFailure, naming the
+lattice and psi, when it breaks. No step enumerates the quotient
+except to return it: the minimizers of zero psi are all of the
+representatives, which `residues` lists column by column off the
+Hermite normal form, with no set and no sort.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from .lattices import (
     E1,
@@ -49,8 +50,6 @@ from .lattices import (
     _scaled_covector,
     _split_scaled,
     basis_order,
-    contains,
-    dot,
     dual,
     format_rational,
     in_cone,
@@ -61,7 +60,6 @@ from .lattices import (
     reduced,
     residues,
     swapped_lattice,
-    vec,
 )
 
 
@@ -148,18 +146,6 @@ def canonical_germ(germ: Germ) -> Germ:
     if order < 0 or (order == 0 and (germ.b1, germ.b2) <= (other.b1, other.b2)):
         return germ
     return other
-
-
-def log_discrepancy(germ: Germ, e: Sequence) -> Rational:
-    """Pairing of psi with a nonzero lattice point of the closed quadrant."""
-    e = vec(e[0], e[1])
-    if e.is_zero():
-        raise ValueError("log discrepancy needs a nonzero point")
-    if not contains(germ.lattice, e):
-        raise ValueError("point lies outside the germ lattice")
-    if not in_cone(e):
-        raise ValueError("point lies outside the quadrant")
-    return dot(psi_of(germ), e)
 
 
 class Minimum(NamedTuple):
@@ -380,11 +366,6 @@ def gamma_max_lattice(m_lat: Lattice, psi: Vec2, lam: Rational) -> tuple[Rationa
     return Fraction(gn, gd), Vec2(Fraction(x, denom), Fraction(y, denom))
 
 
-def gamma_max(germ: Germ) -> tuple[Rational, Vec2]:
-    """Best single covector bound for a germ: (value, least maximizer)."""
-    return gamma_max_lattice(dual(germ.lattice), psi_of(germ), mld(germ))
-
-
 class CaseTag(Enum):
     """Shape of the case analysis output.
 
@@ -578,8 +559,3 @@ def case_analysis_lattice(
         q_min,
         c,
     )
-
-
-def case_analysis(germ: Germ) -> CaseData:
-    """Case analysis of a germ; rejects zero psi."""
-    return case_analysis_lattice(germ.lattice, germ_psi(germ))

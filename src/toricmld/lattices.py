@@ -85,8 +85,7 @@ def reduced(num: int, den: int) -> Ratio:
 class Vec2(NamedTuple):
     """Point of the rational plane; also used for covectors.
 
-    The duality pairing of a covector with a point is the dot product,
-    see `dot`.
+    The duality pairing of a covector with a point is the dot product.
     """
 
     x1: Rational
@@ -125,19 +124,9 @@ E1 = vec(1, 0)
 E2 = vec(0, 1)
 
 
-def dot(m: Vec2, v: Vec2) -> Rational:
-    """Duality pairing between a covector and a point."""
-    return m.x1 * v.x1 + m.x2 * v.x2
-
-
 def in_cone(v: Vec2) -> bool:
     """Membership in the closed positive quadrant."""
     return v.x1 >= 0 and v.x2 >= 0
-
-
-def in_cone_interior(v: Vec2) -> bool:
-    """Membership in the open positive quadrant."""
-    return v.x1 > 0 and v.x2 > 0
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -444,15 +433,12 @@ def dual(lat: Lattice) -> Lattice:
     return _lattice_from_rows([(denom * d, 0), (-b * denom, a * denom)], a * d)
 
 
-class CovectorSplit(NamedTuple):
-    e1p: Vec2
-    e2p: Vec2
-
-
 def _split_scaled(lat: Lattice, scale: int, m1: int, m2: int) -> tuple[int, int, int, int]:
-    """`split_along_covector` for the covector (m1, m2)/scale, in integers.
+    """Adapted basis for the covector (m1, m2)/scale, in integers.
 
-    Returns (e1x, e1y, e2x, e2y) with e1p = (e1x, e1y)/D and
+    The lattice basis e1p, e2p pairs with the covector to 1 and 0;
+    ValueError unless the pairing image is all of the integers. Returns
+    (e1x, e1y, e2x, e2y) with e1p = (e1x, e1y)/D and
     e2p = (e2x, e2y)/D, D the lattice's common denominator. With the
     basis ((a, b), (0, d))/D the pairings are p1 = (m1*a + m2*b)/(scale*D)
     and p2 = m2*d/(scale*D); for u*p1 + w*p2 = 1, e1p = u*r1 + w*r2 and
@@ -467,21 +453,6 @@ def _split_scaled(lat: Lattice, scale: int, m1: int, m2: int) -> tuple[int, int,
     if g != 1:
         raise ValueError("pairing image is a proper subgroup of the integers")
     return u * a, u * b + w * d, p2 * a, p2 * b - p1 * d
-
-
-def split_along_covector(lat: Lattice, m: Vec2) -> CovectorSplit:
-    """Adapted basis for a covector with full integer pairing image.
-
-    Returns lattice points (e1p, e2p) with pairings (1, 0): e1p maps to
-    the generator of the image and e2p generates the kernel sublattice
-    (primitive there). Together they form a basis of the lattice.
-    """
-    e1x, e1y, e2x, e2y = _split_scaled(lat, *_scaled_covector(m))
-    denom = lat.hnf[0]
-    return CovectorSplit(
-        Vec2(Fraction(e1x, denom), Fraction(e1y, denom)),
-        Vec2(Fraction(e2x, denom), Fraction(e2y, denom)),
-    )
 
 
 def points_in_box(lat: Lattice, c1: Rational, c2: Rational) -> list[Vec2]:

@@ -17,8 +17,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from toricmld import CaseA, CaseB, Germ, NotTLC, Vec2, germ_from_quotient_type, mld, psi_of
+from toricmld import Germ, Vec2, germ_from_quotient_type, mld
+from toricmld.germs import psi_of
 from toricmld.lattices import _scaled_covector
+
+
+def dot(m, v):
+    """Duality pairing of a covector and a point, in rational arithmetic."""
+    return m[0] * v[0] + m[1] * v[1]
 
 
 def fraction_case_data(data, lat) -> SimpleNamespace:

@@ -17,44 +17,44 @@ from fractions import Fraction
 from toricmld import (
     CaseA,
     CaseB,
-    CaseTag,
     Contained,
     EqualsIntersection,
     Hit,
     NotTLC,
+    bounded_complement,
+    classify_tlc,
+    germ_from_quotient_type,
+    lawrence,
+    mld,
+    mld_oracle,
+    verify_certificate,
+)
+from toricmld.certify import (
+    box_maximal,
+    classify_tlc_lattice,
+    verify_certificate_lattice,
+)
+from toricmld.geometry import (
     ProductCase,
     QuotientCase,
-    STANDARD_LATTICE,
     SingleH,
-    box_maximal,
-    bounded_complement,
-    case_analysis,
     classify_mld_ge_one,
-    classify_tlc,
-    classify_tlc_lattice,
     complement_standard,
-    contains,
-    cyclic_lattices,
-    dual,
-    germ_from_quotient_type,
     half_mld_section,
     hyperplane_dichotomy,
+)
+from toricmld.germs import CaseTag, case_analysis_lattice, germ_psi, psi_of
+from toricmld.lattices import (
+    contains,
+    dual,
     in_cone,
     is_primitive,
     lattice_from_generators,
-    lawrence,
-    make_germ,
-    mld,
-    mld_oracle,
-    mld_oracle_lattice,
-    psi_of,
     superlattices,
     swapped_lattice,
-    tlc_oracle,
     vec,
-    verify_certificate,
-    verify_certificate_lattice,
 )
+from toricmld.oracle import mld_oracle_lattice, tlc_oracle
 
 from conftest import fraction_case_data, fraction_certificate
 
@@ -145,8 +145,11 @@ def test_value_one_families(criterion):
     with criterion(3, "value-one cyclic quotient families"):
         expected = {(1, 0, 0)} | {(r, 1, r - 1) for r in range(2, 101)}
         got = set()
-        for lat, ty in cyclic_lattices(100):
-            germ = make_germ(lat, 0, 0)
+        types = [(1, 0, 0)] + [
+            (r, 1, w) for r in range(2, 101) for w in range(1, r) if math.gcd(r, w) == 1
+        ]
+        for ty in types:
+            germ = germ_from_quotient_type(*ty)
             if mld(germ) < 1:
                 continue
             got.add(ty)
@@ -179,7 +182,8 @@ def test_structural_identities(criterion, random_corpus):
             psi = psi_of(germ)
             if psi.is_zero():
                 continue
-            data = fraction_case_data(case_analysis(germ), germ.lattice)
+            analysis = case_analysis_lattice(germ.lattice, germ_psi(germ))
+            data = fraction_case_data(analysis, germ.lattice)
             assert data.gamma <= data.mld <= 2 * data.gamma
             m_lat = dual(germ.lattice)
             assert contains(m_lat, data.v1) and is_primitive(m_lat, data.v1)

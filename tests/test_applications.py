@@ -15,47 +15,46 @@ import toricmld.oracle
 from toricmld import (
     CaseB,
     Complement,
-    DoubleH,
     EqualsIntersection,
     Germ,
-    HyperplaneSection,
-    NotApplicable,
     NotTLC,
-    ProductCase,
-    QuotientCase,
-    STANDARD_LATTICE,
-    Sail,
-    SailEdge,
-    SingleH,
     VerificationFailure,
     bounded_complement,
-    case_analysis,
-    classify_mld_ge_one,
     classify_tlc,
-    complement_standard,
-    contains,
-    dual,
     germ_from_quotient_type,
+    lawrence,
+    mld,
+)
+from toricmld.certify import series_certificate_log, series_membership_lattice
+from toricmld.geometry import (
+    DoubleH,
+    HyperplaneSection,
+    NotApplicable,
+    ProductCase,
+    QuotientCase,
+    SingleH,
+    classify_mld_ge_one,
+    complement_standard,
     half_mld_section,
     hyperplane_dichotomy,
     hyperplane_section,
-    in_cone,
     is_standard_coefficient,
-    lattice_from_generators,
-    lawrence,
     lct_invariant,
-    make_germ,
-    mld,
-    mld_oracle_lattice,
-    mld_oracle_value,
+)
+from toricmld.germs import case_analysis_lattice, germ_psi, make_germ, psi_of
+from toricmld.lattices import (
+    STANDARD_LATTICE,
+    Sail,
+    SailEdge,
+    contains,
+    dual,
+    in_cone,
+    lattice_from_generators,
     points_in_box,
-    psi_of,
-    series_certificate_log,
-    series_membership_lattice,
     superlattices,
     vec,
 )
-from toricmld.oracle import ORACLE_LIMIT
+from toricmld.oracle import ORACLE_LIMIT, mld_oracle_lattice, mld_oracle_value
 
 from conftest import fraction_certificate
 
@@ -385,7 +384,7 @@ def test_pair_witness_is_shared(germ, twelfths):
     else:
         assert outcome == SingleH(hyperplane_section(germ, cert.m), a)
     # A threshold in (gamma, mld], where the pair is needed.
-    gamma = Fraction(*case_analysis(germ).gamma)
+    gamma = Fraction(*case_analysis_lattice(germ.lattice, germ_psi(germ)).gamma)
     t = gamma + (a - gamma) * Fraction(twelfths, 12)
     p, q = t.numerator, t.denominator
     result = lawrence(germ.lattice, p, q)

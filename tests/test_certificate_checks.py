@@ -20,30 +20,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricmld import (
-    CaseA,
-    CaseB,
-    Lattice,
-    NotTLC,
+from toricmld import CaseA, CaseB, Lattice, NotTLC
+from toricmld.certify import (
     classify_tlc_lattice,
+    verify_certificate_lattice,
+    verify_certificate_scaled,
+)
+from toricmld.cli import main
+from toricmld.germs import mld_lattice
+from toricmld.lattices import (
     contains,
-    dot,
     dual,
     format_rational,
     in_cone,
-    in_cone_interior,
     lattice_from_generators,
     lattice_from_quotient_type,
-    mld_lattice,
     parse_rational,
     vec,
-    verify_certificate_lattice,
 )
-from toricmld.certify import verify_certificate_scaled
-from toricmld.cli import main
 from toricmld.records import certificate_from_json, certificate_to_json
 
-from conftest import fraction_certificate, scaled_certificate
+from conftest import dot, fraction_certificate, scaled_certificate
 
 SWEEP = (
     "enumerate", "--mode", "all", "--index-max", "5", "--boundary-set", "standard",
@@ -207,7 +204,7 @@ def reference_verification(lat, psi, t, cert):
         e, value = cert
         if not contains(lat, e):
             return False, "violating point lies outside the subgroup"
-        if not in_cone_interior(e):
+        if not (e.x1 > 0 and e.x2 > 0):
             return False, "violating point is not interior to the quadrant"
         if dot(psi, e) != value:
             return False, "recorded pairing value is wrong"

@@ -14,50 +14,52 @@ from toricmld import (
     EqualsIntersection,
     Germ,
     Hit,
+    Lattice,
     NotTLC,
-    STANDARD_LATTICE,
     VerificationFailure,
+    certify,
+    classify_tlc,
+    germ_from_quotient_type,
+    lawrence,
+    verify_certificate,
+)
+from toricmld.certify import (
+    _cyclic_forms,
     box_maximal,
     candidate_germs,
     classify_germ_record,
-    classify_tlc,
     classify_tlc_lattice,
-    cyclic_lattices,
-    cyclic_type,
-    dot,
-    dual,
     enumerate_germs,
-    germ_from_quotient_type,
+    series_certificate_log,
+    series_membership_lattice,
+    verify_certificate_lattice,
+    verify_lawrence_result,
+)
+from toricmld.geometry import Complement
+from toricmld.germs import make_germ
+from toricmld.lattices import (
+    STANDARD_LATTICE,
+    cyclic_type,
+    dual,
     lattice_from_generators,
     lattice_from_quotient_type,
-    lawrence,
-    lawrence_oracle,
-    make_germ,
-    mld_oracle_lattice,
-    points_in_box,
-    series_certificate_log,
-    series_membership,
-    series_membership_lattice,
     superlattices,
-    tlc_oracle,
     vec,
-    verify_certificate,
-    verify_certificate_lattice,
 )
-from toricmld import certify
-from toricmld.certify import verify_lawrence_result
+from toricmld.oracle import lawrence_oracle, mld_oracle_lattice, tlc_oracle
 from toricmld.records import (
     complement_from_json,
     complement_to_json,
     germ_from_json,
-    germ_to_json,
     germ_label,
+    germ_to_json,
     lawrence_result_from_json,
     lawrence_result_to_json,
     record_from_json,
     record_to_json,
 )
-from toricmld.geometry import Complement
+
+from conftest import dot
 
 FIFTH_GERM = germ_from_quotient_type(5, 1, 1)
 HALF_PLANE = lattice_from_generators([(Fraction(1, 2), 0), (0, Fraction(1, 2))])
@@ -257,15 +259,15 @@ def test_lawrence_agrees_with_oracle():
 
 
 def test_series_membership():
-    assert series_membership(germ_from_quotient_type(7, 1, 6), 1) == [(1, 1)]
-    assert series_membership(make_germ(STANDARD_LATTICE, 0, 0), 1) == [(0, 1), (1, 0), (1, 1)]
-    assert series_membership(FIFTH_GERM, Fraction(2, 5)) == []
-    assert series_membership(germ_from_quotient_type(3, 2, 1), Fraction(1, 2)) == [
+    assert series_membership_lattice(lattice_from_quotient_type(7, 1, 6), 1) == [(1, 1)]
+    assert series_membership_lattice(STANDARD_LATTICE, 1) == [(0, 1), (1, 0), (1, 1)]
+    assert series_membership_lattice(FIFTH_GERM.lattice, Fraction(2, 5)) == []
+    assert series_membership_lattice(lattice_from_quotient_type(3, 2, 1), Fraction(1, 2)) == [
         (1, 1),
         (2, 2),
     ]
     with pytest.raises(ValueError):
-        series_membership(FIFTH_GERM, 0)
+        series_membership_lattice(FIFTH_GERM.lattice, 0)
 
 
 def test_series_membership_matches_its_definition():
@@ -373,13 +375,13 @@ def test_classified_record_refuses_a_threshold_that_is_not_positive(t):
 
 
 def test_cyclic_lattice_stream():
-    got = list(cyclic_lattices(3))
-    assert [ty for _, ty in got] == [(1, 0, 0), (2, 1, 1), (3, 1, 1), (3, 1, 2)]
-    assert got[0][0] == STANDARD_LATTICE
-    for lat, ty in got[1:]:
-        assert lat == lattice_from_quotient_type(*ty)
+    got = [Lattice(hnf=form) for form, _, _ in _cyclic_forms(3)]
+    assert [cyclic_type(lat) for lat in got] == [(1, 0, 0), (2, 1, 1), (3, 1, 1), (3, 1, 2)]
+    assert got[0] == STANDARD_LATTICE
+    for lat in got[1:]:
+        assert lat == lattice_from_quotient_type(*cyclic_type(lat))
     # One lattice per subgroup: weight pairs that differ by a unit collapse.
-    seen = [lat for lat, _ in cyclic_lattices(7)]
+    seen = [form for form, _, _ in _cyclic_forms(7)]
     assert len(seen) == len(set(seen))
 
 

@@ -15,23 +15,16 @@ from pathlib import Path
 
 import pytest
 
-from toricmld import (
-    Germ,
-    Vec2,
-    certify,
-    classify_germ_record,
-    cli,
+from toricmld import Germ, Vec2, certify, cli, geometry, germs, lattices, oracle
+from toricmld.certify import classify_germ_record
+from toricmld.cli import main
+from toricmld.lattices import (
     format_rational,
-    geometry,
-    germs,
     lattice_from_generators,
     lattice_from_quotient_type,
-    lattices,
-    oracle,
     parse_rational,
     superlattices,
 )
-from toricmld.cli import main
 from toricmld.records import (
     TABLE_COLUMNS,
     dumps,

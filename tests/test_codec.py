@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricmld import index, lattice_from_generators, lattice_from_quotient_type, superlattices
+from toricmld.lattices import (
+    index,
+    lattice_from_generators,
+    lattice_from_quotient_type,
+    superlattices,
+)
 from toricmld.records import lattice_from_json, lattice_to_json, vec_from_json, vec_to_json
 
 

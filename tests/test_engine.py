@@ -6,42 +6,40 @@ from fractions import Fraction
 
 import pytest
 
-from toricmld import (
+from toricmld import germ_from_quotient_type, mld, mld_argmin
+from toricmld.germs import (
     CaseData,
     CaseTag,
-    STANDARD_LATTICE,
     canonical_germ,
-    case_analysis,
     case_analysis_lattice,
-    contains,
-    dot,
-    dual,
-    gamma_max,
+    gamma_max_lattice,
     gamma_of,
-    germ_from_quotient_type,
+    germ_psi,
+    make_germ,
+    psi_of,
+    swapped_germ,
+)
+from toricmld.lattices import (
+    STANDARD_LATTICE,
+    contains,
+    dual,
     in_cone,
     is_primitive,
     lattice_from_generators,
     lattice_from_quotient_type,
-    log_discrepancy,
-    make_germ,
-    mld,
-    mld_argmin,
-    mld_oracle_lattice,
     points_in_box,
-    psi_of,
-    swapped_germ,
     vec,
 )
+from toricmld.oracle import mld_oracle_lattice
 
-from conftest import fraction_case_data
+from conftest import dot, fraction_case_data
 
 FIFTH = lattice_from_quotient_type(5, 1, 1)
 
 
 def _case_data(germ):
-    """`case_analysis` of the germ with rational fields (see `fraction_case_data`)."""
-    return fraction_case_data(case_analysis(germ), germ.lattice)
+    """The germ's case analysis with rational fields (see `fraction_case_data`)."""
+    return fraction_case_data(case_analysis_lattice(germ.lattice, germ_psi(germ)), germ.lattice)
 
 
 def test_make_germ_validation():
@@ -75,21 +73,6 @@ def test_swap_and_canonical_germ():
     canon = canonical_germ(germ)
     assert canon == canonical_germ(swapped_germ(germ))
     assert canon in (germ, swapped_germ(germ))
-
-
-def test_log_discrepancy():
-    smooth = make_germ(STANDARD_LATTICE, 0, 0)
-    assert log_discrepancy(smooth, vec(1, 1)) == 2
-    fifth = make_germ(FIFTH, 0, 0)
-    assert log_discrepancy(fifth, vec(Fraction(1, 5), Fraction(1, 5))) == Fraction(2, 5)
-    third = germ_from_quotient_type(3, 2, 1)
-    assert log_discrepancy(third, vec(Fraction(1, 3), Fraction(2, 3))) == 1
-    with pytest.raises(ValueError):
-        log_discrepancy(smooth, vec(0, 0))
-    with pytest.raises(ValueError):
-        log_discrepancy(smooth, vec(Fraction(1, 2), 0))
-    with pytest.raises(ValueError):
-        log_discrepancy(smooth, vec(-1, 1))
 
 
 def test_mld_examples():
@@ -139,12 +122,17 @@ def test_gamma_of():
         gamma_of(vec(-1, 1), vec(1, 1))
 
 
+def _gamma_max(germ):
+    """The best single covector bound of the germ: (value, least maximizer)."""
+    return gamma_max_lattice(dual(germ.lattice), psi_of(germ), mld(germ))
+
+
 def test_gamma_max_examples():
-    assert gamma_max(make_germ(STANDARD_LATTICE, 0, 0)) == (Fraction(1), vec(0, 1))
-    assert gamma_max(make_germ(FIFTH, 0, 0)) == (Fraction(1, 3), vec(2, 3))
-    assert gamma_max(germ_from_quotient_type(3, 2, 1)) == (Fraction(1), vec(1, 1))
+    assert _gamma_max(make_germ(STANDARD_LATTICE, 0, 0)) == (Fraction(1), vec(0, 1))
+    assert _gamma_max(make_germ(FIFTH, 0, 0)) == (Fraction(1, 3), vec(2, 3))
+    assert _gamma_max(germ_from_quotient_type(3, 2, 1)) == (Fraction(1), vec(1, 1))
     with pytest.raises(ValueError):
-        gamma_max(make_germ(STANDARD_LATTICE, 1, 1))
+        _gamma_max(make_germ(STANDARD_LATTICE, 1, 1))
 
 
 def test_gamma_max_is_a_maximum():
@@ -155,8 +143,8 @@ def test_gamma_max_is_a_maximum():
         w = rng.choice([u for u in range(1, r + 1) if math.gcd(u, r) == 1])
         germ = germ_from_quotient_type(r, 1, w, Fraction(rng.randint(0, 2), 3), 0)
         psi = psi_of(germ)
-        gamma, v1 = gamma_max(germ)
         lam = mld(germ)
+        gamma, v1 = gamma_max_lattice(dual(germ.lattice), psi, lam)
         assert gamma_of(v1, psi) == gamma
         m_lat = dual(germ.lattice)
         assert contains(m_lat, v1)
@@ -171,7 +159,7 @@ def test_gamma_max_is_a_maximum():
 
 def test_case_analysis_worked_thread():
     # In integers: ratios reduced, covectors integral, points over D = 5.
-    assert case_analysis(make_germ(FIFTH, 0, 0)) == CaseData(
+    assert case_analysis_lattice(FIFTH, (1, 1, 1)) == CaseData(
         CaseTag.SPLIT, (1, 3), (2, 3), (2, 5), (-2, 3), (3, -2), (2, 3), (3, 2), (3, 5), (3, 2),
         (1, 15), 3, (3, 2),
     )
@@ -238,7 +226,7 @@ def test_case_analysis_boundary_psi():
 
 def test_case_analysis_rejections():
     with pytest.raises(ValueError):
-        case_analysis(make_germ(STANDARD_LATTICE, 1, 1))
+        case_analysis_lattice(STANDARD_LATTICE, (1, 0, 0))  # zero psi, boundary (1, 1)
     with pytest.raises(ValueError):
         case_analysis_lattice(STANDARD_LATTICE, (1, -1, 1))
 

@@ -12,27 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricmld import (
-    Lattice,
+from toricmld import Lattice, germ_from_quotient_type, mld, mld_argmin, mld_oracle, oracle
+from toricmld.germs import make_germ
+from toricmld.lattices import (
     STANDARD_LATTICE,
     dual,
-    germ_from_quotient_type,
     lattice_from_generators,
     lattice_from_quotient_type,
-    lawrence_oracle,
-    make_germ,
-    mld,
-    mld_argmin,
-    mld_oracle,
-    mld_oracle_lattice,
-    oracle,
-    psi_of,
     residues,
     sublattices_of_standard,
     superlattices,
-    tlc_oracle,
     vec,
 )
+from toricmld.oracle import lawrence_oracle, mld_oracle_lattice, tlc_oracle
 
 ONES = vec(1, 1)
 

@@ -16,27 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricmld
-from toricmld import (
-    CaseB,
-    CaseTag,
-    Lattice,
-    VerificationFailure,
-    case_analysis_lattice,
-    classify_tlc_lattice,
+from toricmld import CaseB, Lattice, VerificationFailure
+from toricmld.certify import classify_tlc_lattice
+from toricmld.cli import main
+from toricmld.germs import CaseTag, case_analysis_lattice, gamma_of, sail_minimum
+from toricmld.lattices import (
+    _scaled_covector,
     contains,
-    dot,
     dual,
-    gamma_of,
     index,
     lattice_from_quotient_type,
-    mld_oracle_lattice,
     vec,
 )
-from toricmld.cli import main
-from toricmld.germs import sail_minimum
-from toricmld.lattices import _scaled_covector
+from toricmld.oracle import mld_oracle_lattice
 
-from conftest import fraction_case_data, fraction_certificate
+from conftest import dot, fraction_case_data, fraction_certificate
 
 PROPERTIES = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 

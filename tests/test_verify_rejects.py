@@ -1,7 +1,7 @@
 """What `verify` says about each tampered field of a record.
 
-One classification record per certificate case, and one complement and
-one lawrence record, one tampering per field: each gets its exact exit
+One classification record per certificate case, and complement and
+lawrence records, one tampering per field: each gets its exact exit
 code and stderr line. Decoding problems exit 1 before any check runs; a
 record that decodes but fails a check exits 2.
 """
@@ -196,12 +196,15 @@ def test_verify_accepts_unreduced_equal_literals(capsys, tmp_path):
 
 
 # The other record kinds: a bounded and a standard complement of 1/5(1,1),
-# n = 3 with witness (2, 3) and, at 2/5, n = 5 with witness (5, 5), and
-# the lawrence hit at (1/5, 1/5).
+# n = 3 with witness (2, 3) and, at 2/5, n = 5 with witness (5, 5), the
+# lawrence hit at (1/5, 1/5), and the pair (1, 3), (3, 1) with weights
+# 1, 1 of 1/8(1,5), the first equals_intersection record of
+# `lawrence --index-max 12 --p 1 --q 2`.
 OTHER_RECORDS = {
     "bounded": ("complement", "--type", "5,1,1", "--bounded"),
     "standard": ("complement", "--type", "5,1,1", "--p", "2", "--q", "5"),
     "lawrence": ("lawrence", "--type", "5,1,1", "--p", "1", "--q", "2"),
+    "pair": ("lawrence", "--type", "8,1,5", "--p", "1", "--q", "2"),
 }
 
 
@@ -212,8 +215,11 @@ def _complement(**fields):
     return mutate
 
 
-def _lawrence_kind(data):
-    data["lawrence"]["kind"] = "z"
+def _lawrence(**fields):
+    def mutate(data):
+        data["lawrence"].update(fields)
+
+    return mutate
 
 
 # (record, tampering, exit code, stderr line).
@@ -250,6 +256,45 @@ OTHER_MATRIX = {
         2,
         CHECK + "complement rejected: witness is zero, so the value at witness/n is zero",
     ),
+    # Each witness below comes with the boundary 1 - witness/n it implies.
+    "witness not integral": (
+        "bounded",
+        _complement(boundary=["5/6", "0"], witness=["1/2", "3"]),
+        2,
+        CHECK + "complement rejected: witness is not integral",
+    ),
+    "witness outside the dual": (
+        "bounded",
+        _complement(boundary=["2/3", "1"], witness=["1", "0"]),
+        2,
+        CHECK + "complement rejected: witness does not pair integrally with the lattice",
+    ),
+    "boundary below the germ's": (
+        "bounded",
+        _complement(boundary=["-2/3", "1"], witness=["5", "0"]),
+        2,
+        CHECK + "complement rejected: boundary out of range",
+    ),
+    "pair dependent": (
+        "pair",
+        _lawrence(m2=["1", "3"]),
+        2,
+        CHECK + "certificate rejected: pair covectors are dependent",
+    ),
+    # (1, 3) and (6, 2) are independent, but their locus properly contains the lattice.
+    "pair presents another subgroup": (
+        "pair",
+        _lawrence(m2=["6", "2"]),
+        2,
+        CHECK + "certificate rejected: subgroup is not the pair's integrality locus",
+    ),
+    # Weights 2, 1 average to (5/3, 7/3), outside [0, 2]^2.
+    "pair average outside the box": (
+        "pair",
+        _lawrence(k1=2),
+        2,
+        CHECK + "certificate rejected: weighted average escapes the box",
+    ),
     "complement germ not an object": (
         "bounded", _put("germ", []), 1, ERROR + "not a germ record: []"
     ),
@@ -260,7 +305,7 @@ OTHER_MATRIX = {
         "lawrence", _put("lawrence", 3), 1, ERROR + "not a simplex-avoidance record: 3"
     ),
     "lawrence kind unknown": (
-        "lawrence", _lawrence_kind, 1, ERROR + "unknown simplex-avoidance kind: 'z'"
+        "lawrence", _lawrence(kind="z"), 1, ERROR + "unknown simplex-avoidance kind: 'z'"
     ),
 }
 
