@@ -42,6 +42,7 @@ from .germs import (
 )
 from .lattices import (
     Lattice,
+    Ratio,
     Vec2,
     format_rational,
     lattice_from_quotient_type,
@@ -61,9 +62,9 @@ from .records import (
     lawrence_record_from_json,
     lawrence_record_to_json,
     record_fields,
+    record_lines,
     record_table_row,
     record_to_json,
-    records_to_json,
     type_label,
     type_label_agrees,
 )
@@ -215,8 +216,7 @@ def _cmd_enumerate(args) -> int:
     mode = "a" if args.resume else "w"
     with open(args.out, mode, encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
         if args.format == "jsonl":
-            for data in records_to_json(records):
-                out.write(dumps(data) + "\n")
+            out.writelines(record_lines(records))
         else:
             _emit_table(records, out, args.format)
     return 0
@@ -250,33 +250,47 @@ def _malformed(line_no: int, exc: Exception) -> ValueError:
     return ValueError(f"line {line_no}: {reason}")
 
 
-class _LatticeEntry:
-    """What `verify` derives from one record lattice alone.
+class _VerifyRun:
+    """What one `verify` run shares between its records.
 
-    Holds the decoded lattice and its type label, and builds the series
-    list for one threshold, a reduced (tn, td), on first use.
-    Classification records in a row with the same `germ.lattice` JSON
-    share one entry; each still runs every check, the oracle's column
-    walk included.
+    `literals` maps each rational literal read so far to its reduced
+    pair (`records.record_fields`), so each distinct literal is parsed
+    once per run. The lattice entry is the last classification record's:
+    its `germ.lattice` JSON (`raw`), the decoded lattice and its type
+    label, and the series list for one threshold, a reduced (tn, td),
+    built on first use. Classification records in a row with the same
+    `germ.lattice` JSON share the entry; each still runs every check,
+    the oracle's column walk included.
     """
 
-    __slots__ = ("raw", "lattice", "label", "_series_t", "_series")
+    __slots__ = ("literals", "raw", "lattice", "label", "_series_t", "_series")
 
-    def __init__(self, raw: list, lattice: Lattice):
+    def __init__(self):
+        self.literals: dict[str, Ratio] = {}
+        self.share(None, None)
+
+    def share(self, raw: Optional[list], lattice: Optional[Lattice]) -> None:
+        """Make `lattice`, decoded from `raw`, the lattice entry; (None, None) drops it."""
         self.raw, self.lattice = raw, lattice
-        self.label = type_label(lattice)
-        self._series_t: Optional[tuple[int, int]] = None
+        self.label = None if lattice is None else type_label(lattice)
+        self._series_t: Optional[Ratio] = None
         self._series: list = []
 
-    def series(self, t: tuple[int, int]) -> list:
+    def series(self, t: Ratio) -> list:
         if self._series_t != t:
             self._series, self._series_t = series_membership_lattice(self.lattice, Fraction(*t)), t
         return self._series
 
 
-# The entry of the last classification record's lattice. `_cmd_verify`
-# drops it before any other record and when it returns.
-_entry: Optional[_LatticeEntry] = None
+# The state of the `verify` run in progress; `_cmd_verify` sets it and
+# drops it when it returns.
+_run: Optional[_VerifyRun] = None
+
+# Literals a run holds before it empties its dict. Sweeps of small
+# lattices repeat a few hundred literals, but most of a long cyclic
+# sweep's are distinct (32,497 of 175,004 at r <= 10^4), and holding them
+# all would grow a run's memory with its length.
+_LITERALS_HELD = 4096
 
 
 def _verify_classification(data: dict, line_no: int) -> None:
@@ -286,20 +300,21 @@ def _verify_classification(data: dict, line_no: int) -> None:
     (num, den) pairs, psi is (c1, c2)/s, and rationals are compared by
     cross-multiplying with their positive denominators.
     """
-    global _entry
+    run = _run
+    if len(run.literals) > _LITERALS_HELD:
+        run.literals.clear()
     germ = data.get("germ")
     raw = germ.get("lattice") if isinstance(germ, dict) else None
-    shared = _entry is not None and _entry.raw == raw
-    record = record_fields(data, _entry.lattice if shared else None)
+    shared = run.lattice is not None and run.raw == raw
+    record = record_fields(data, run.lattice if shared else None, run.literals)
     if not shared:
-        _entry = _LatticeEntry(raw, record.lattice)
-    entry = _entry
-    _require(type_label_agrees(data, entry.label), line_no, "type label disagrees with the lattice")
+        run.share(raw, record.lattice)
+    _require(type_label_agrees(data, run.label), line_no, "type label disagrees with the lattice")
     psi = scaled_psi(*record.boundary)
-    num, den = mld_oracle_scaled(entry.lattice, psi)
+    num, den = mld_oracle_scaled(run.lattice, psi)
     (mn, md), (tn, td) = record.mld, record.t
     _require(num * md == mn * den, line_no, "recorded mld disagrees with the oracle")
-    outcome = verify_certificate_scaled(entry.lattice, psi, record.t, record.certificate)
+    outcome = verify_certificate_scaled(run.lattice, psi, record.t, record.certificate)
     _require(outcome.ok, line_no, f"certificate rejected: {outcome.reason}")
     _require(
         isinstance(record.certificate, NotTLC) == (num * td < tn * den),
@@ -307,7 +322,7 @@ def _verify_classification(data: dict, line_no: int) -> None:
         "certificate side disagrees with the oracle threshold test",
     )
     _require(
-        entry.series(record.t) == record.series,
+        run.series(record.t) == record.series,
         line_no,
         "series memberships disagree with recomputation",
     )
@@ -345,7 +360,8 @@ def _verify_complement(data: dict, line_no: int) -> None:
 
 
 def _cmd_verify(args) -> int:
-    global _entry
+    global _run
+    _run = _VerifyRun()
     count = 0
     try:
         with open(args.infile, encoding="utf-8") as handle:
@@ -363,7 +379,7 @@ def _cmd_verify(args) -> int:
                     if "certificate" in data:
                         _verify_classification(data, line_no)
                     else:
-                        _entry = None
+                        _run.share(None, None)
                         if "lawrence" in data:
                             _verify_lawrence(data, line_no)
                         elif "complement" in data:
@@ -374,7 +390,7 @@ def _cmd_verify(args) -> int:
                     raise _malformed(line_no, exc) from None
                 count += 1
     finally:
-        _entry = None
+        _run = None
     print(f"verified {count} records")
     return 0
 

@@ -9,6 +9,15 @@ reordered or redundant generator rows, and rejects a lattice that misses
 the integer plane, which every germ lattice contains, a boundary
 coefficient outside [0, 1], a threshold or ratio p/q that is not
 positive, and an integer field that is not a JSON integer.
+
+`record_to_json` encodes one classification record as a dict; a sweep
+writes its records through `record_lines`, which builds the text of
+each part once at the level it depends on (t per sweep, the boundary
+per pair, the lattice rows, `type` label and series list per lattice)
+and formats only the mld and the certificate per record. Decoding reads
+each rational literal through a dict from literal text to reduced pair,
+which `verify` keeps for a whole run, so each distinct literal is
+parsed once per run.
 """
 
 from __future__ import annotations
@@ -91,9 +100,9 @@ def _scaled_to_json(v: Scaled) -> list[str]:
     return [format_ratio(x, s), format_ratio(y, s)]
 
 
-def _scaled_from_json(data: Any) -> Scaled:
+def _scaled_from_json(data: Any, literals: dict[str, Ratio]) -> Scaled:
     """A two-element array of rational literals as (s, x, y), s the least common denominator."""
-    (n1, d1), (n2, d2) = (_reduced(x) for x in _pair(data))
+    (n1, d1), (n2, d2) = (_reduced(x, literals) for x in _pair(data))
     s = d1 // math.gcd(d1, d2) * d2
     return s, n1 * (s // d1), n2 * (s // d2)
 
@@ -104,15 +113,18 @@ def lattice_to_json(lat: Lattice) -> list[list[str]]:
     return [[format_ratio(a, denom), format_ratio(b, denom)], ["0", format_ratio(d, denom)]]
 
 
-def lattice_from_json(data: Any) -> Lattice:
+def lattice_from_json(data: Any, literals: Optional[dict[str, Ratio]] = None) -> Lattice:
     """The lattice generated by the rows, read as integers over their common denominator.
 
+    The row literals are read through `literals` (see `_reduced`).
     ValueError unless the rows are rational vectors that span the plane
     and generate a lattice containing the integer plane.
     """
     if not isinstance(data, list):
         raise ValueError(f"not a lattice: {data!r}")
-    rows = [(parse_ratio(x1), parse_ratio(x2)) for x1, x2 in map(_pair, data)]
+    if literals is None:
+        literals = {}
+    rows = [(_reduced(x1, literals), _reduced(x2, literals)) for x1, x2 in map(_pair, data)]
     scale = math.lcm(*(den for row in rows for _, den in row))
     lat = _lattice_from_rows(
         [(n1 * (scale // d1), n2 * (scale // d2)) for (n1, d1), (n2, d2) in rows], scale
@@ -121,34 +133,34 @@ def lattice_from_json(data: Any) -> Lattice:
     return lat
 
 
-class LatticeJSON(NamedTuple):
-    """What a record says about its lattice alone: `lattice_to_json` and `type_label`."""
-
-    rows: list[list[str]]
-    label: dict
-
-
-def lattice_json(lat: Lattice) -> LatticeJSON:
-    return LatticeJSON(lattice_to_json(lat), type_label(lat))
-
-
-def germ_to_json(germ: Germ, lattice: Optional[LatticeJSON] = None) -> dict:
-    """The germ's record; `lattice` is `lattice_json(germ.lattice)` when the caller has it."""
-    if lattice is None:
-        lattice = lattice_json(germ.lattice)
+def germ_to_json(germ: Germ) -> dict:
+    """The germ's record: its lattice rows, its boundary and its `type` label."""
     return {
-        "lattice": lattice.rows,
+        "lattice": lattice_to_json(germ.lattice),
         "boundary": [format_rational(germ.b1), format_rational(germ.b2)],
-        **lattice.label,
+        **type_label(germ.lattice),
     }
 
 
-def _reduced(text: Any) -> Ratio:
-    """A "p/q" or "n" literal as a reduced pair; ValueError as `parse_rational`."""
-    return reduced(*parse_ratio(text))
+def _reduced(text: Any, literals: dict[str, Ratio]) -> Ratio:
+    """A "p/q" or "n" literal as a reduced pair; ValueError as `parse_rational`.
+
+    `literals` maps literal text to its reduced pair: a string is parsed
+    on its first reading and looked up after that. Only well-formed
+    string literals are stored, so a malformed one raises on every
+    reading.
+    """
+    if not isinstance(text, str):
+        parse_ratio(text)  # raises, naming the value
+    pair = literals.get(text)
+    if pair is None:
+        pair = literals[text] = reduced(*parse_ratio(text))
+    return pair
 
 
-def _germ_fields(data: Any, lattice: Optional[Lattice]) -> tuple[Lattice, Ratio, Ratio]:
+def _germ_fields(
+    data: Any, lattice: Optional[Lattice], literals: dict[str, Ratio]
+) -> tuple[Lattice, Ratio, Ratio]:
     """(lattice, b1, b2) of a germ record, the boundary as reduced pairs.
 
     `lattice`, when given, is `data["lattice"]` already decoded. The
@@ -157,9 +169,9 @@ def _germ_fields(data: Any, lattice: Optional[Lattice]) -> tuple[Lattice, Ratio,
     """
     if not isinstance(data, dict) or "lattice" not in data or "boundary" not in data:
         raise ValueError(f"not a germ record: {data!r}")
-    b1, b2 = (_reduced(x) for x in _pair(data["boundary"]))
+    b1, b2 = (_reduced(x, literals) for x in _pair(data["boundary"]))
     if lattice is None:
-        lattice = lattice_from_json(data["lattice"])
+        lattice = lattice_from_json(data["lattice"], literals)
     if not (0 <= b1[0] <= b1[1] and 0 <= b2[0] <= b2[1]):
         boundary_pair(Fraction(*b1), Fraction(*b2))  # raises, naming the coefficient
     return lattice, b1, b2
@@ -167,7 +179,7 @@ def _germ_fields(data: Any, lattice: Optional[Lattice]) -> tuple[Lattice, Ratio,
 
 def germ_from_json(data: Any) -> Germ:
     """The germ of a record."""
-    lattice, b1, b2 = _germ_fields(data, None)
+    lattice, b1, b2 = _germ_fields(data, None, {})
     return Germ(lattice, Fraction(*b1), Fraction(*b2))
 
 
@@ -187,28 +199,31 @@ def certificate_to_json(cert: Certificate) -> dict:
     raise ValueError(f"not a certificate: {cert!r}")
 
 
-def certificate_from_json(data: Any) -> Certificate:
+def certificate_from_json(data: Any, literals: Optional[dict[str, Ratio]] = None) -> Certificate:
     """The certificate of a record, straight to integers; no rational is built.
 
     Each covector or point is read as (s, x, y) with s its least common
     denominator, each weight or value as a reduced pair, so a record's
     covector may be non-integral, negative or zero and still reaches the
-    verifier, which names what is wrong with it.
+    verifier, which names what is wrong with it. Literals are read
+    through `literals` (see `_reduced`).
     """
     if not isinstance(data, dict):
         raise ValueError(f"not a certificate record: {data!r}")
+    if literals is None:
+        literals = {}
     kind = data.get("case")
     if kind == "a":
-        return CaseA(_scaled_from_json(data["m"]))
+        return CaseA(_scaled_from_json(data["m"], literals))
     if kind == "b":
         return CaseB(
-            _scaled_from_json(data["m1"]),
-            _scaled_from_json(data["m2"]),
-            _reduced(data["t1"]),
-            _reduced(data["t2"]),
+            _scaled_from_json(data["m1"], literals),
+            _scaled_from_json(data["m2"], literals),
+            _reduced(data["t1"], literals),
+            _reduced(data["t2"], literals),
         )
     if kind == "not_tlc":
-        return NotTLC(_scaled_from_json(data["e"]), _reduced(data["value"]))
+        return NotTLC(_scaled_from_json(data["e"], literals), _reduced(data["value"], literals))
     raise ValueError(f"unknown certificate case: {kind!r}")
 
 
@@ -239,10 +254,10 @@ def case_data_to_json(data: CaseData, lat: Lattice) -> dict:
     return out
 
 
-def record_to_json(record: ClassifiedGerm, lattice: Optional[LatticeJSON] = None) -> dict:
-    """The record's JSON; `lattice` is `lattice_json` of its lattice when the caller has it."""
+def record_to_json(record: ClassifiedGerm) -> dict:
+    """The record's JSON object; `record_lines` writes the same as text."""
     return {
-        "germ": germ_to_json(record.germ, lattice),
+        "germ": germ_to_json(record.germ),
         "t": format_rational(record.t),
         "mld": format_ratio(*record.value),
         "certificate": certificate_to_json(record.certificate),
@@ -250,20 +265,87 @@ def record_to_json(record: ClassifiedGerm, lattice: Optional[LatticeJSON] = None
     }
 
 
-def records_to_json(records: Iterable[ClassifiedGerm]) -> Iterator[dict]:
-    """`record_to_json` of each record, encoding a lattice once per run of records that share it.
+def _scaled_text(v: Scaled) -> str:
+    """`_scaled_to_json` of v as JSON text."""
+    s, x, y = v
+    return '["%s", "%s"]' % (format_ratio(x, s), format_ratio(y, s))
 
-    A sweep yields the germs of one lattice in a row, so this encodes
-    each of its lattices and their type labels once. Records of a run
-    share their `lattice` rows: dump each one before changing it.
+
+def _certificate_text(cert: Certificate) -> str:
+    """`certificate_to_json` of cert as JSON text."""
+    if isinstance(cert, CaseA):
+        return '{"case": "a", "m": %s}' % _scaled_text(cert.m)
+    if isinstance(cert, CaseB):
+        return '{"case": "b", "m1": %s, "m2": %s, "t1": "%s", "t2": "%s"}' % (
+            _scaled_text(cert.m1),
+            _scaled_text(cert.m2),
+            format_ratio(*cert.t1),
+            format_ratio(*cert.t2),
+        )
+    if isinstance(cert, NotTLC):
+        return '{"case": "not_tlc", "e": %s, "value": "%s"}' % (
+            _scaled_text(cert.e),
+            format_ratio(*cert.value),
+        )
+    raise ValueError(f"not a certificate: {cert!r}")
+
+
+def _lattice_text(lat: Lattice) -> tuple[str, str]:
+    """The text of `lattice_to_json` and of `type_label`, as they stand in a germ record."""
+    (a, b), (c, d) = lattice_to_json(lat)
+    ty = cyclic_type(lat)
+    label = "" if ty is None else ', "type": [%d, %d, %d]' % ty
+    return '[["%s", "%s"], ["%s", "%s"]]' % (a, b, c, d), label
+
+
+def _series_text(series: list[tuple[int, int]]) -> str:
+    return "[%s]" % ", ".join(["[%d, %d]" % m for m in series])
+
+
+def record_lines(records: Iterable[ClassifiedGerm]) -> Iterator[str]:
+    """`dumps(record_to_json(r)) + "\\n"` of each record, from text encoded once per part.
+
+    t, a lattice's rows and `type` label, and a series list are each
+    formatted once per run of records that share them, and each boundary
+    pair once; the mld and the certificate are formatted per record. A
+    sweep shares one t, one object per boundary coefficient, and one
+    lattice and series list per form, so it formats t once, each pair
+    once and each lattice once. Parts are matched by identity, and the
+    boundary text is keyed by the ids of its coefficients, whose objects
+    the entry holds alive; no `Fraction` is hashed.
     """
-    lat: Optional[Lattice] = None
-    encoded: Optional[LatticeJSON] = None
+    t = lat = series = None
+    t_text = head = middle = tail = ""
+    boundaries: dict[tuple[int, int], tuple[Rational, Rational, str]] = {}
     for record in records:
-        if record.germ.lattice != lat:
-            lat = record.germ.lattice
-            encoded = lattice_json(lat)
-        yield record_to_json(record, encoded)
+        germ = record.germ
+        if record.t is not t:
+            t, lat = record.t, None
+            t_text = format_rational(t)
+        if germ.lattice is not lat:
+            lat = germ.lattice
+            rows, label = _lattice_text(lat)
+            head = '{"germ": {"lattice": %s, "boundary": ' % rows
+            middle = '%s}, "t": "%s", "mld": "' % (label, t_text)
+        if record.series is not series:
+            series = record.series
+            tail = ', "series": %s}\n' % _series_text(series)
+        b1, b2 = germ.b1, germ.b2
+        entry = boundaries.get((id(b1), id(b2)))
+        if entry is None:
+            text = '["%s", "%s"]' % (format_rational(b1), format_rational(b2))
+            entry = boundaries[id(b1), id(b2)] = (b1, b2, text)
+        yield "".join(
+            (
+                head,
+                entry[2],
+                middle,
+                format_ratio(*record.value),
+                '", "certificate": ',
+                _certificate_text(record.certificate),
+                tail,
+            )
+        )
 
 
 class RecordFields(NamedTuple):
@@ -277,10 +359,14 @@ class RecordFields(NamedTuple):
     series: list[tuple[int, int]]
 
 
-def record_fields(data: Any, lattice: Optional[Lattice] = None) -> RecordFields:
+def record_fields(
+    data: Any, lattice: Optional[Lattice] = None, literals: Optional[dict[str, Ratio]] = None
+) -> RecordFields:
     """The fields of a classification record, each rational a reduced integer pair.
 
-    `lattice`, when given, is `data["germ"]["lattice"]` already decoded.
+    `lattice`, when given, is `data["germ"]["lattice"]` already decoded,
+    and literals are read through `literals` (see `_reduced`), which
+    `verify` keeps for a whole run.
     The fields decode in the order series, germ (boundary literals,
     lattice, boundary range), t, mld, certificate, and the first that
     fails raises ValueError, or KeyError for a missing key.
@@ -295,12 +381,15 @@ def record_fields(data: Any, lattice: Optional[Lattice] = None) -> RecordFields:
         if not type(i) is type(j) is int:
             _json_int(i, "series id"), _json_int(j, "series id")  # raises
         series.append((i, j))
-    lattice, b1, b2 = _germ_fields(data["germ"], lattice)
-    t = _reduced(data["t"])
+    if literals is None:
+        literals = {}
+    lattice, b1, b2 = _germ_fields(data["germ"], lattice, literals)
+    t = _reduced(data["t"], literals)
     if t[0] <= 0:
         positive_threshold(Fraction(*t))  # raises
-    mld = _reduced(data["mld"])
-    return RecordFields(lattice, (b1, b2), t, mld, certificate_from_json(data["certificate"]), series)
+    mld = _reduced(data["mld"], literals)
+    certificate = certificate_from_json(data["certificate"], literals)
+    return RecordFields(lattice, (b1, b2), t, mld, certificate, series)
 
 
 def record_from_json(data: Any) -> ClassifiedGerm:

@@ -9,7 +9,9 @@ same examples. The pruned cyclic sweep, which walks Hirzebruch-Jung
 chains under Borisov's excess bound, is checked against the full
 stream: its lattices are those within the budget, in the same order,
 and its germs are those that reach the threshold. A sweep does its
-lattice work once per lattice and builds psi once per boundary pair.
+lattice work once per lattice and builds psi once per boundary pair;
+it encodes each part of its records once, and `verify` parses each
+distinct literal once.
 """
 
 import json
@@ -205,3 +207,48 @@ def test_sweep_does_lattice_work_once_per_lattice(monkeypatch, tmp_path):
     lattices = {json.dumps(record["germ"]["lattice"]) for record in records}
     assert (len(records), len(lattices)) == (546, 15)
     assert counts == {"series_membership_lattice": 15, "cyclic_type": 15, "scaled_psi": 49}
+
+
+def _logging(monkeypatch, module, name, log):
+    """Replace module.name by a wrapper that appends each call's arguments to log."""
+    real = getattr(module, name)
+
+    def logged(*args):
+        log.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, logged)
+
+
+def test_sweep_encodes_each_part_once_and_verify_parses_each_literal_once(monkeypatch, tmp_path):
+    # The same mixed sweep: its records are written from text built once
+    # per part, t once, each of the 49 boundary pairs once, and each
+    # lattice's rows, type label and series list once; `verify` reads
+    # each distinct literal of the file once.
+    formatted, rows, labels, series, parsed = [], [], [], [], []
+    _logging(monkeypatch, toricmld.records, "format_rational", formatted)
+    _logging(monkeypatch, toricmld.records, "lattice_to_json", rows)
+    _logging(monkeypatch, toricmld.records, "cyclic_type", labels)
+    _logging(monkeypatch, toricmld.records, "_series_text", series)
+    out = tmp_path / "mixed.jsonl"
+    argv = ["enumerate", "--mode", "all", "--index-max", "5", "--boundary-set", "standard"]
+    assert main([*argv, "--t", "1/4", "--include-not-tlc", "--out", str(out)]) == 0
+    assert len(formatted) == 1 + 2 * 49 and formatted[0] == (Fraction(1, 4),)
+    pairs = list(zip(formatted[1::2], formatted[2::2]))
+    assert len(pairs) == len(set(pairs)) == 49
+    assert len(rows) == len(labels) == len(series) == 15
+    assert len({lat for (lat,) in rows}) == 15
+
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    literals = set()
+    for record in records:
+        germ, certificate = record["germ"], record["certificate"]
+        literals.update(x for row in germ["lattice"] for x in row)
+        literals.update(germ["boundary"], (record["t"], record["mld"]))
+        for key, value in certificate.items():
+            if key != "case":
+                literals.update(value if isinstance(value, list) else [value])
+    assert (len(records), len(literals)) == (546, 133)
+    _logging(monkeypatch, toricmld.records, "parse_ratio", parsed)
+    assert main(["verify", "--in", str(out)]) == 0
+    assert sorted(text for (text,) in parsed) == sorted(literals)

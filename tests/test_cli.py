@@ -824,7 +824,7 @@ def test_verify_shares_a_lattice_across_thresholds(capsys, tmp_path):
         "",
         "verification failure: line 3: series memberships disagree with recomputation\n",
     )
-    assert cli._entry is None
+    assert cli._run is None
 
 
 def test_verify_checks_a_returning_lattice_again(capsys, tmp_path):
@@ -871,7 +871,7 @@ def test_verify_builds_no_representative_set(capsys, tmp_path, monkeypatch):
             f"verified {count} records\n",
             "",
         )
-    assert cli._entry is None
+    assert cli._run is None
 
 
 def test_verify_drops_the_lattice_entry_before_other_records(capsys, tmp_path, monkeypatch):
@@ -879,7 +879,7 @@ def test_verify_drops_the_lattice_entry_before_other_records(capsys, tmp_path, m
     verify_lawrence = cli._verify_lawrence
 
     def spy(data, line_no):
-        entries.append(cli._entry)
+        entries.append(cli._run.lattice)
         verify_lawrence(data, line_no)
 
     monkeypatch.setattr(cli, "_verify_lawrence", spy)
@@ -891,6 +891,28 @@ def test_verify_drops_the_lattice_entry_before_other_records(capsys, tmp_path, m
     path.write_text("".join(outs))
     assert run_cli(capsys, "verify", "--in", str(path)) == (0, "verified 2 records\n", "")
     assert entries == [None]
+
+
+def test_verify_empties_its_literal_dict_when_it_is_full(capsys, tmp_path, monkeypatch):
+    # With room for 8 literals, the 133 distinct literals of the mixed
+    # sweep fill the dict again and again: the answer is the same, and the
+    # dict never holds more than one record's literals (at most 14) past
+    # the limit.
+    sizes = []
+    verify_classification = cli._verify_classification
+
+    def spy(data, line_no):
+        verify_classification(data, line_no)
+        sizes.append(len(cli._run.literals))
+
+    monkeypatch.setattr(cli, "_verify_classification", spy)
+    monkeypatch.setattr(cli, "_LITERALS_HELD", 8)
+    sweep = tmp_path / "mixed.jsonl"
+    args = ("--mode", "all", "--index-max", "5", "--boundary-set", "standard", "--t", "1/4")
+    assert run_cli(capsys, "enumerate", *args, "--include-not-tlc", "--out", str(sweep))[0] == 0
+    assert run_cli(capsys, "verify", "--in", str(sweep)) == (0, "verified 546 records\n", "")
+    assert len(sizes) == 546 and 8 < max(sizes) <= 8 + 14
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
 
 
 def test_verify_of_two_large_records_peaks_under_60_mb(capsys, tmp_path):

@@ -1,25 +1,40 @@
-"""The integer lattice codec of `records`, held to its rational definition.
+"""The integer codecs of `records`, held to their reference definitions.
 
 `lattice_to_json` formats the canonical basis straight from the integer
 Hermite normal form and `lattice_from_json` reads the rows as integers
 over their common denominator. Both must agree with the rational route:
 the formatted basis rows, and `lattice_from_generators` on the parsed
-rows, with the same error text on every malformed input.
+rows, with the same error text on every malformed input. The line
+encoder of sweeps, `record_lines`, must write exactly what
+`record_to_json` and `dumps` write for each record.
 """
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricmld.certify import CaseA, CaseB, NotTLC, enumerate_germs
+from toricmld.cli import STANDARD_BOUNDARY_VALUES
 from toricmld.lattices import (
     index,
     lattice_from_generators,
     lattice_from_quotient_type,
     superlattices,
 )
-from toricmld.records import lattice_from_json, lattice_to_json, vec_from_json, vec_to_json
+from toricmld.records import (
+    dumps,
+    lattice_from_json,
+    lattice_to_json,
+    record_from_json,
+    record_lines,
+    record_to_json,
+    vec_from_json,
+    vec_to_json,
+)
 
 
 def rational_lattice_to_json(lat):
@@ -99,3 +114,42 @@ def test_decoding_errors_match_the_rational_route(rows, message):
         lattice_from_json(rows)
     assert str(got.value) == str(expected.value)
     assert message in str(got.value)
+
+
+STANDARD = [(a, b) for a in STANDARD_BOUNDARY_VALUES for b in STANDARD_BOUNDARY_VALUES]
+# The boundary file of the pinned cyclic sweeps in tests/test_cli.py.
+FILE_PAIRS = [(Fraction(0), Fraction(1, 2)), (Fraction(1, 3), Fraction(0)), (Fraction(1, 2),) * 2]
+
+
+def _reference_lines(records):
+    return [dumps(record_to_json(record)) + "\n" for record in records]
+
+
+@pytest.mark.parametrize(
+    "mode, bound, t, pairs",
+    [
+        ("all", 8, Fraction(1, 4), STANDARD),
+        ("cyclic", 60, Fraction(1, 2), FILE_PAIRS),
+        ("cyclic", 1, Fraction(1, 3), STANDARD),
+    ],
+    ids=["mixed", "cyclic", "order-1"],
+)
+def test_record_lines_write_what_record_to_json_writes(mode, bound, t, pairs):
+    records = list(enumerate_germs(mode, bound, t, pairs, include_not_tlc=True))
+    expected = _reference_lines(records)
+    assert list(record_lines(records)) == expected
+    if mode == "all":
+        # Every certificate case, and lattices with and without a type label.
+        assert {type(record.certificate) for record in records} == {CaseA, CaseB, NotTLC}
+        assert any('"type"' in line for line in expected)
+        assert not all('"type"' in line for line in expected)
+    # t changing while the lattice and the series list stay the same.
+    alternating = [x for record in records for x in (record, record._replace(t=t / 2))]
+    assert list(record_lines(alternating)) == _reference_lines(alternating)
+    # The same records with no part shared between them (decoded afresh,
+    # so each has its own lattice, t and boundary objects), in an order
+    # where t, the lattice and the boundary change from one to the next.
+    other_t = list(enumerate_germs(mode, bound, t / 2, pairs, include_not_tlc=True))
+    mixed = [record_from_json(record_to_json(record)) for record in records] + other_t
+    random.Random(0).shuffle(mixed)
+    assert list(record_lines(mixed)) == _reference_lines(mixed)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import toricmld
-from toricmld import CaseB
+from toricmld import CaseB, Complement, Hit
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -59,6 +59,7 @@ def test_readme_library_block_runs_as_its_comments_say():
     exec(compile(block, str(README), "exec"), namespace)
     germ, cert = namespace["germ"], namespace["cert"]
     mld, mld_argmin = namespace["mld"], namespace["mld_argmin"]
+    lawrence, bounded_complement = namespace["lawrence"], namespace["bounded_complement"]
     fifth = Fraction(1, 5)
     # Each comment, as written in the README, then the value it states.
     assert "mld(germ)                                        # Fraction(2, 5)" in block
@@ -67,3 +68,13 @@ def test_readme_library_block_runs_as_its_comments_say():
     assert mld_argmin(germ) == (Fraction(2, 5), [(fifth, fifth)])
     assert "# CaseB((1,2,3), (1,3,2), (1,5), (1,5))" in block
     assert cert == CaseB((1, 2, 3), (1, 3, 2), (1, 5), (1, 5))
+    assert "lawrence(germ.lattice, 1, 2)                     # Hit(Vec2(1/5, 1/5))" in block
+    hit = lawrence(germ.lattice, 1, 2)
+    assert type(hit) is Hit and hit == Hit((fifth, fifth))  # Contained is a 1-tuple too
+    assert (
+        "bounded_complement(germ)                         "
+        "# Complement(n=3, boundary=(1/3, 0), witness (2, 3))"
+    ) in block
+    complement = bounded_complement(germ)
+    assert type(complement) is Complement
+    assert complement == Complement(3, (Fraction(1, 3), 0), (2, 3))

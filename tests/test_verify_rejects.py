@@ -3,7 +3,9 @@
 One classification record per certificate case, and complement and
 lawrence records, one tampering per field: each gets its exact exit
 code and stderr line. Decoding problems exit 1 before any check runs; a
-record that decodes but fails a check exits 2.
+record that decodes but fails a check exits 2. The classification
+tamperings give the same answers after a valid record of the same
+lattice, when the run's shared lattice entry and literal dict are warm.
 """
 
 import json
@@ -11,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricmld import cli
 from toricmld.cli import main
 from toricmld.records import dumps
 
@@ -92,6 +95,7 @@ MATRIX = {
         _put("certificate", "a"), 1, ERROR + "not a certificate record: 'a'"
     ),
     "malformed literal": (_put("mld", "1/0"), 1, ERROR + "not a rational literal: '1/0'"),
+    "literal not a string": (_put("mld", ["1"]), 1, ERROR + "not a rational literal: ['1']"),
     "missing key": (lambda data: data.pop("t"), 1, ERROR + "record misses key 't'"),
     "zero witness": (
         _zero_witness,
@@ -139,6 +143,35 @@ def test_verify_reject_matrix(capsys, tmp_path, case, name):
         assert _verify(capsys, tmp_path, data) == (0, "verified 1 records\n", "")
     else:
         assert _verify(capsys, tmp_path, data) == (code, "", line + "\n")
+
+
+def _holds_no_run_state():
+    return cli._run is None and not any(
+        isinstance(value, cli._VerifyRun) for value in vars(cli).values()
+    )
+
+
+@pytest.mark.parametrize("case", RECORDS)
+@pytest.mark.parametrize("name", MATRIX)
+def test_verify_reject_matrix_after_a_valid_record_of_the_lattice(capsys, tmp_path, case, name):
+    # The untampered record comes first, so the tampered one meets a warm
+    # run: its lattice entry is shared and every literal of the valid
+    # record is already read. Each case keeps its exit code and its
+    # stderr line, on line 2, and no run state outlives the call.
+    tamper, code, line = MATRIX[name]
+    valid = _record(capsys, case)
+    data = json.loads(dumps(valid))
+    tamper(data)
+    if isinstance(line, dict):
+        line = line[case]
+    path = tmp_path / "warm.jsonl"
+    path.write_text(dumps(valid) + "\n" + dumps(data) + "\n")
+    got = main(["verify", "--in", str(path)]), *capsys.readouterr()
+    if code == 0:
+        assert got == (0, "verified 2 records\n", "")
+    else:
+        assert got == (code, "", line.replace("line 1: ", "line 2: ") + "\n")
+    assert _holds_no_run_state()
 
 
 def _both(*mutations):
