@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import VerificationFailure
 from .germs import (
@@ -482,7 +482,12 @@ class ClassifiedGerm(NamedTuple):
         return Fraction(*self.value)
 
 
-def _cyclic_forms(r_max: int, budget: Optional[int] = None) -> Iterator[tuple[_Form, _Form, int]]:
+def _cyclic_forms(
+    r_max: int,
+    budget: Optional[int] = None,
+    t: Optional[Ratio] = None,
+    outcomes: Optional[Callable[[], Iterable[tuple[Scaled, bool]]]] = None,
+) -> Iterator[tuple[_Form, _Form, int]]:
     """(form, swap form, order) for each cyclic lattice 1/r(1, w), r <= r_max.
 
     The form of 1/r(1, w) is the integer basis (r, 1, w, r) of
@@ -505,7 +510,7 @@ def _cyclic_forms(r_max: int, budget: Optional[int] = None) -> Iterator[tuple[_F
     open quadrant, so mld >= t gives a_i >= t for them, while
     a_0 + a_{k+1} = 2 - b1 - b2; hence t*excess <= 2 - b1 - b2 - 2t.
     The swap reverses the chain and the boundary pair, so both
-    orientations pass or fail together and `candidate_germs` dedupes
+    orientations pass or fail together and `_germ_stream` dedupes
     the kept lattices exactly as in the full stream. The order-1
     lattice has no interior sail point and is always yielded.
 
@@ -515,9 +520,47 @@ def _cyclic_forms(r_max: int, budget: Optional[int] = None) -> Iterator[tuple[_F
     r grows along each step; a heap keyed by (r, w) pops the chains in
     the order above. Each entry c adds c - 2 to the excess, so only
     runs of 2s grow without limit. Since excess <= r - 2, a budget of
-    at least r_max - 2 prunes nothing; then the plain loop over (r, w)
-    runs, as without a budget, and no heap of O(r_max^2) chains is
-    kept.
+    at least r_max - 2 prunes nothing; then, unless `outcomes` is
+    given, the plain loop over (r, w) runs, as without a budget, and no
+    heap of O(r_max^2) chains is kept.
+
+    With a budget, a threshold t = (tn, td) > 0 and `outcomes`, the walk
+    also skips every chain proven to lie below t at every boundary pair
+    of the sweep, with all the chains below it. `outcomes()` is called
+    once the germs of the chain last yielded are decided; it returns,
+    for each boundary pair (b1, b2) of the sweep, psi = (c1, c2)/s =
+    (p1, p2) = (1 - b1, 1 - b2) in that chain's coordinates and whether
+    the chain's germ at that pair has its minimum below t. Let
+    N = 1/r(1, w) be the chain and C = 1/R(1, r), R = c*r - w with
+    c >= 2, its child; for a psi, v(L) is the least pairing over the
+    open quadrant points of L.
+      (i) v(C) <= (p1 + r*p2)/R, the value at the point (1, r)/R of C.
+      (ii) If p2 = 0 or p1 <= p2*(R - r), then v(C) <= v(N). Proof: from
+        its second point on, C's sail u'_1 = (1, r)/R, u'_2 = (c, w)/R,
+        ... is the image of N's sail u_0, u_1, ... under the linear map
+        T with T(0, 1) = (1, r)/R and T((1, w)/r) = (c, w)/R: both
+        sequences satisfy u_{i-1} + u_{i+1} = c_i*u_i with N's entries.
+        T fixes (1, 0), so psi∘T = (p1, a) with a = (p1 + r*p2)/R.
+        Sail points have y >= 0, and a <= p2 exactly when
+        p1 <= p2*(R - r); then psi(T(u)) <= psi(u) for every sail point
+        u of N, and the interior points u_1, ..., u_k of N, where v(N)
+        is taken, map to interior points of C. When p2 = 0,
+        v(N) = p1/r and v(C) = p1/R. For the order-1 root (r = 1), (i)
+        gives v(C) <= (p1 + p2)/c <= p1 + p2 = v(N).
+      (iii) The slack R - r never shrinks down a chain: the grandchild
+        R' = c'*R - r has slack R' - R = (c' - 1)*R - r >= R - r.
+    Rule: skip C when, for every boundary pair of the sweep, both
+    p2 = 0 or p1 <= p2*(R - r), and N's germ there is below t or
+    p1 + r*p2 < t*R. Then C is below t at every pair, by (ii) or by (i);
+    by (iii) its children meet the first condition, and C's being below
+    t meets the second, so by induction every chain below C is below t
+    at every pair as well. Both conditions hold for every R from some
+    least R on (cross-multiplied in integers: R >= r + ceil(c1/c2), and
+    R > (c1 + r*c2)*td/(tn*s)), and R grows with c, so the rule cuts
+    each chain's list of children at one entry. Only germs below t at
+    every pair are skipped, so each germ that reaches t at some pair
+    is reached at the same place and in the same order: if the swap of
+    a chain is skipped, the chain's own germs are below t too.
     """
     if r_max < 1:
         raise ValueError(f"order bound must be a positive integer: {r_max}")
@@ -533,6 +576,17 @@ def _cyclic_forms(r_max: int, budget: Optional[int] = None) -> Iterator[tuple[_F
                 if math.gcd(w, r) == 1:
                     yield forms_of(r, w)
 
+    def failing_from(r: int) -> int:
+        # The least R from which the rule skips the children 1/R(1, r).
+        tn, td = t
+        least = 0
+        for (s, c1, c2), below in outcomes():
+            if c2:
+                least = max(least, r - (-c1 // c2))
+            if not below:
+                least = max(least, (c1 + r * c2) * td // (tn * s) + 1)
+        return least
+
     def chains(budget: int) -> Iterator[tuple[_Form, _Form, int]]:
         # Entries (r, w, excess), the root (1, 0, 0) being the empty chain;
         # its forms are the order-1 ones, as pow(0, -1, 1) == 0.
@@ -541,10 +595,14 @@ def _cyclic_forms(r_max: int, budget: Optional[int] = None) -> Iterator[tuple[_F
             r, w, excess = heapq.heappop(heap)
             yield forms_of(r, w)
             c_max = min(budget - excess + 2, (r_max + w) // r)
+            if outcomes is not None:
+                c_max = min(c_max, (failing_from(r) - 1 + w) // r)
             for c in range(2, c_max + 1):
                 heapq.heappush(heap, (c * r - w, r, excess + c - 2))
 
-    return forms() if budget is None or budget >= r_max - 2 else chains(budget)
+    if budget is None or (outcomes is None and budget >= r_max - 2):
+        return forms()
+    return chains(budget)
 
 
 def _swap_forms(lattices: Iterable[Lattice]) -> Iterator[tuple[_Form, _Form, int]]:
@@ -659,20 +717,31 @@ def _fraction(b) -> Rational:
     return b if isinstance(b, Fraction) else Fraction(b)
 
 
+# One germ of `_germ_stream`: lattice work, boundary pair, psi, minimum, below t.
+_StreamGerm = tuple[_LatticeWork, tuple[Rational, Rational], Scaled, Optional[Minimum], bool]
+
+
 def _germ_stream(
     mode: str,
     bound: int,
     boundaries: Sequence[tuple[Rational, Rational]],
-    budget: Optional[int],
-) -> Iterator[tuple[_LatticeWork, tuple[Rational, Rational], Scaled]]:
-    """`candidate_germs` as (lattice work, boundary pair, psi) triples.
+    budget: Optional[int] = None,
+    t: Optional[Ratio] = None,
+) -> Iterator[_StreamGerm]:
+    """`candidate_germs` as (lattice work, boundary pair, psi, minimum, below) tuples.
 
     psi is built once per boundary pair, and one `_LatticeWork` serves
-    every germ of a form. The mode, the bound and each boundary pair are
-    checked on the call.
+    every germ of a form. With a threshold t = (tn, td) > 0, each germ
+    comes with its `sail_minimum` and whether that is below t, and a
+    cyclic walk with a budget skips the chains that `_cyclic_forms`
+    proves to lie below t at every pair; without one, the minimum is
+    None and `below` False. The mode, the bound and each boundary pair
+    are checked on the call.
     """
     if mode == "cyclic":
-        forms = _cyclic_forms(bound, budget)
+        # The walk reads the outcomes from `psis` and `below_t`, set below.
+        read = None if t is None else lambda: zip(psis, below_t)
+        forms = _cyclic_forms(bound, budget, t, read)
     elif mode == "all":
         forms = _swap_forms(superlattices(bound))
     else:
@@ -690,31 +759,46 @@ def _germ_stream(
         return ids[pair]
 
     plan = []
-    for b1, b2 in boundaries:
+    for i, (b1, b2) in enumerate(boundaries):
         pair = boundary_pair(_fraction(b1), _fraction(b2))
         swapped = pair[::-1]
-        plan.append((pair, *entry(pair), swapped, *entry(swapped), pair <= swapped))
+        plan.append((i, pair, *entry(pair), swapped, *entry(swapped), pair <= swapped))
 
-    def stream() -> Iterator[tuple[_LatticeWork, tuple[Rational, Rational], Scaled]]:
-        # Keys are (integer form of the canonical lattice, boundary id).
-        # Every germ of a form has the same canonical lattice: the swap's
-        # when the swap comes first, else the form's own (order 0 means
-        # the two forms are equal). Its work is built with the first germ.
-        seen: set[tuple[_Form, int]] = set()
+    # psi of each boundary pair, and whether the last form's germ there is below t.
+    psis = [row[3] for row in plan]
+    below_t = [False] * len(plan)
+    tn, td = (0, 1) if t is None else t  # tn = 0: no threshold
+
+    def stream() -> Iterator[_StreamGerm]:
+        # Keys are (integer form of the canonical lattice, boundary id), and
+        # each maps to whether its germ is below t. Every germ of a form has
+        # the same canonical lattice: the swap's when the swap comes first,
+        # else the form's own (order 0 means the two forms are equal). Its
+        # work is built with the first germ. A germ first reached at the
+        # swap form keeps the outcome found there.
+        seen: dict[tuple[_Form, int], bool] = {}
+        minimum = None
         for form, swap, order in forms:
             canon = swap if order > 0 else form
             work = None
-            for pair, own, psi, swapped, other, swapped_psi, least in plan:
+            for i, pair, own, psi, swapped, other, swapped_psi, least in plan:
                 if order < 0 or (order == 0 and least):
                     key = (canon, own)
                 else:
                     key, pair, psi = (canon, other), swapped, swapped_psi
-                if key in seen:
-                    continue
-                seen.add(key)
-                if work is None:
-                    work = _LatticeWork(Lattice(hnf=canon))
-                yield work, pair, psi
+                below = seen.get(key)
+                if below is None:
+                    if work is None:
+                        work = _LatticeWork(Lattice(hnf=canon))
+                    if tn:
+                        minimum = sail_minimum(work.lattice, psi, work.sail())
+                        vn, vd = minimum.value
+                        below = vn * td < tn * vd
+                    else:
+                        below = False
+                    seen[key] = below
+                    yield work, pair, psi, minimum, below
+                below_t[i] = below
 
     return stream()
 
@@ -723,7 +807,6 @@ def candidate_germs(
     mode: str,
     bound: int,
     boundaries: Sequence[tuple[Rational, Rational]] = ((Fraction(0), Fraction(0)),),
-    budget: Optional[int] = None,
 ) -> Iterator[Germ]:
     """Deterministic stream of canonical germ representatives.
 
@@ -735,13 +818,10 @@ def candidate_germs(
     first-seen order. Each lattice is swapped once, not once per
     boundary pair, and compared with its swap in integers. The mode, the
     bound and each boundary pair are checked on the call, before the
-    first germ. In mode "cyclic", a `budget` keeps only the lattices
-    whose Hirzebruch-Jung excess is at most the budget (see
-    `_cyclic_forms`): the stream is the full one with the other
-    lattices' germs left out. Mode "all" walks every lattice.
+    first germ.
     """
-    stream = _germ_stream(mode, bound, boundaries, budget)
-    return (Germ(work.lattice, *pair) for work, pair, _ in stream)
+    stream = _germ_stream(mode, bound, boundaries)
+    return (Germ(work.lattice, *pair) for work, pair, *_ in stream)
 
 
 def enumerate_germs(
@@ -762,7 +842,9 @@ def enumerate_germs(
     germs need not be classified at all: without include_not_tlc, a
     cyclic sweep walks only the lattices within Borisov's excess bound
     (2 - b1 - b2 - 2t)/t of some boundary pair, outside which no germ
-    reaches t (proof in `_cyclic_forms`). The threshold, the mode and the boundary pairs
+    reaches t, and skips the chains below a chain whose germs are
+    proven, with its children's, to lie below t at every pair (proofs
+    in `_cyclic_forms`). The threshold, the mode and the boundary pairs
     are checked on the call, before the first record; so is the size
     of the series lists (`series_membership_lattice`).
     """
@@ -779,14 +861,12 @@ def enumerate_germs(
             (n1, d1), (n2, d2) = (b1.numerator, b1.denominator), (b2.numerator, b2.denominator)
             room = (2 * d1 * d2 - n1 * d2 - n2 * d1) * td - 2 * tn * d1 * d2
             budget = max(budget, room // (d1 * d2 * tn))
-    stream = _germ_stream(mode, bound, boundaries, budget)
+    stream = _germ_stream(mode, bound, boundaries, budget, ratio)
 
     def records() -> Iterator[ClassifiedGerm]:
-        for work, pair, psi in stream:
-            lat = work.lattice
-            minimum = sail_minimum(lat, psi, work.sail())
-            vn, vd = minimum.value
-            if include_not_tlc or vn * td >= tn * vd:
+        for work, pair, psi, minimum, below in stream:
+            if include_not_tlc or not below:
+                lat = work.lattice
                 yield classify_germ_record(Germ(lat, *pair), t, minimum, psi=psi, work=work)
             else:
                 # Withheld: the check of its NotTLC certificate guards the
@@ -794,4 +874,3 @@ def enumerate_germs(
                 _certificate(work, ratio, psi, minimum)
 
     return records()
-

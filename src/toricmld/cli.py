@@ -188,9 +188,12 @@ def _emit_table(records, out, fmt) -> None:
 
 def _cmd_enumerate(args) -> int:
     cyclic = args.mode == "cyclic"
-    bound = args.r_max if cyclic else args.index_max
+    bound, other = (args.r_max, args.index_max) if cyclic else (args.index_max, args.r_max)
+    flag, other_flag = ("--r-max", "--index-max") if cyclic else ("--index-max", "--r-max")
     if bound is None:
-        raise ValueError(f"mode {args.mode} needs {'--r-max' if cyclic else '--index-max'}")
+        raise ValueError(f"mode {args.mode} needs {flag}")
+    if other is not None:
+        raise ValueError(f"mode {args.mode} takes no {other_flag}")
     # Checks the threshold and every boundary pair before any output.
     records = enumerate_germs(
         args.mode, bound, parse_rational(args.t), _boundary_pairs(args), args.include_not_tlc

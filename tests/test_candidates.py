@@ -6,9 +6,11 @@ compares integer forms; the definition here builds every lattice with
 least (basis, b1, b2) key in Fractions and dedupes first-seen.
 Property tests are seeded (`derandomize=True`), so every run draws the
 same examples. The pruned cyclic sweep, which walks Hirzebruch-Jung
-chains under Borisov's excess bound, is checked against the full
+chains under Borisov's excess bound and skips the chains below one
+proven to fail every boundary pair, is checked against the full
 stream: its lattices are those within the budget, in the same order,
-and its germs are those that reach the threshold. A sweep does its
+and its germs are those that reach the threshold. The three facts the
+skip rests on are checked against the oracle. A sweep does its
 lattice work once per lattice and builds psi once per boundary pair;
 it encodes each part of its records once, and `verify` parses each
 distinct literal once.
@@ -28,14 +30,16 @@ import toricmld.germs
 import toricmld.records
 from toricmld.certify import ClassifiedGerm, _cyclic_forms, candidate_germs, enumerate_germs
 from toricmld.cli import STANDARD_BOUNDARY_VALUES, main
-from toricmld.germs import germ_psi, sail_minimum
+from toricmld.germs import germ_psi, sail_minimum, scaled_psi
 from toricmld.lattices import (
     E1,
     E2,
+    Lattice,
     lattice_from_generators,
     sublattices_of_standard,
     swapped_lattice,
 )
+from toricmld.oracle import mld_oracle_scaled
 
 ZERO = [(Fraction(0), Fraction(0))]
 STANDARD = [(a, b) for a in STANDARD_BOUNDARY_VALUES for b in STANDARD_BOUNDARY_VALUES]
@@ -159,10 +163,20 @@ def test_chain_walk_prunes():
 THRESHOLDS = [Fraction(1), Fraction(1, 2), Fraction(2, 5)] + [Fraction(1, n) for n in range(3, 7)]
 
 
+# Coefficients 1 give p1 = 0, p2 = 0 and the zero psi.
+ONES = [
+    (Fraction(0), Fraction(1)),
+    (Fraction(1), Fraction(0)),
+    (Fraction(1, 2), Fraction(5, 6)),
+    (Fraction(1), Fraction(1)),
+    (Fraction(0), Fraction(0)),
+]
+
+
 @pytest.mark.parametrize(
     "boundaries, bound",
-    [(ZERO, 300), (STANDARD, 30), (ASYMMETRIC, 120)],
-    ids=["zero", "standard", "asymmetric"],
+    [(ZERO, 300), (STANDARD, 30), (ASYMMETRIC, 120), (ONES, 120)],
+    ids=["zero", "standard", "asymmetric", "ones"],
 )
 def test_pruned_sweep_keeps_every_germ_reaching_the_threshold(monkeypatch, boundaries, bound):
     # The claim is about which germs the sweep reaches, so each germ is
@@ -178,6 +192,78 @@ def test_pruned_sweep_keeps_every_germ_reaching_the_threshold(monkeypatch, bound
     for t in THRESHOLDS:
         got = [(r.germ, r.mld) for r in enumerate_germs("cyclic", bound, t, boundaries)]
         assert got == [(r.germ, r.mld) for r in full if r.mld >= t], t
+
+
+def _minima(monkeypatch, *args, **kwargs):
+    """(sail_minimum calls, records) of enumerate_germs("cyclic", ...)."""
+    calls = []
+    real = toricmld.certify.sail_minimum
+
+    def counting(*call):
+        calls.append(call)
+        return real(*call)
+
+    monkeypatch.setattr(toricmld.certify, "sail_minimum", counting)
+    kept = sum(1 for _ in enumerate_germs("cyclic", *args, **kwargs))
+    monkeypatch.undo()
+    return len(calls), kept
+
+
+def test_cyclic_sweep_classifies_few_germs_below_the_threshold(monkeypatch):
+    # Zero boundary at t = 1/2: the excess budget alone leaves 134 and
+    # 9,913 germs to classify; skipping the chains below failing ones
+    # leaves 86 and 2,246, for 70 and 1,750 records.
+    half = Fraction(1, 2)
+    assert _minima(monkeypatch, 40, half, ZERO) == (86, 70)
+    assert _minima(monkeypatch, 1000, half, ZERO) == (2246, 1750)
+    # --include-not-tlc has no budget: all 303 candidates are classified.
+    assert _minima(monkeypatch, 40, half, ZERO, include_not_tlc=True) == (303, 303)
+
+
+BOUNDARY_VALUES = [Fraction(n, 6) for n in (0, 2, 3, 4, 5, 6)]  # 0, 1/3, 1/2, 2/3, 5/6, 1
+
+
+@st.composite
+def _chains(draw):
+    """A chain 1/r(1, w), r < 70 (the order-1 root as (1, 0)), and c, c' >= 2."""
+    r = draw(st.integers(1, 69))
+    w = draw(st.sampled_from([w for w in range(r) if math.gcd(w, r) == 1]))
+    return r, w, draw(st.integers(2, 5)), draw(st.integers(2, 5))
+
+
+def _value(r, w, psi):
+    """The oracle's least pairing over the open quadrant points of 1/r(1, w), as a Fraction."""
+    return Fraction(*mld_oracle_scaled(Lattice(hnf=(r, 1, w, r)), psi))
+
+
+def test_skip_rule_lemmas_hold_against_the_oracle():
+    # (i) v(C) <= (p1 + r*p2)/R; (ii) v(C) <= v(N) when p2 = 0 or
+    # p1 <= p2*(R - r); (iii) the grandchild's slack is at least R - r
+    # (see certify._cyclic_forms), for N = 1/r(1, w), C = 1/R(1, r),
+    # R = c*r - w.
+    reached = set()
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(_chains(), st.sampled_from(BOUNDARY_VALUES), st.sampled_from(BOUNDARY_VALUES))
+    def check(chain, b1, b2):
+        r, w, c, c_next = chain
+        big_r = c * r - w
+        p1, p2 = 1 - b1, 1 - b2
+        psi = scaled_psi((b1.numerator, b1.denominator), (b2.numerator, b2.denominator))
+        child = _value(big_r, r, psi)
+        assert child <= (p1 + r * p2) / big_r
+        holds = p2 == 0 or p1 <= p2 * (big_r - r)
+        if holds:
+            assert child <= _value(r, w, psi)
+        grandchild = c_next * big_r - r
+        assert grandchild - big_r >= big_r - r
+        cases = {
+            "p2 = 0": p2 == 0, "psi = 0": p1 == p2 == 0, "(ii) false": not holds, "root": r == 1
+        }
+        reached.update(name for name, hit in cases.items() if hit)
+
+    check()
+    assert reached == {"p2 = 0", "psi = 0", "(ii) false", "root"}
 
 
 def test_sweep_does_lattice_work_once_per_lattice(monkeypatch, tmp_path):

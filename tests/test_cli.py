@@ -134,6 +134,23 @@ def test_enumerate_rejects_a_bad_boundary_file(capsys, tmp_path, pairs, flags, m
     assert out_path.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--mode", "cyclic", "--r-max", "5", "--index-max", "3"), "cyclic takes no --index-max"),
+        (("--mode", "all", "--index-max", "2", "--r-max", "100"), "all takes no --r-max"),
+    ],
+)
+def test_enumerate_rejects_the_bound_of_the_other_mode(capsys, tmp_path, flags, message):
+    out_path = tmp_path / "kept.jsonl"
+    out_path.write_text("kept\n")
+    base = ("enumerate", *flags, "--t", "1/2")
+    assert run_cli(capsys, *base) == (1, "", f"error: mode {message}\n")
+    # Checked before the output file is opened.
+    assert run_cli(capsys, *base, "--out", str(out_path)) == (1, "", f"error: mode {message}\n")
+    assert out_path.read_text() == "kept\n"
+
+
 def test_parser_is_built_once_and_keeps_no_arguments(capsys):
     # One parser serves every call in a process; each call parses into a
     # fresh namespace, so a flag given once never reaches a later call.
@@ -1198,6 +1215,10 @@ PINNED_SWEEPS = [
         "d43c136c2bea736ac8c1b1ca97af49a7cf5cd35822369aefbf424c585e498eec",
     ),
     (
+        "enumerate --mode cyclic --r-max 1000 --t 1/2",
+        "8356cb7260b102f16a053684162f4445b9f8ba3a3e9d97011096450620abdc94",
+    ),
+    (
         "classify --type 3,1,1 --t 2/3",
         "536d2e6916a384ac1f04d06d3c49bec05c8ecef73ece4a915de63ff43f3406c1",
     ),
@@ -1233,5 +1254,5 @@ def test_optimized_ci_step_checks_pinned_digests():
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     text = workflow.read_text(encoding="utf-8")
     digests = re.findall(r"\b[0-9a-f]{64}\b", text)
-    assert "python -O -m toricmld" in text and len(digests) == 8
+    assert "python -O -m toricmld" in text and len(digests) == 9
     assert set(digests) <= {digest for _, digest in PINNED_SWEEPS}
