@@ -13,8 +13,9 @@ Certificates hold integers: each covector or point is a `Scaled` triple
 (num, den). The engine's are reduced, and its covectors integral
 (s = 1). A sweep does each piece of work once at the level it depends
 on: the threshold once per sweep, psi once per boundary pair, the Klein
-sails and the series list once per lattice (`_LatticeWork`), and only
-the minimum, the certificate and its check per germ.
+sails once per lattice (the `Lattice` keeps its sail and its dual's),
+the series list once per lattice, and only the minimum, the certificate
+and its check per germ.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .lattices import (
     Lattice,
     Ratio,
     Rational,
-    Sail,
     Scaled,
     Vec2,
     _checker,
@@ -55,7 +55,6 @@ from .lattices import (
     format_rational,
     in_cone,
     index,
-    klein_sail,
     lattice_from_generators,
     positive_threshold,
     reduced,
@@ -112,7 +111,7 @@ def classify_tlc_lattice(lat: Lattice, psi: Vec2, t: Rational) -> Certificate:
         raise ValueError("threshold classification needs a nonzero psi")
     scaled = _scaled_covector(psi)
     ratio = (t.numerator, t.denominator)
-    return _certificate(_LatticeWork(lat), ratio, scaled, sail_minimum(lat, scaled))
+    return _certificate(lat, ratio, scaled, sail_minimum(lat, scaled))
 
 
 def certificate_from_case_data(lat: Lattice, data: CaseData, psi: Scaled, t: Ratio) -> Certificate:
@@ -612,42 +611,8 @@ def _swap_forms(lattices: Iterable[Lattice]) -> Iterator[tuple[_Form, _Form, int
         yield lat.hnf, swap.hnf, basis_order(lat, swap)
 
 
-class _LatticeWork:
-    """What the classification of a lattice's germs shares, each part built on its first use.
-
-    The Klein sails of the lattice and of its dual, and the series list
-    at one threshold. A sweep makes one per form of its stream, so each
-    is built once per lattice and lives while the sweep walks that
-    form's germs; a single classification makes its own.
-    """
-
-    __slots__ = ("lattice", "_sail", "_dual_sail", "_series")
-
-    def __init__(self, lattice: Lattice):
-        self.lattice = lattice
-        self._sail: Optional[Sail] = None
-        self._dual_sail: Optional[Sail] = None
-        self._series: Optional[list[tuple[int, int]]] = None
-
-    def sail(self) -> Sail:
-        if self._sail is None:
-            self._sail = klein_sail(self.lattice)
-        return self._sail
-
-    def dual_sail(self) -> Sail:
-        if self._dual_sail is None:
-            self._dual_sail = klein_sail(dual(self.lattice))
-        return self._dual_sail
-
-    def series(self, t: Rational) -> list[tuple[int, int]]:
-        """`series_membership_lattice` at t, the same t on every call."""
-        if self._series is None:
-            self._series = series_membership_lattice(self.lattice, t)
-        return self._series
-
-
 def _certificate(
-    work: _LatticeWork,
+    lat: Lattice,
     t: Ratio,
     psi: Scaled,
     minimum: Minimum,
@@ -657,10 +622,9 @@ def _certificate(
 
     NotTLC, its point reduced, when the minimum is below t; otherwise
     the covector certificate, from `data` or a case analysis computed
-    here on the dual sail of `work`. VerificationFailure, naming the
-    lattice and psi, if the certificate fails its own check.
+    here on the dual sail that `lat` keeps. VerificationFailure, naming
+    the lattice and psi, if the certificate fails its own check.
     """
-    lat = work.lattice
     (vn, vd), (tn, td) = minimum.value, t
     if vn * td < tn * vd:
         denom = lat.hnf[0]
@@ -669,7 +633,7 @@ def _certificate(
         cert: Certificate = NotTLC((denom // g, x // g, y // g), minimum.value)
     else:
         if data is None:
-            data = case_analysis_lattice(lat, psi, minimum, work.dual_sail())
+            data = case_analysis_lattice(lat, psi, minimum)
         cert = certificate_from_case_data(lat, data, psi, t)
     outcome = verify_certificate_scaled(lat, psi, t, cert)
     if not outcome.ok:
@@ -683,19 +647,20 @@ def classify_germ_record(
     minimum: Optional[Minimum] = None,
     data: Optional[CaseData] = None,
     psi: Optional[Scaled] = None,
-    work: Optional[_LatticeWork] = None,
+    series: Optional[list[tuple[int, int]]] = None,
 ) -> ClassifiedGerm:
     """Classify one germ, verify the certificate, attach series data.
 
     Returns the record, with a NotTLC certificate when the value is
     below the threshold (callers decide whether to stream those).
-    `minimum`, `data` and `psi` are the germ's `sail_minimum`, case
-    analysis and `germ_psi` when the caller already has them, and `work`
-    the `_LatticeWork` of its lattice in a sweep; the case analysis is
-    computed only when the certificate needs it. A `Fraction` threshold
-    is used as it is, so a sweep builds none per germ. Raises ValueError
-    for a threshold that is not positive, VerificationFailure if the
-    certificate fails its own check.
+    `minimum`, `data`, `psi` and `series` are the germ's `sail_minimum`,
+    case analysis, `germ_psi` and `series_membership_lattice` at t when
+    the caller already has them; a sweep passes one series list to all
+    germs of a lattice. The case analysis is computed only when the
+    certificate needs it, on the sails the germ's lattice keeps. A
+    `Fraction` threshold is used as it is, so a sweep builds none per
+    germ. Raises ValueError for a threshold that is not positive,
+    VerificationFailure if the certificate fails its own check.
     """
     if not isinstance(t, Fraction):
         t = Fraction(t)
@@ -706,10 +671,10 @@ def classify_germ_record(
         psi = germ_psi(germ)
     if minimum is None:
         minimum = sail_minimum(lat, psi)
-    if work is None:
-        work = _LatticeWork(lat)
-    cert = _certificate(work, (t.numerator, t.denominator), psi, minimum, data)
-    return ClassifiedGerm(germ, t, minimum.value, cert, work.series(t))
+    cert = _certificate(lat, (t.numerator, t.denominator), psi, minimum, data)
+    if series is None:
+        series = series_membership_lattice(lat, t)
+    return ClassifiedGerm(germ, t, minimum.value, cert, series)
 
 
 def _fraction(b) -> Rational:
@@ -717,8 +682,8 @@ def _fraction(b) -> Rational:
     return b if isinstance(b, Fraction) else Fraction(b)
 
 
-# One germ of `_germ_stream`: lattice work, boundary pair, psi, minimum, below t.
-_StreamGerm = tuple[_LatticeWork, tuple[Rational, Rational], Scaled, Optional[Minimum], bool]
+# One germ of `_germ_stream`: lattice, boundary pair, psi, minimum, below t.
+_StreamGerm = tuple[Lattice, tuple[Rational, Rational], Scaled, Optional[Minimum], bool]
 
 
 def _germ_stream(
@@ -728,15 +693,15 @@ def _germ_stream(
     budget: Optional[int] = None,
     t: Optional[Ratio] = None,
 ) -> Iterator[_StreamGerm]:
-    """`candidate_germs` as (lattice work, boundary pair, psi, minimum, below) tuples.
+    """`candidate_germs` as (lattice, boundary pair, psi, minimum, below) tuples.
 
-    psi is built once per boundary pair, and one `_LatticeWork` serves
-    every germ of a form. With a threshold t = (tn, td) > 0, each germ
-    comes with its `sail_minimum` and whether that is below t, and a
-    cyclic walk with a budget skips the chains that `_cyclic_forms`
-    proves to lie below t at every pair; without one, the minimum is
-    None and `below` False. The mode, the bound and each boundary pair
-    are checked on the call.
+    psi is built once per boundary pair, and one `Lattice` object, which
+    keeps its Klein sails, serves every germ of a form. With a threshold
+    t = (tn, td) > 0, each germ comes with its `sail_minimum` and
+    whether that is below t, and a cyclic walk with a budget skips the
+    chains that `_cyclic_forms` proves to lie below t at every pair;
+    without one, the minimum is None and `below` False. The mode, the
+    bound and each boundary pair are checked on the call.
     """
     if mode == "cyclic":
         # The walk reads the outcomes from `psis` and `below_t`, set below.
@@ -774,13 +739,13 @@ def _germ_stream(
         # each maps to whether its germ is below t. Every germ of a form has
         # the same canonical lattice: the swap's when the swap comes first,
         # else the form's own (order 0 means the two forms are equal). Its
-        # work is built with the first germ. A germ first reached at the
+        # lattice is built with the first germ. A germ first reached at the
         # swap form keeps the outcome found there.
         seen: dict[tuple[_Form, int], bool] = {}
         minimum = None
         for form, swap, order in forms:
             canon = swap if order > 0 else form
-            work = None
+            lat = None
             for i, pair, own, psi, swapped, other, swapped_psi, least in plan:
                 if order < 0 or (order == 0 and least):
                     key = (canon, own)
@@ -788,16 +753,16 @@ def _germ_stream(
                     key, pair, psi = (canon, other), swapped, swapped_psi
                 below = seen.get(key)
                 if below is None:
-                    if work is None:
-                        work = _LatticeWork(Lattice(hnf=canon))
+                    if lat is None:
+                        lat = Lattice(hnf=canon)
                     if tn:
-                        minimum = sail_minimum(work.lattice, psi, work.sail())
+                        minimum = sail_minimum(lat, psi)
                         vn, vd = minimum.value
                         below = vn * td < tn * vd
                     else:
                         below = False
                     seen[key] = below
-                    yield work, pair, psi, minimum, below
+                    yield lat, pair, psi, minimum, below
                 below_t[i] = below
 
     return stream()
@@ -821,7 +786,7 @@ def candidate_germs(
     first germ.
     """
     stream = _germ_stream(mode, bound, boundaries)
-    return (Germ(work.lattice, *pair) for work, pair, *_ in stream)
+    return (Germ(lat, *pair) for lat, pair, *_ in stream)
 
 
 def enumerate_germs(
@@ -864,13 +829,16 @@ def enumerate_germs(
     stream = _germ_stream(mode, bound, boundaries, budget, ratio)
 
     def records() -> Iterator[ClassifiedGerm]:
-        for work, pair, psi, minimum, below in stream:
+        # The series list of the last lattice that kept a germ.
+        series_lat, series = None, None
+        for lat, pair, psi, minimum, below in stream:
             if include_not_tlc or not below:
-                lat = work.lattice
-                yield classify_germ_record(Germ(lat, *pair), t, minimum, psi=psi, work=work)
+                if lat is not series_lat:
+                    series_lat, series = lat, series_membership_lattice(lat, t)
+                yield classify_germ_record(Germ(lat, *pair), t, minimum, psi=psi, series=series)
             else:
                 # Withheld: the check of its NotTLC certificate guards the
                 # drop; it gets no series list and no record.
-                _certificate(work, ratio, psi, minimum)
+                _certificate(lat, ratio, psi, minimum)
 
     return records()

@@ -153,7 +153,7 @@ def _cmd_classify(args) -> int:
         raise ValueError("threshold classification needs a nonzero psi (boundary below (1,1))")
     minimum = sail_minimum(lat, psi)
     data = case_analysis_lattice(lat, psi, minimum)
-    out = record_to_json(classify_germ_record(germ, t, minimum, data))
+    out = record_to_json(classify_germ_record(germ, t, minimum, data, psi))
     out["case_data"] = case_data_to_json(data, lat)
     print(dumps(out))
     return 0

@@ -259,7 +259,8 @@ def bounded_complement(germ: Germ) -> Complement:
     At the least level n whose box 0 <= m <= n*psi holds a nonzero dual
     covector m, returns the lexicographically first such m, with
     boundary b' = 1 - m/n. The result passes `verify_complement`. The
-    cost is two walks of the dual's Klein sail, O(log index).
+    cost is one walk of the dual's Klein sail, which the dual keeps for
+    both uses, O(log index).
 
     The level: a nonzero quadrant covector m lies in the box exactly
     when its scale gamma(m) = min psi_i/m_i over m_i > 0 is at least

@@ -9,9 +9,9 @@ discrepancy (mld) is the infimum of those pairings.
 
 The minimum and its minimizers come from the Klein sail of the lattice
 (the boundary of the convex hull of its points in the quadrant), walked
-once per germ in O(log index) integer steps with collinear runs kept as
-arithmetic progressions; psi on an axis reads them off the Hermite
-normal form instead. The best single covector v1 and the scale gamma it
+in O(log index) integer steps with collinear runs kept as arithmetic
+progressions, once per `Lattice` object, which keeps it for its germs;
+psi on an axis reads them off the Hermite normal form instead. The best single covector v1 and the scale gamma it
 supports come from the sail of the dual lattice the same way. When psi
 is interior, an adapted lattice basis whose slice interval
 (alpha, beta) controls everything else completes the case analysis,
@@ -222,22 +222,20 @@ def _axis_argmin(lat: Lattice, c1: int, c2: int) -> tuple[int, int, int, int, in
     return a, y, 0, 0, index(lat)
 
 
-def sail_minimum(lat: Lattice, psi: Scaled, sail: Optional[Sail] = None) -> Minimum:
+def sail_minimum(lat: Lattice, psi: Scaled) -> Minimum:
     """Minimum pairing over the open quadrant, with its minimizers as one run.
 
     `lat` is a full-rank superlattice of the integer plane and psi =
-    (c1, c2)/s is componentwise nonnegative; `sail` is `klein_sail(lat)`
-    when the caller already has it. Interior psi reads the minimum off
-    the Klein sail in O(log index) steps, psi on an axis off the Hermite
-    normal form (`_axis_argmin`). No rational is built.
+    (c1, c2)/s is componentwise nonnegative. Interior psi reads the
+    minimum off the Klein sail, which `lat` walks once in O(log index)
+    steps and keeps for every later psi; psi on an axis reads it off the
+    Hermite normal form (`_axis_argmin`). No rational is built.
     """
     scale, c1, c2 = psi
     if c1 < 0 or c2 < 0:
         raise ValueError("psi must lie in the closed dual quadrant")
     if c1 and c2:
-        x, y, dx, dy, count = _open_sail_argmin(
-            klein_sail(lat) if sail is None else sail, c1, c2
-        )
+        x, y, dx, dy, count = _open_sail_argmin(klein_sail(lat), c1, c2)
     else:
         x, y, dx, dy, count = _axis_argmin(lat, c1, c2)
     return Minimum(reduced(c1 * x + c2 * y, scale * lat.hnf[0]), (x, y), (dx, dy), count)
@@ -411,13 +409,13 @@ def case_analysis_lattice(
     lat: Lattice,
     psi: Scaled,
     minimum: Optional[Minimum] = None,
-    dual_sail: Optional[Sail] = None,
 ) -> CaseData:
     """Closed-form discrepancy data for a superlattice of the integer plane.
 
-    psi = (c1, c2)/s. `minimum` is `sail_minimum(lat, psi)` and
-    `dual_sail` is `klein_sail(dual(lat))` when the caller already has
-    them. Every derived identity is checked against that minimum; a
+    psi = (c1, c2)/s. `minimum` is `sail_minimum(lat, psi)` when the
+    caller already has it; the best covector comes from the Klein sail
+    of `dual(lat)`, which `lat` keeps, so the lattice's germs share one
+    walk. Every derived identity is checked against that minimum; a
     failure raises VerificationFailure, because it means the closed
     forms disagree with each other, which is a bug, not bad input.
 
@@ -439,8 +437,7 @@ def case_analysis_lattice(
         raise ValueError("case analysis needs a nonzero psi")
     if minimum is None:
         minimum = sail_minimum(lat, psi)
-    if dual_sail is None:
-        dual_sail = klein_sail(dual(lat))
+    dual_sail = klein_sail(dual(lat))
     if dual_sail.denominator != 1:
         raise ValueError("case analysis needs a lattice containing the integer plane")
     check = _checker(lat, psi)

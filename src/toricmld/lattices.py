@@ -155,13 +155,17 @@ class Lattice:
     access and kept, so equal lattices have equal bases. `Lattice(hnf=...)`
     takes a form that is already canonical; `lattice_from_generators`
     reduces any spanning points to it. Instances are immutable by
-    convention; only the cached `basis` is filled in after construction.
+    convention; only three derived values are filled in after
+    construction, each on its first use and kept by that object: the
+    `basis`, the Klein sail (`klein_sail`) and the dual (`dual`).
     """
 
-    __slots__ = ("hnf", "_basis")
+    __slots__ = ("hnf", "_basis", "_sail", "_dual")
 
     def __init__(self, *, hnf: tuple[int, int, int, int]):
         self._basis: Optional[tuple[Vec2, ...]] = None
+        self._sail: Optional[Sail] = None
+        self._dual: Optional[Lattice] = None
         self.hnf = hnf
 
     @property
@@ -380,6 +384,9 @@ class Sail(NamedTuple):
 def klein_sail(lat: Lattice) -> Sail:
     """Klein sail of a lattice, in O(log index) integer steps.
 
+    Walked on the first call and kept by `lat`, so later calls on the
+    same object return the same `Sail`.
+
     With the scaled basis ((a, b), (0, d)), v_0 = (0, d) and v_1 = (a, b)
     form a lattice basis, and d*v_1 - b*v_0 lies on the horizontal axis.
     The sail points follow the Hirzebruch-Jung recursion
@@ -388,6 +395,8 @@ def klein_sail(lat: Lattice) -> Sail:
     current edge; from the remainder n/k it is k // (n - k) terms long
     and is skipped in one step, so the walk takes O(log index) steps.
     """
+    if lat._sail is not None:
+        return lat._sail
     denom, a, b, d = lat.hnf
     # Invariant: n*(px, py) - k*(previous point) lies on the horizontal axis.
     n, k = d, b
@@ -410,7 +419,8 @@ def klein_sail(lat: Lattice) -> Sail:
             px, py = px + sx, py + sy
             n, k = k, c * k - n
     edges.append(SailEdge(*start, sx, sy, length))
-    return Sail(denom, edges)
+    lat._sail = Sail(denom, edges)
+    return lat._sail
 
 
 def is_primitive(lat: Lattice, v: Sequence) -> bool:
@@ -427,10 +437,14 @@ def dual(lat: Lattice) -> Lattice:
     """Covectors pairing integrally with the lattice.
 
     The dual basis of ((a, b), (0, d))/D is (D/a, 0) and (-b*D/(a*d), D/d),
-    that is the rows (D*d, 0) and (-b*D, a*D) divided by a*d.
+    that is the rows (D*d, 0) and (-b*D, a*D) divided by a*d. Built on
+    the first call and kept by `lat`, so later calls on the same object
+    return the same `Lattice`, with its own sail kept once walked.
     """
-    denom, a, b, d = lat.hnf
-    return _lattice_from_rows([(denom * d, 0), (-b * denom, a * denom)], a * d)
+    if lat._dual is None:
+        denom, a, b, d = lat.hnf
+        lat._dual = _lattice_from_rows([(denom * d, 0), (-b * denom, a * denom)], a * d)
+    return lat._dual
 
 
 def _split_scaled(lat: Lattice, scale: int, m1: int, m2: int) -> tuple[int, int, int, int]:

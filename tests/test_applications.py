@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import toricmld.certify
 import toricmld.geometry
 import toricmld.germs
+import toricmld.lattices
 import toricmld.oracle
 from toricmld import (
     CaseB,
@@ -232,9 +233,9 @@ def test_complement_standard_computes_the_minimum_once(monkeypatch):
     calls = []
     original = toricmld.germs.sail_minimum
 
-    def counting(lat, psi, *sail):
+    def counting(lat, psi):
         calls.append(psi)
-        return original(lat, psi, *sail)
+        return original(lat, psi)
 
     monkeypatch.setattr(toricmld.germs, "sail_minimum", counting)
     monkeypatch.setattr(toricmld.geometry, "sail_minimum", counting)
@@ -243,6 +244,38 @@ def test_complement_standard_computes_the_minimum_once(monkeypatch):
     assert calls == [(1, 1, 1)]  # psi of the zero boundary
     monkeypatch.undo()
     assert comp == complement_standard(germ, 1, 2)
+
+
+def _count_walks(monkeypatch):
+    """Counts of Klein sails walked and of lattices reduced from rows, as duals are, from now on."""
+    counts = {"sails": 0, "duals": 0}
+    sail, rows = toricmld.lattices.Sail, toricmld.lattices._lattice_from_rows
+
+    def counted_sail(*args):
+        counts["sails"] += 1
+        return sail(*args)
+
+    def counted_rows(*args):
+        counts["duals"] += 1
+        return rows(*args)
+
+    monkeypatch.setattr(toricmld.lattices, "Sail", counted_sail)
+    monkeypatch.setattr(toricmld.lattices, "_lattice_from_rows", counted_rows)
+    return counts
+
+
+def test_complements_walk_each_sail_once(monkeypatch):
+    # The germ's lattice keeps its sail and its dual, and the dual keeps
+    # its own sail, so the construction and its checker share them: one
+    # sail of the lattice, one of its dual, and one dual built.
+    bounded = germ_from_quotient_type(801, 1, 1)
+    standard = germ_from_quotient_type(7, 1, 3)
+    counts = _count_walks(monkeypatch)
+    bounded_complement(bounded)
+    assert counts == {"sails": 2, "duals": 1}
+    counts.update(sails=0, duals=0)
+    complement_standard(standard, 1, 3)
+    assert counts == {"sails": 2, "duals": 1}
 
 
 def test_complement_standard_rejections():

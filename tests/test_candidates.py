@@ -182,9 +182,9 @@ def test_pruned_sweep_keeps_every_germ_reaching_the_threshold(monkeypatch, bound
     # The claim is about which germs the sweep reaches, so each germ is
     # classified by its exact value alone; the records of kept germs are
     # pinned byte for byte in tests/test_cli.py. The sweep passes the
-    # minimum, psi and lattice work it has already taken; the value is
+    # minimum, psi and series list it has already taken; the value is
     # taken afresh here.
-    def value_only(germ, t, minimum=None, psi=None, work=None):
+    def value_only(germ, t, minimum=None, psi=None, series=None):
         return ClassifiedGerm(germ, t, sail_minimum(germ.lattice, germ_psi(germ)).value, None, [])
 
     monkeypatch.setattr(toricmld.certify, "classify_germ_record", value_only)

@@ -401,6 +401,32 @@ def test_no_module_searches_a_box():
     assert source.count("points_in_box") == 1
 
 
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+)
+def test_module_uses_every_name_it_imports(module):
+    # An import left behind by a refactor keeps a dead coupling alive.
+    # `__init__.py` imports to re-export, and a TYPE_CHECKING import (the
+    # oracle's) may serve string annotations only, so both are exempt.
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    type_only = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+        for inner in ast.walk(node)
+    }
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and id(node) not in type_only
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
+
+
 def test_bench_traced_names_resolve():
     # The benchmark's tracer wraps these by name and only lists a missing
     # one as absent, so a rename in the package would blind it. bench/ is

@@ -34,6 +34,7 @@ from toricmld.germs import (
 from toricmld.lattices import (
     E1,
     E2,
+    Lattice,
     Vec2,
     _scaled_covector,
     dual,
@@ -115,6 +116,18 @@ def test_klein_sail_is_the_convex_hull_boundary():
         edges = klein_sail(lat).edges
         for e, f in zip(edges, edges[1:]):
             assert e.dx * f.dy - e.dy * f.dx > 0, "edges are maximal and turn one way"
+
+
+def test_a_lattice_keeps_its_sail_and_dual():
+    # Each is computed on the first call and kept by the lattice object;
+    # equality and hashing still read only the Hermite normal form.
+    for lat in superlattices(12):
+        fresh = Lattice(hnf=lat.hnf)
+        assert klein_sail(lat) is klein_sail(lat)
+        assert dual(lat) is dual(lat)
+        assert lat == fresh and hash(lat) == hash(fresh)
+        assert klein_sail(fresh) == klein_sail(lat) and dual(fresh) == dual(lat)
+        assert lat == fresh and hash(lat) == hash(fresh)
 
 
 def test_klein_sail_compresses_collinear_runs():
