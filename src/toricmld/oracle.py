@@ -3,9 +3,11 @@
 Everything here is recomputed from first principles: the quotient by
 the integer plane is walked column by column off the lattice's Hermite
 normal form, pairings are written out inline and minima are taken by
-exhaustive scan of the columns, in O(1) memory beyond the minimizers
-returned. Only the plane vector type is shared with the rest of the
-package, so an engine bug cannot vouch for itself.
+scanning the columns, in O(1) memory beyond the minimizers returned.
+The value walk stops at the first column whose lower bound cannot beat
+the least pairing so far; the minimizer listing scans every column.
+Only the plane vector type is shared with the rest of the package, so
+an engine bug cannot vouch for itself.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ if TYPE_CHECKING:  # type-only; keeps the oracle import-independent
     from .germs import Germ
 
 
-# Largest index the oracle accepts. Both oracles walk at most index
-# columns in O(1) memory besides the minimizers returned; at an order
-# of 1,000,003 a walk takes a fraction of a second.
+# Largest index the oracle accepts, checked before any walk. Both
+# oracles walk at most index columns in O(1) memory besides the
+# minimizers returned; the value walk often stops after a few columns,
+# but a full walk at an order of 1,000,003 takes a fraction of a second.
 ORACLE_LIMIT = 2_000_000
 
 
@@ -66,7 +69,23 @@ def mld_oracle_scaled(lat: Lattice, psi: tuple[int, int, int]) -> tuple[int, int
     denom, a, b, d, columns = _columns(lat, psi)
     scale, c1, c2 = psi
     step = c1 * a
-    least = min(step * i + c2 * ((i * b - 1) % d + 1) for i in range(1, columns + 1))
+    rise = b % d
+    y = (b - 1) % d + 1
+    least = step + c2 * y
+    # Column i pairs to at least step*i + c2, so once step*i >= least - c2
+    # no column from i on pairs below least (the cutoff in mld_oracle_value).
+    bar = least - c2
+    for i in range(2, columns + 1):
+        x = step * i
+        if x >= bar:
+            break
+        y += rise
+        if y > d:
+            y -= d
+        value = x + c2 * y
+        if value < least:
+            least = value
+            bar = value - c2
     return least, denom * scale
 
 
@@ -91,6 +110,18 @@ def mld_oracle_value(lat: Lattice, psi: Vec2) -> Rational:
     psi_2 >= 0 no other point of the column pairs below it. Hence, for
     psi = (c1, c2)/s, the minimum is the least c1*a*i + c2*y_i over
     the columns, divided by s*D: D/a <= index integer steps, no set.
+    The walk steps y_i to y_{i+1} by adding b mod d and taking d off a
+    sum above d, which keeps it in 1..d and congruent to (i+1)*b.
+
+    Cutoff. As y_i >= 1 and c2 >= 0, column i pairs to at least
+    c1*a*i + c2, and with c1 >= 0 that bound never falls as i grows.
+    So once the least pairing of columns 1..i-1 is at most c1*a*i + c2,
+    no column from i on pairs below it, and the walk stops at the first
+    such i. With c1 = 0 it stops once the least pairing is c2, at the
+    first column with y_i = 1; with psi = 0 it stops after column 1 with
+    the value 0. The walk visits all D/a columns only when the bound
+    stays below the least pairing so far, as when the pairing falls
+    along the columns faster than the bound rises.
     """
     return Fraction(*mld_oracle_scaled(lat, _scaled_psi(psi)))
 
@@ -98,12 +129,12 @@ def mld_oracle_value(lat: Lattice, psi: Vec2) -> Rational:
 def mld_oracle_lattice(lat: Lattice, psi: Vec2) -> tuple[Rational, list[Vec2]]:
     """Minimum of the pairing over open-quadrant points, with all minimizers.
 
-    The same walk over columns as `mld_oracle_value`, with the same
-    errors, keeping every column that attains the least pairing. The
-    minimizers in (0, 1]^2, in lexicographic order, are the lowest
-    point (i*a, y_i)/D of each such column, and with psi_2 = 0 every
-    point (i*a, y_i + k*d)/D <= (1, 1) of it: along a column the pairing
-    then stays constant, and otherwise it grows with k.
+    The walk over columns of `mld_oracle_value`, with the same errors
+    but without its cutoff, keeping every column that attains the least
+    pairing. The minimizers in (0, 1]^2, in lexicographic order, are the
+    lowest point (i*a, y_i)/D of each such column, and with psi_2 = 0
+    every point (i*a, y_i + k*d)/D <= (1, 1) of it: along a column the
+    pairing then stays constant, and otherwise it grows with k.
     """
     scaled = _scaled_psi(psi)
     denom, a, b, d, columns = _columns(lat, scaled)

@@ -933,11 +933,17 @@ def test_verify_empties_its_literal_dict_when_it_is_full(capsys, tmp_path, monke
 
 
 def test_verify_of_two_large_records_peaks_under_60_mb(capsys, tmp_path):
-    # Two records of different order-1,000,003 lattices: the column walk
-    # holds no per-class state, so the child stays near the interpreter's
-    # own footprint; a set of one point per class would take about 175 MB.
+    # Two records of lattices of order about 10^6 whose value walk visits
+    # every column: on 1/r(1, r-1) at psi (1/2, 1), column i < r pairs to
+    # (2r + 2 - i)/2r, which falls with i, so the cutoff never comes
+    # before column r. The walk holds no per-class state, so the child
+    # stays near the interpreter's own footprint; a set of one point per
+    # class would take about 175 MB.
     outs = [
-        run_cli(capsys, "classify", "--type", f"1000003,1,{w}", "--t", "1/7")[1] for w in (7, 8)
+        run_cli(
+            capsys, "classify", "--type", f"{r},1,{r - 1}", "--boundary", "1/2,0", "--t", "1/7"
+        )[1]
+        for r in (999983, 1000003)
     ]
     path = tmp_path / "large.jsonl"
     path.write_text("".join(outs))

@@ -127,6 +127,8 @@ def test_oracle_refuses_an_index_above_its_limit(monkeypatch):
 
 # Zero, axis and interior psi: with a zero coordinate the points of a
 # column, or all first points of the columns, tie, so each kind is checked.
+# The skewed pair moves the value walk's cutoff late (a small first
+# coordinate keeps its bound low) and early (a large one lifts it fast).
 WALK_PSIS = (
     vec(0, 0),
     vec(1, 0),
@@ -135,6 +137,8 @@ WALK_PSIS = (
     ONES,
     vec(Fraction(2, 3), Fraction(1, 5)),
     vec(Fraction(3, 7), 2),
+    vec(Fraction(1, 12), 3),
+    vec(3, Fraction(1, 12)),
 )
 
 
@@ -172,7 +176,7 @@ def test_walk_matches_naive_enumeration_on_every_small_superlattice():
             for psi in WALK_PSIS:
                 check_walks(lat, psi, points, n)
                 cases += 1
-    assert cases == 7 * len(list(superlattices(40)))
+    assert cases == len(WALK_PSIS) * len(list(superlattices(40)))
 
 
 @st.composite
@@ -193,6 +197,37 @@ def test_walk_matches_naive_enumeration_on_cyclic_quotients(kind, c1, c2):
     r, w1, w2 = kind
     points = [(k * w1 % r or r, k * w2 % r or r) for k in range(1, r + 1)]
     check_walks(lattice_from_quotient_type(r, w1, w2), vec(c1, c2), points, r)
+
+
+def test_value_walk_stops_at_its_cutoff_far_below_the_index():
+    # At order 10^12 + 39 a walk over every column would run for hours,
+    # so each value below comes back within the timeout only if the walk
+    # stops at its cutoff. At psi (1, 1), 1/r(1, 7) pairs to 8i on
+    # column i <= r/7, and the walk stops at column 7, where 7 + 1 >= 8.
+    # At psi (0, 1) the bound is 1 on every column, so the walk stops
+    # exactly at the column with y = 1: column 5 of 1/r(1, 5^-1 mod r).
+    r = 10**12 + 39
+    inverse = pow(5, -1, r)
+    run = (
+        "import sys\n"
+        "from toricmld import oracle\n"
+        "from toricmld.lattices import lattice_from_quotient_type, vec\n"
+        "oracle.ORACLE_LIMIT = 10**13\n"
+        "r, w = int(sys.argv[1]), int(sys.argv[2])\n"
+        "print(oracle.mld_oracle_value(lattice_from_quotient_type(r, 1, 7), vec(1, 1)))\n"
+        "print(oracle.mld_oracle_value(lattice_from_quotient_type(r, 1, w), vec(0, 1)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", run, str(r), str(inverse)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parent.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    interior, axis = map(Fraction, proc.stdout.split())
+    assert interior == mld(germ_from_quotient_type(r, 1, 7)) == Fraction(8, r)
+    assert axis == mld(germ_from_quotient_type(r, 1, inverse, 1, 0)) == Fraction(1, r)
 
 
 def test_walk_refuses_a_lattice_without_the_integer_plane():
