@@ -518,10 +518,7 @@ def _cyclic_forms(
     reached once from the empty chain (1, 0), the order-1 lattice, and
     r grows along each step; a heap keyed by (r, w) pops the chains in
     the order above. Each entry c adds c - 2 to the excess, so only
-    runs of 2s grow without limit. Since excess <= r - 2, a budget of
-    at least r_max - 2 prunes nothing; then, unless `outcomes` is
-    given, the plain loop over (r, w) runs, as without a budget, and no
-    heap of O(r_max^2) chains is kept.
+    runs of 2s grow without limit.
 
     With a budget, a threshold t = (tn, td) > 0 and `outcomes`, the walk
     also skips every chain proven to lie below t at every boundary pair
@@ -599,7 +596,7 @@ def _cyclic_forms(
             for c in range(2, c_max + 1):
                 heapq.heappush(heap, (c * r - w, r, excess + c - 2))
 
-    if budget is None or (outcomes is None and budget >= r_max - 2):
+    if budget is None:
         return forms()
     return chains(budget)
 

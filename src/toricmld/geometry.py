@@ -1,11 +1,13 @@
 """Derived constructions on top of the case analysis.
 
-Invariant hyperplane sections (covectors of the dual lattice inside the
-dual quadrant), the threshold up to which a section can be added to the
-boundary, the two-section dichotomy realizing the discrepancy minimum,
-and periodic complement boundaries with controlled level. Nothing here
-runs the brute-force oracle: the complement checker `verify_complement`
-proves the value at the complement with a threshold certificate.
+Invariant hyperplane sections, each given by its covector (a `Vec2` of
+the dual lattice inside the dual quadrant), the threshold up to which
+a section can be added to the boundary, the one-or-two-section
+dichotomy realizing the discrepancy minimum, which is the `CaseA` or
+`CaseB` certificate at t = mld, and periodic complement boundaries
+with controlled level. Nothing here runs the brute-force oracle: the
+complement checker `verify_complement` proves the value at the
+complement with a threshold certificate.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .certify import (
+    CaseA,
     CaseB,
     NotTLC,
     Verification,
@@ -37,7 +40,6 @@ from .germs import (
 from .lattices import (
     Rational,
     STANDARD_LATTICE,
-    Scaled,
     Vec2,
     _checker,
     contains,
@@ -50,30 +52,24 @@ from .lattices import (
 )
 
 
-class HyperplaneSection(NamedTuple):
-    """Invariant hyperplane section, identified by its covector."""
-
-    m: Vec2
-
-
-def hyperplane_section(germ: Germ, m: Vec2) -> HyperplaneSection:
-    """Validated section constructor: m in the dual lattice and quadrant."""
+def hyperplane_section(germ: Germ, m: Vec2) -> Vec2:
+    """The section covector m, validated: nonzero, in the dual lattice and quadrant."""
     if m.is_zero():
         raise ValueError("a section needs a nonzero covector")
     if not in_cone(m):
         raise ValueError("section covector outside the dual quadrant")
     if not contains(dual(germ.lattice), m):
         raise ValueError("section covector does not pair integrally with the lattice")
-    return HyperplaneSection(m)
+    return m
 
 
-def lct_invariant(germ: Germ, section: HyperplaneSection) -> Rational:
-    """Largest c with the boundary plus c times the section still at most one.
+def lct_invariant(germ: Germ, m: Vec2) -> Rational:
+    """Largest c with the boundary plus c times the section m still at most one.
 
     Componentwise binding constraint, so this is exactly the largest
     scale of the section covector under psi.
     """
-    value = gamma_of(section.m, psi_of(germ))
+    value = gamma_of(m, psi_of(germ))
     check = _checker(germ.lattice, germ_psi(germ))
     check(value is not None, "a nonzero section has a finite scale")
     return value
@@ -122,77 +118,49 @@ def classify_mld_ge_one(germ: Germ) -> Union[ProductCase, QuotientCase, NotAppli
     return QuotientCase(ty[0] - 1)
 
 
-class SingleH(NamedTuple):
-    """One section realizes the whole discrepancy minimum."""
-
-    h: HyperplaneSection
-    a: Rational
-
-
-class DoubleH(NamedTuple):
-    """Two sections with weights g1, g2 sum to the discrepancy minimum."""
-
-    h1: HyperplaneSection
-    h2: HyperplaneSection
-    g1: Rational
-    g2: Rational
-
-
-def hyperplane_dichotomy(germ: Germ) -> Union[SingleH, DoubleH]:
+def hyperplane_dichotomy(germ: Germ) -> Union[CaseA, CaseB]:
     """Realize the discrepancy minimum through one or two sections.
 
-    Single section when the best covector scale reaches the minimum
-    (then psi is a multiple of that covector and adding the scaled
-    section exhausts the boundary); otherwise the adapted pair carries
-    exact weights summing to the minimum. The single section needs no
-    oracle: psi - mld*m is checked to be zero, and a zero psi has value 0.
+    The result is the certificate at t = mld, `classify_tlc(germ,
+    mld(germ))`, with integral covectors (s, x, y) = (1, x, y). CaseA
+    when the best covector scale reaches the minimum: then psi = mld*m,
+    checked here, and adding the scaled section exhausts the boundary.
+    Otherwise CaseB: the adapted pair with exact weights t1 + t2 = mld
+    and t1*m1 + t2*m2 = psi. Case a needs no oracle: psi - mld*m is
+    zero, and a zero psi has value 0.
     """
     psi = germ_psi(germ)
     data = case_analysis_lattice(germ.lattice, psi)
     cert = certificate_from_case_data(germ.lattice, data, psi, data.mld)
-    if isinstance(cert, CaseB):
-        return DoubleH(
-            HyperplaneSection(_unscaled(cert.m1)),
-            HyperplaneSection(_unscaled(cert.m2)),
-            Fraction(*cert.t1),
-            Fraction(*cert.t2),
+    if isinstance(cert, CaseA):
+        # gamma == mld here, so psi = mld * m and the pushed boundary is the full one.
+        (s, c1, c2), (ln, ld), (ms, mx, my) = psi, data.mld, cert.m
+        _checker(germ.lattice, psi)(
+            c1 * ld * ms == s * ln * mx and c2 * ld * ms == s * ln * my, "psi == mld*v1"
         )
-    # gamma == mld here, so psi = mld * m and the pushed boundary is the full one.
-    (s, c1, c2), (ln, ld), (ms, mx, my) = psi, data.mld, cert.m
-    _checker(germ.lattice, psi)(
-        c1 * ld * ms == s * ln * mx and c2 * ld * ms == s * ln * my, "psi == mld*v1"
-    )
-    return SingleH(HyperplaneSection(_unscaled(cert.m)), Fraction(ln, ld))
+    return cert
 
 
-def _unscaled(v: Scaled) -> Vec2:
-    """The vector (x, y)/s of a certificate's (s, x, y)."""
-    s, x, y = v
-    return Vec2(Fraction(x, s), Fraction(y, s))
+def half_mld_section(germ: Germ) -> Vec2:
+    """A section covector that can absorb half the discrepancy minimum.
 
-
-def half_mld_section(germ: Germ) -> HyperplaneSection:
-    """A section that can absorb half the discrepancy minimum.
-
-    From the dichotomy: the single section, or the heavier of the pair
+    From the dichotomy: the case-a covector, or the heavier of the pair
     (ties broken toward the lexicographically least covector). The
     half-scaled section keeps the boundary at or below the full one, with
     no oracle: psi - (mld/2)*m is checked to lie in the closed dual
     quadrant, so it pairs to >= 0 with every open-quadrant point.
     """
-    outcome = hyperplane_dichotomy(germ)
-    if isinstance(outcome, SingleH):
-        section, a = outcome.h, outcome.a
+    cert = hyperplane_dichotomy(germ)
+    if isinstance(cert, CaseA):
+        m = cert.m
     else:
-        a = outcome.g1 + outcome.g2
-        if outcome.g1 > outcome.g2:
-            section = outcome.h1
-        elif outcome.g2 > outcome.g1:
-            section = outcome.h2
-        else:
-            section = min(outcome.h1, outcome.h2)
+        # Least key: the larger weight t_i = n_i/d_i, then the least covector.
+        (n1, d1), (n2, d2) = cert.t1, cert.t2
+        m = min((-n1 * d2, cert.m1), (-n2 * d1, cert.m2))[1]
+    _, x, y = m  # the engine's covectors are integral
+    section = vec(x, y)
     check = _checker(germ.lattice, germ_psi(germ))
-    pushed = psi_of(germ) - section.m.scaled(a / 2)
+    pushed = psi_of(germ) - section.scaled(mld(germ) / 2)
     check(in_cone(pushed), "psi - (mld/2)*m lies in the dual quadrant")
     return section
 

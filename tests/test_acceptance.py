@@ -37,7 +37,6 @@ from toricmld.certify import (
 from toricmld.geometry import (
     ProductCase,
     QuotientCase,
-    SingleH,
     classify_mld_ge_one,
     complement_standard,
     half_mld_section,
@@ -307,15 +306,15 @@ def test_section_dichotomy(criterion, standard_corpus):
         for germ in standard_corpus:
             psi = psi_of(germ)
             a = mld(germ)
-            outcome = hyperplane_dichotomy(germ)
-            if isinstance(outcome, SingleH):
-                pushed = psi - outcome.h.m.scaled(outcome.a)
+            cert = fraction_certificate(hyperplane_dichotomy(germ))
+            if isinstance(cert, CaseA):
+                pushed = psi - cert.m.scaled(a)
+                assert pushed.is_zero()
                 assert mld_oracle_lattice(germ.lattice, pushed)[0] == 0
             else:
-                combined = outcome.h1.m.scaled(outcome.g1) + outcome.h2.m.scaled(outcome.g2)
-                assert combined == psi
-            section = half_mld_section(germ)
-            pushed = psi - section.m.scaled(a / 2)
+                assert cert.m1.scaled(cert.t1) + cert.m2.scaled(cert.t2) == psi
+                assert cert.t1 + cert.t2 == a
+            pushed = psi - half_mld_section(germ).scaled(a / 2)
             assert in_cone(pushed)
             assert mld_oracle_lattice(germ.lattice, pushed)[0] >= 0
 

@@ -14,6 +14,7 @@ import toricmld.germs
 import toricmld.lattices
 import toricmld.oracle
 from toricmld import (
+    CaseA,
     CaseB,
     Complement,
     EqualsIntersection,
@@ -28,12 +29,9 @@ from toricmld import (
 )
 from toricmld.certify import series_certificate_log, series_membership_lattice
 from toricmld.geometry import (
-    DoubleH,
-    HyperplaneSection,
     NotApplicable,
     ProductCase,
     QuotientCase,
-    SingleH,
     classify_mld_ge_one,
     complement_standard,
     half_mld_section,
@@ -84,6 +82,7 @@ def test_classify_mld_ge_one():
 
 def test_hyperplane_section_and_lct():
     section = hyperplane_section(SMOOTH, vec(1, 1))
+    assert section == vec(1, 1)
     assert lct_invariant(SMOOTH, section) == 1
     assert lct_invariant(FIFTH, hyperplane_section(FIFTH, vec(2, 3))) == Fraction(1, 3)
     tilted = make_germ(STANDARD_LATTICE, Fraction(1, 2), 0)
@@ -97,23 +96,12 @@ def test_hyperplane_section_and_lct():
 
 
 def test_hyperplane_dichotomy_examples():
-    outcome = hyperplane_dichotomy(SMOOTH)
-    assert isinstance(outcome, DoubleH)
-    assert (outcome.h1.m, outcome.h2.m) == (vec(0, 1), vec(1, 0))
-    assert outcome.g1 == outcome.g2 == 1
-
-    outcome = hyperplane_dichotomy(CHAIN3)
-    assert outcome == SingleH(hyperplane_section(CHAIN3, vec(1, 1)), Fraction(1))
-
-    outcome = hyperplane_dichotomy(FIFTH)
-    assert isinstance(outcome, DoubleH)
-    assert (outcome.h1.m, outcome.h2.m) == (vec(2, 3), vec(3, 2))
-    assert outcome.g1 == outcome.g2 == Fraction(1, 5)
-
+    # Integral covectors (1, x, y) and reduced weights (num, den).
+    assert hyperplane_dichotomy(SMOOTH) == CaseB((1, 0, 1), (1, 1, 0), (1, 1), (1, 1))
+    assert hyperplane_dichotomy(CHAIN3) == CaseA((1, 1, 1))
+    assert hyperplane_dichotomy(FIFTH) == CaseB((1, 2, 3), (1, 3, 2), (1, 5), (1, 5))
     edge = make_germ(STANDARD_LATTICE, 0, 1)
-    assert hyperplane_dichotomy(edge) == SingleH(
-        hyperplane_section(edge, vec(1, 0)), Fraction(1)
-    )
+    assert hyperplane_dichotomy(edge) == CaseA((1, 1, 0))
     with pytest.raises(ValueError):
         hyperplane_dichotomy(make_germ(STANDARD_LATTICE, 1, 1))
 
@@ -123,26 +111,26 @@ def test_hyperplane_dichotomy_is_exact(standard_corpus):
         psi = psi_of(germ)
         a = mld(germ)
         outcome = hyperplane_dichotomy(germ)
-        if isinstance(outcome, SingleH):
-            assert outcome.a == a
-            pushed = psi - outcome.h.m.scaled(a)
+        assert outcome == classify_tlc(germ, a)
+        cert = fraction_certificate(outcome)
+        if isinstance(cert, CaseA):
+            pushed = psi - cert.m.scaled(a)
             assert pushed.is_zero()
             assert mld_oracle_lattice(germ.lattice, pushed)[0] == 0
         else:
-            assert outcome.g1 + outcome.g2 == a
-            assert outcome.h1.m.scaled(outcome.g1) + outcome.h2.m.scaled(outcome.g2) == psi
+            assert cert.t1 + cert.t2 == a
+            assert cert.m1.scaled(cert.t1) + cert.m2.scaled(cert.t2) == psi
 
 
 def test_half_mld_section_examples():
-    assert half_mld_section(SMOOTH).m == vec(0, 1)
-    assert half_mld_section(CHAIN3).m == vec(1, 1)
-    assert half_mld_section(FIFTH).m == vec(2, 3)
+    assert half_mld_section(SMOOTH) == vec(0, 1)
+    assert half_mld_section(CHAIN3) == vec(1, 1)
+    assert half_mld_section(FIFTH) == vec(2, 3)
 
 
 def test_half_mld_section_property(standard_corpus):
     for germ in standard_corpus:
-        section = half_mld_section(germ)
-        pushed = psi_of(germ) - section.m.scaled(mld(germ) / 2)
+        pushed = psi_of(germ) - half_mld_section(germ).scaled(mld(germ) / 2)
         assert in_cone(pushed)
         assert mld_oracle_lattice(germ.lattice, pushed)[0] >= 0
 
@@ -171,20 +159,18 @@ def test_constructions_run_above_the_oracle_limit():
     assert r > ORACLE_LIMIT
     start = time.perf_counter()
     light = germ_from_quotient_type(r, 1, 1)
-    half = Fraction(r - 1, 2)
-    pair = (vec(half, half + 1), vec(half + 1, half))
-    assert hyperplane_dichotomy(light) == DoubleH(
-        HyperplaneSection(pair[0]), HyperplaneSection(pair[1]), Fraction(1, r), Fraction(1, r)
+    half = (r - 1) // 2
+    assert hyperplane_dichotomy(light) == CaseB(
+        (1, half, half + 1), (1, half + 1, half), (1, r), (1, r)
     )
-    assert half_mld_section(light) == HyperplaneSection(pair[0])
+    assert half_mld_section(light) == vec(half, half + 1)
     assert series_certificate_log(light, vec(1, r - 1), Fraction(1, r)) == (
         r - 1,
         (Fraction(r - 2, r - 1), Fraction(0)),
     )
     chain = germ_from_quotient_type(r, 1, r - 1)
-    ones = HyperplaneSection(vec(1, 1))
-    assert hyperplane_dichotomy(chain) == SingleH(ones, Fraction(1))
-    assert half_mld_section(chain) == ones
+    assert hyperplane_dichotomy(chain) == CaseA((1, 1, 1))
+    assert half_mld_section(chain) == vec(1, 1)
     assert series_certificate_log(chain, vec(1, 1), 1) == (1, (Fraction(0), Fraction(0)))
     n = (r + 1) // 2
     assert bounded_complement(light) == Complement(
@@ -408,14 +394,7 @@ def test_pair_witness_is_shared(germ, twelfths):
     # The dichotomy is the certificate at t = mld, and the standard
     # complement recombines the pair with lawrence's weights.
     a = mld(germ)
-    outcome = hyperplane_dichotomy(germ)
-    cert = fraction_certificate(classify_tlc(germ, a))
-    if isinstance(cert, CaseB):
-        assert outcome == DoubleH(
-            hyperplane_section(germ, cert.m1), hyperplane_section(germ, cert.m2), cert.t1, cert.t2
-        )
-    else:
-        assert outcome == SingleH(hyperplane_section(germ, cert.m), a)
+    assert hyperplane_dichotomy(germ) == classify_tlc(germ, a)
     # A threshold in (gamma, mld], where the pair is needed.
     gamma = Fraction(*case_analysis_lattice(germ.lattice, germ_psi(germ)).gamma)
     t = gamma + (a - gamma) * Fraction(twelfths, 12)

@@ -15,7 +15,17 @@ from pathlib import Path
 
 import pytest
 
-from toricmld import Germ, Vec2, certify, cli, geometry, germs, lattices, oracle
+from toricmld import (
+    Germ,
+    Vec2,
+    certify,
+    cli,
+    geometry,
+    germ_from_quotient_type,
+    germs,
+    lattices,
+    oracle,
+)
 from toricmld.certify import classify_germ_record
 from toricmld.cli import main
 from toricmld.lattices import (
@@ -27,6 +37,7 @@ from toricmld.lattices import (
 )
 from toricmld.records import (
     TABLE_COLUMNS,
+    certificate_to_json,
     dumps,
     record_from_json,
     record_table_row,
@@ -77,6 +88,21 @@ def test_classify_record_content(capsys):
     data = json.loads(out)
     assert data["certificate"]["case"] == "not_tlc"
     assert data["certificate"]["e"] == ["1/5", "1/5"]
+
+
+@pytest.mark.parametrize("quotient_type", ["1,0,0", "3,2,1", "5,1,1", "7,1,3"])
+def test_classify_at_the_mld_prints_the_section_dichotomy(capsys, tmp_path, quotient_type):
+    # The one-or-two-section dichotomy is the certificate at t = mld, so
+    # `classify --t <mld>` prints it and `verify` checks it.
+    germ = germ_from_quotient_type(*map(int, quotient_type.split(",")))
+    t = format_rational(germs.mld(germ))
+    code, out, err = run_cli(capsys, "classify", "--type", quotient_type, "--t", t)
+    assert (code, err) == (0, "")
+    expected = certificate_to_json(geometry.hyperplane_dichotomy(germ))
+    assert json.loads(out)["certificate"] == expected
+    record = tmp_path / "record.json"
+    record.write_text(out)
+    assert run_cli(capsys, "verify", "--in", str(record)) == (0, "verified 1 records\n", "")
 
 
 def test_classify_rejects_zero_psi(capsys):
