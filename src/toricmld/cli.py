@@ -108,12 +108,12 @@ def _parse_boundary(text: str) -> tuple[Fraction, Fraction]:
 
 def _germ_from_args(args) -> Germ:
     r, w1, w2 = _parse_type(args.type)
-    b1, b2 = _parse_boundary(args.boundary) if args.boundary else (Fraction(0), Fraction(0))
+    b1, b2 = (Fraction(0), Fraction(0)) if args.boundary is None else _parse_boundary(args.boundary)
     return germ_from_quotient_type(r, w1, w2, b1, b2)
 
 
 def _boundary_pairs(args) -> list[tuple[Fraction, Fraction]]:
-    if args.boundary_file and args.boundary_set != "file":
+    if args.boundary_file is not None and args.boundary_set != "file":
         raise ValueError("--boundary-file needs --boundary-set file")
     if args.boundary_set == "zero":
         return [(Fraction(0), Fraction(0))]
@@ -217,7 +217,7 @@ def _cmd_enumerate(args) -> int:
         records = (r for r in records if dumps(germ_to_json(r.germ)) not in seen)
 
     mode = "a" if args.resume else "w"
-    with open(args.out, mode, encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+    with nullcontext(sys.stdout) if args.out is None else open(args.out, mode, encoding="utf-8") as out:
         if args.format == "jsonl":
             out.writelines(record_lines(records))
         else:
@@ -473,8 +473,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser by name: the choices of `_parser()`'s subparsers action."""
+    (action,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
 def run(argv: Sequence[str]) -> int:
-    args = _parser().parse_args(list(argv))
+    """Parse argv and run its command.
+
+    A first word that names a command goes with the rest straight to
+    that command's parser, which is what the full parser would hand them
+    to, so argv is parsed once. Any other argv (empty, `-h`, an unknown
+    word) goes to the full parser, for its help and usage errors.
+    """
+    argv = list(argv)
+    command = _commands().get(argv[0]) if argv else None
+    args = _parser().parse_args(argv) if command is None else command.parse_args(argv[1:])
     return args.func(args)
 
 

@@ -38,8 +38,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .lattices import (
-    E1,
-    E2,
     Lattice,
     Ratio,
     Rational,
@@ -54,7 +52,6 @@ from .lattices import (
     format_rational,
     in_cone,
     index,
-    is_primitive,
     klein_sail,
     lattice_from_quotient_type,
     reduced,
@@ -67,9 +64,10 @@ from .lattices import (
 class Germ:
     """Superlattice of the integer plane plus two boundary coefficients.
 
-    Construct through `make_germ`, which validates. Direct construction
-    skips the primitivity checks; the enumerator uses that deliberately
-    for quotient records whose unit points are imprimitive.
+    Construct through `make_germ`, which validates: it checks the
+    lattice in integers on its Hermite normal form, and both coefficients.
+    Direct construction skips the checks; the enumerator uses that
+    deliberately for quotient records whose unit points are imprimitive.
     """
 
     lattice: Lattice
@@ -87,13 +85,28 @@ def boundary_pair(b1: Rational, b2: Rational) -> tuple[Rational, Rational]:
     return b1, b2
 
 
+def _fraction(b) -> Fraction:
+    return b if isinstance(b, Fraction) else Fraction(b)
+
+
 def make_germ(lattice: Lattice, b1, b2) -> Germ:
-    """Validated germ constructor."""
+    """Validated germ constructor.
+
+    Raises ValueError unless the lattice contains the integer plane, its
+    unit points e1 and e2 are primitive in it, and both coefficients lie
+    in [0, 1]. The checks run on the Hermite normal form (D, a, b, d): in
+    its basis e1 has the integer coordinates (D/a, -(D/a)*b/d) and e2 has
+    (0, D/d), and a point is primitive iff its coordinates are coprime.
+    A `Fraction` coefficient is kept as it is; others are converted.
+    """
     index(lattice)  # raises ValueError unless the lattice contains the integer plane
-    for name, e in (("e1", E1), ("e2", E2)):
-        if not is_primitive(lattice, e):
-            raise ValueError(f"unit point {name} is not primitive in the germ lattice")
-    return Germ(lattice, *boundary_pair(Fraction(b1), Fraction(b2)))
+    denom, a, b, d = lattice.hnf
+    x = denom // a
+    if math.gcd(x, x * b // d) != 1:
+        raise ValueError("unit point e1 is not primitive in the germ lattice")
+    if d != denom:
+        raise ValueError("unit point e2 is not primitive in the germ lattice")
+    return Germ(lattice, *boundary_pair(_fraction(b1), _fraction(b2)))
 
 
 def germ_from_quotient_type(r: int, w1: int, w2: int, b1=0, b2=0) -> Germ:

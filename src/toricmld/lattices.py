@@ -423,16 +423,6 @@ def klein_sail(lat: Lattice) -> Sail:
     return lat._sail
 
 
-def is_primitive(lat: Lattice, v: Sequence) -> bool:
-    """True iff no proper integer fraction of v stays in the lattice."""
-    v = vec(v[0], v[1])
-    if v.is_zero():
-        raise ValueError("primitivity is undefined for the zero vector")
-    if not contains(lat, v):
-        raise ValueError("vector lies outside the lattice")
-    return math.gcd(*_coordinates(lat, *_scaled_covector(v))) == 1
-
-
 def dual(lat: Lattice) -> Lattice:
     """Covectors pairing integrally with the lattice.
 

@@ -19,12 +19,27 @@ import pytest
 
 from toricmld import Germ, Vec2, germ_from_quotient_type, mld
 from toricmld.germs import psi_of
-from toricmld.lattices import _scaled_covector
+from toricmld.lattices import _coordinates, _scaled_covector, contains, vec
 
 
 def dot(m, v):
     """Duality pairing of a covector and a point, in rational arithmetic."""
     return m[0] * v[0] + m[1] * v[1]
+
+
+def is_primitive(lat, v) -> bool:
+    """True iff no proper integer fraction of v stays in the lattice.
+
+    The `Fraction` reference definition: v's coordinates in the lattice
+    basis are coprime. `germs.make_germ` checks e1 and e2 on the Hermite
+    normal form instead, and is tested against this.
+    """
+    v = vec(v[0], v[1])
+    if v.is_zero():
+        raise ValueError("primitivity is undefined for the zero vector")
+    if not contains(lat, v):
+        raise ValueError("vector lies outside the lattice")
+    return math.gcd(*_coordinates(lat, *_scaled_covector(v))) == 1
 
 
 def fraction_case_data(data, lat) -> SimpleNamespace:

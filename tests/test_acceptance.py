@@ -47,7 +47,6 @@ from toricmld.lattices import (
     contains,
     dual,
     in_cone,
-    is_primitive,
     lattice_from_generators,
     superlattices,
     swapped_lattice,
@@ -55,7 +54,7 @@ from toricmld.lattices import (
 )
 from toricmld.oracle import mld_oracle_lattice, tlc_oracle
 
-from conftest import fraction_case_data, fraction_certificate
+from conftest import fraction_case_data, fraction_certificate, is_primitive
 
 ONES = vec(1, 1)
 HALF_PLANE = lattice_from_generators([(Fraction(1, 2), 0), (0, Fraction(1, 2))])

@@ -190,8 +190,112 @@ def test_parser_is_built_once_and_keeps_no_arguments(capsys):
     assert cli._parser.cache_info().currsize == 1
 
 
+def _outcome(capsys, argv):
+    """(exit code, or ("SystemExit", code) when argparse exits, stdout, stderr) of cli.main."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _full_parse_run(argv):
+    args = cli.build_parser().parse_args(list(argv))
+    return args.func(args)
+
+
+_VALID_ARGV = {
+    "mld": ["--type", "5,1,1"],
+    "classify": ["--type", "5,1,1", "--t", "2/5"],
+    "lawrence": ["--type", "5,1,1", "--p", "1", "--q", "2"],
+    "enumerate": ["--mode", "cyclic", "--r-max", "6", "--t", "1/2"],
+    "complement": ["--type", "5,1,1", "--bounded"],
+    "verify": ["--in", "RECORDS"],
+}
+_MISSING_ARGV = {
+    "mld": [],
+    "classify": ["--type", "5,1,1"],
+    "lawrence": ["--type", "5,1,1", "--p", "1"],
+    "enumerate": ["--t", "1/2"],
+    "complement": ["--boundary", "1/2,0"],
+    "verify": [],
+}
+_DISPATCH_MATRIX = [
+    *(([command, *valid], 0) for command, valid in _VALID_ARGV.items()),
+    *(([command, *_MISSING_ARGV[command]], 1) for command in _VALID_ARGV),
+    *(([command, *valid, "--no-such-flag"], 1) for command, valid in _VALID_ARGV.items()),
+    *(([command, "-h"], ("SystemExit", 0)) for command in _VALID_ARGV),
+    (["enumerate", "--mode", "x", "--t", "1/2"], 1),
+    ([], 1),
+    (["nosuch"], 1),
+    (["-h"], ("SystemExit", 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", [pytest.param(*case, id=" ".join(case[0]) or "(empty)") for case in _DISPATCH_MATRIX]
+)
+def test_dispatch_parses_as_the_full_parser(monkeypatch, capsys, tmp_path, argv, code):
+    # run hands a command's words straight to its parser; a fresh full
+    # parser must give the same exit code, output and usage error.
+    records = tmp_path / "records.jsonl"
+    assert main(["classify", "--type", "5,1,1", "--t", "2/5"]) == 0
+    records.write_text(capsys.readouterr().out)
+    argv = [str(records) if word == "RECORDS" else word for word in argv]
+
+    direct = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "run", _full_parse_run)
+    assert _outcome(capsys, argv) == direct
+    assert direct[0] == code and (direct[1] or direct[2])
+
+
+def test_a_command_never_reaches_the_full_parser(monkeypatch, capsys):
+    parser = cli._parser()
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return type(parser).parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", spy)
+    assert run_cli(capsys, "classify", "--type", "5,1,1", "--t", "2/5")[0] == 0
+    assert run_cli(capsys, "mld", "--type", "5,1,1", "--no-such-flag")[0] == 1
+    assert calls == []
+    # A first word that names no command still goes to the full parser.
+    assert run_cli(capsys, "nosuch")[0] == 1
+    assert len(calls) == 1
+
+
+def _open_error(path):
+    try:
+        open(path, encoding="utf-8")
+    except OSError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--type", "5,1,1", "--boundary", "", "--t", "1/2"], "boundary must be b1,b2: ''"),
+        (["mld", "--type", "5,1,1", "--boundary", ""], "boundary must be b1,b2: ''"),
+        (["complement", "--type", "5,1,1", "--boundary", ""], "boundary must be b1,b2: ''"),
+        (
+            ["enumerate", "--mode", "cyclic", "--r-max", "4", "--t", "1/2", "--boundary-file", ""],
+            NEEDS_FILE_SET,
+        ),
+        (["enumerate", "--mode", "cyclic", "--r-max", "4", "--t", "1/2", "--out", ""], _open_error("")),
+    ],
+)
+def test_an_empty_option_value_is_not_its_default(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_parser_is_not_built_at_import():
-    probe = "import toricmld.cli as c; print(c._parser.cache_info().currsize)"
+    probe = (
+        "import toricmld.cli as c; "
+        "print(c._parser.cache_info().currsize, c._commands.cache_info().currsize)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -199,7 +303,7 @@ def test_parser_is_not_built_at_import():
         timeout=60,
         env={**os.environ, "PYTHONPATH": SRC},
     )
-    assert proc.stdout == "0\n", proc.stderr
+    assert proc.stdout == "0 0\n", proc.stderr
 
 
 def test_checks_survive_python_O(tmp_path):

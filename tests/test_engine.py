@@ -24,7 +24,6 @@ from toricmld.lattices import (
     contains,
     dual,
     in_cone,
-    is_primitive,
     lattice_from_generators,
     lattice_from_quotient_type,
     points_in_box,
@@ -32,7 +31,7 @@ from toricmld.lattices import (
 )
 from toricmld.oracle import mld_oracle_lattice
 
-from conftest import dot, fraction_case_data
+from conftest import dot, fraction_case_data, is_primitive
 
 FIFTH = lattice_from_quotient_type(5, 1, 1)
 

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from toricmld.germs import mld_argmin_lattice, mld_lattice
+from toricmld.germs import make_germ, mld_argmin_lattice, mld_lattice
 from toricmld.lattices import (
+    E1,
+    E2,
     STANDARD_LATTICE,
     _scaled_covector,
     _split_scaled,
@@ -22,7 +24,6 @@ from toricmld.lattices import (
     dual,
     format_rational,
     index,
-    is_primitive,
     lattice_from_generators,
     lattice_from_quotient_type,
     parse_rational,
@@ -36,7 +37,7 @@ from toricmld.lattices import (
 from toricmld.oracle import mld_oracle_lattice
 from toricmld.records import lattice_to_json
 
-from conftest import dot
+from conftest import dot, is_primitive
 
 
 def test_rational_grammar_accepts():
@@ -236,6 +237,45 @@ def test_is_primitive():
         is_primitive(STANDARD_LATTICE, (0, 0))
     with pytest.raises(ValueError):
         is_primitive(STANDARD_LATTICE, (Fraction(1, 2), 0))
+
+
+def _make_germ_error(lat):
+    try:
+        make_germ(lat, 0, 0)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _primitivity_error(lat):
+    """The text `make_germ` must raise for a lattice holding the integer plane, by the definition."""
+    for name, e in (("e1", E1), ("e2", E2)):
+        if not is_primitive(lat, e):
+            return f"unit point {name} is not primitive in the germ lattice"
+    return None
+
+
+def test_make_germ_checks_primitivity_as_defined():
+    # make_germ reads primitivity off the Hermite normal form; the reference
+    # solves for Fraction coordinates. Quotients with weights not coprime to
+    # r make e1, e2 or both imprimitive at orders up to 2000.
+    rng = random.Random(2028)
+    quotients = []
+    for _ in range(600):
+        r = rng.randint(1, 2000)
+        point = (Fraction(rng.randrange(r), r), Fraction(rng.randrange(r), r))
+        quotients.append(lattice_from_generators([E1, E2, point]))
+    seen = defaultdict(int)
+    for lat in [*superlattices(40), *quotients]:
+        expected = _primitivity_error(lat)
+        assert _make_germ_error(lat) == expected, lat
+        seen[expected] += 1
+    assert len(seen) == 3 and min(seen.values()) > 50, seen
+
+    for lat in sublattices_of_standard(6):
+        assert _make_germ_error(lat) == "lattice does not contain the integer plane"
+    half = Fraction(1, 2)
+    assert make_germ(STANDARD_LATTICE, half, 1).b1 is half
 
 
 def test_points_in_box_against_brute_force():

@@ -38,7 +38,6 @@ from toricmld.lattices import (
     Vec2,
     _scaled_covector,
     dual,
-    is_primitive,
     klein_sail,
     lattice_from_generators,
     lattice_from_quotient_type,
@@ -46,6 +45,8 @@ from toricmld.lattices import (
     vec,
 )
 from toricmld.oracle import mld_oracle_lattice
+
+from conftest import is_primitive
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SEEDED = settings(
