@@ -31,6 +31,7 @@ from .germs import (
     CaseTag,
     Germ,
     Minimum,
+    _fraction,
     boundary_pair,
     case_analysis_lattice,
     germ_psi,
@@ -527,36 +528,32 @@ def _cyclic_forms(
     for each boundary pair (b1, b2) of the sweep, psi = (c1, c2)/s =
     (p1, p2) = (1 - b1, 1 - b2) in that chain's coordinates and whether
     the chain's germ at that pair has its minimum below t. Let
-    N = 1/r(1, w) be the chain and C = 1/R(1, r), R = c*r - w with
-    c >= 2, its child; for a psi, v(L) is the least pairing over the
-    open quadrant points of L.
-      (i) v(C) <= (p1 + r*p2)/R, the value at the point (1, r)/R of C.
-      (ii) If p2 = 0 or p1 <= p2*(R - r), then v(C) <= v(N). Proof: from
-        its second point on, C's sail u'_1 = (1, r)/R, u'_2 = (c, w)/R,
-        ... is the image of N's sail u_0, u_1, ... under the linear map
-        T with T(0, 1) = (1, r)/R and T((1, w)/r) = (c, w)/R: both
-        sequences satisfy u_{i-1} + u_{i+1} = c_i*u_i with N's entries.
-        T fixes (1, 0), so psi∘T = (p1, a) with a = (p1 + r*p2)/R.
-        Sail points have y >= 0, and a <= p2 exactly when
-        p1 <= p2*(R - r); then psi(T(u)) <= psi(u) for every sail point
-        u of N, and the interior points u_1, ..., u_k of N, where v(N)
-        is taken, map to interior points of C. When p2 = 0,
-        v(N) = p1/r and v(C) = p1/R. For the order-1 root (r = 1), (i)
-        gives v(C) <= (p1 + p2)/c <= p1 + p2 = v(N).
-      (iii) The slack R - r never shrinks down a chain: the grandchild
-        R' = c'*R - r has slack R' - R = (c' - 1)*R - r >= R - r.
-    Rule: skip C when, for every boundary pair of the sweep, both
-    p2 = 0 or p1 <= p2*(R - r), and N's germ there is below t or
-    p1 + r*p2 < t*R. Then C is below t at every pair, by (ii) or by (i);
-    by (iii) its children meet the first condition, and C's being below
-    t meets the second, so by induction every chain below C is below t
-    at every pair as well. Both conditions hold for every R from some
-    least R on (cross-multiplied in integers: R >= r + ceil(c1/c2), and
-    R > (c1 + r*c2)*td/(tn*s)), and R grows with c, so the rule cuts
-    each chain's list of children at one entry. Only germs below t at
-    every pair are skipped, so each germ that reaches t at some pair
-    is reached at the same place and in the same order: if the swap of
-    a chain is skipped, the chain's own germs are below t too.
+    N = 1/r(1, w) be the chain, the order-1 root (1, 0) included, and
+    C = 1/R(1, r), R = c*r - w with c >= 2, its child, so R > r; for a
+    psi, v(L) is the least pairing over the open quadrant points of L.
+    Lemma: v(C) <= min(v(N), (p1 + r*p2)/R) for every psi >= 0.
+    Proof: (1, r)/R is an open quadrant point of C, which gives the
+    second bound. The linear map T fixing (1, 0) with
+    T(0, 1) = (1, r)/R maps the open quadrant into itself, and N into
+    C, as T((1, w)/r) = (c, w)/R = c*(1, r)/R - (0, 1). For u = (x, y),
+    psi.T(u) = psi.u + y*(p1 - (R - r)*p2)/R. So if
+    p1 <= (R - r)*p2, then psi.T(u) <= psi.u at each open quadrant
+    point u of N, and v(C) <= v(N). Otherwise psi = q*(1, 0) + p2*m
+    with q > 0 and m = (R - r, 1), a covector of N's dual, as
+    m.(1, w)/r = c - 1. Its entries are positive, so m.u >= 1 at each
+    open quadrant point u of N, whose first coordinate x is at least
+    1/r > 1/R; by linearity psi.(1, r)/R = q/R + p2 <= psi.u, and again
+    v(C) <= v(N).
+    Rule: skip C when, at every boundary pair of the sweep, N's germ is
+    below t or p1 + r*p2 < t*R. Then C is below t at every pair by the
+    lemma, and so, applying the lemma down the chains, is every chain
+    below C. The bound p1 + r*p2 < t*R holds for every R from some
+    least R on (cross-multiplied in integers: R > (c1 + r*c2)*td/(tn*s)),
+    and R grows with c, so the rule cuts each chain's list of children
+    at one entry. Only germs below t at every pair are skipped, so each
+    germ that reaches t at some pair is reached at the same place and
+    in the same order: if the swap of a chain is skipped, the chain's
+    own germs are below t too.
     """
     if r_max < 1:
         raise ValueError(f"order bound must be a positive integer: {r_max}")
@@ -577,8 +574,6 @@ def _cyclic_forms(
         tn, td = t
         least = 0
         for (s, c1, c2), below in outcomes():
-            if c2:
-                least = max(least, r - (-c1 // c2))
             if not below:
                 least = max(least, (c1 + r * c2) * td // (tn * s) + 1)
         return least
@@ -674,11 +669,6 @@ def classify_germ_record(
     return ClassifiedGerm(germ, t, minimum.value, cert, series)
 
 
-def _fraction(b) -> Rational:
-    """b as a `Fraction`, the same object when it is one already."""
-    return b if isinstance(b, Fraction) else Fraction(b)
-
-
 # One germ of `_germ_stream`: lattice, boundary pair, psi, minimum, below t.
 _StreamGerm = tuple[Lattice, tuple[Rational, Rational], Scaled, Optional[Minimum], bool]
 
@@ -737,10 +727,18 @@ def _germ_stream(
         # the same canonical lattice: the swap's when the swap comes first,
         # else the form's own (order 0 means the two forms are equal). Its
         # lattice is built with the first germ. A germ first reached at the
-        # swap form keeps the outcome found there.
+        # swap form keeps the outcome found there. A form and its swap have
+        # the same index (D/a)*(D/d), and both form sources yield forms by
+        # nondecreasing index, so the keys of one index are dropped when
+        # the next index begins.
         seen: dict[tuple[_Form, int], bool] = {}
+        seen_index = 1
         minimum = None
         for form, swap, order in forms:
+            denom, a, _, d = form
+            n = (denom // a) * (denom // d)
+            if n != seen_index:
+                seen, seen_index = {}, n
             canon = swap if order > 0 else form
             lat = None
             for i, pair, own, psi, swapped, other, swapped_psi, least in plan:
@@ -804,11 +802,12 @@ def enumerate_germs(
     germs need not be classified at all: without include_not_tlc, a
     cyclic sweep walks only the lattices within Borisov's excess bound
     (2 - b1 - b2 - 2t)/t of some boundary pair, outside which no germ
-    reaches t, and skips the chains below a chain whose germs are
-    proven, with its children's, to lie below t at every pair (proofs
-    in `_cyclic_forms`). The threshold, the mode and the boundary pairs
-    are checked on the call, before the first record; so is the size
-    of the series lists (`series_membership_lattice`).
+    reaches t, and skips each chain proven to lie below t at every pair
+    with all the chains below it, since a child chain's mld never
+    exceeds its parent's (proofs in `_cyclic_forms`). The threshold,
+    the mode and the boundary pairs are checked on the call, before the
+    first record; so is the size of the series lists
+    (`series_membership_lattice`).
     """
     t = positive_threshold(Fraction(t))
     tn, td = ratio = t.numerator, t.denominator

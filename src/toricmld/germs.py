@@ -86,6 +86,7 @@ def boundary_pair(b1: Rational, b2: Rational) -> tuple[Rational, Rational]:
 
 
 def _fraction(b) -> Fraction:
+    """b as a `Fraction`, the same object when it is one already."""
     return b if isinstance(b, Fraction) else Fraction(b)
 
 

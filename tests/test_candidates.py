@@ -9,15 +9,16 @@ same examples. The pruned cyclic sweep, which walks Hirzebruch-Jung
 chains under Borisov's excess bound and skips the chains below one
 proven to fail every boundary pair, is checked against the full
 stream: its lattices are those within the budget, in the same order,
-and its germs are those that reach the threshold. The three facts the
-skip rests on are checked against the oracle. A sweep does its
-lattice work once per lattice and builds psi once per boundary pair;
-it encodes each part of its records once, and `verify` parses each
-distinct literal once.
+and its germs are those that reach the threshold. The lemma the skip
+rests on is checked against the oracle. A sweep does its lattice work
+once per lattice and builds psi once per boundary pair; it encodes
+each part of its records once, and `verify` parses each distinct
+literal once.
 """
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -173,10 +174,15 @@ ONES = [
 ]
 
 
+# (0, 5/6) has p1 = 1 > (R - r)*p2 whenever R - r < 6; the skip rule
+# once required p1 <= (R - r)*p2 at every pair, and cut less here.
+SMALL_P2 = [*ASYMMETRIC, (Fraction(0), Fraction(5, 6))]
+
+
 @pytest.mark.parametrize(
     "boundaries, bound",
-    [(ZERO, 300), (STANDARD, 30), (ASYMMETRIC, 120), (ONES, 120)],
-    ids=["zero", "standard", "asymmetric", "ones"],
+    [(ZERO, 300), (STANDARD, 30), (ASYMMETRIC, 120), (ONES, 120), (SMALL_P2, 120)],
+    ids=["zero", "standard", "asymmetric", "ones", "small-p2"],
 )
 def test_pruned_sweep_keeps_every_germ_reaching_the_threshold(monkeypatch, boundaries, bound):
     # The claim is about which germs the sweep reaches, so each germ is
@@ -218,6 +224,30 @@ def test_cyclic_sweep_classifies_few_germs_below_the_threshold(monkeypatch):
     assert _minima(monkeypatch, 1000, half, ZERO) == (2246, 1750)
     # --include-not-tlc has no budget: all 303 candidates are classified.
     assert _minima(monkeypatch, 40, half, ZERO, include_not_tlc=True) == (303, 303)
+    # The standard set's 36 pairs: 20,223 germs classified while the rule
+    # also asked p1 <= (R - r)*p2 at every pair, 12,348 without.
+    assert _minima(monkeypatch, 150, half, STANDARD) == (12348, 659)
+
+
+def _peak(germs):
+    """tracemalloc's peak, in bytes, while the germs are drawn one by one."""
+    tracemalloc.start()
+    try:
+        for _ in germs:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_germ_stream_keeps_dedupe_keys_for_one_index_at_a_time():
+    # A germ and its swap have the same index, so the stream forgets the
+    # keys of an index once the next begins. Keeping every key, the plain
+    # r <= 300 stream (14,307 germs) peaked at 2.2 MB and the pruned
+    # t = 1/2, r <= 2000 sweep (3,500 records) at 0.65 MB; now they peak
+    # at about 16 KB and 0.11 MB.
+    assert _peak(candidate_germs("cyclic", 300)) < 100_000
+    assert _peak(enumerate_germs("cyclic", 2000, Fraction(1, 2))) < 300_000
 
 
 BOUNDARY_VALUES = [Fraction(n, 6) for n in (0, 2, 3, 4, 5, 6)]  # 0, 1/3, 1/2, 2/3, 5/6, 1
@@ -225,10 +255,10 @@ BOUNDARY_VALUES = [Fraction(n, 6) for n in (0, 2, 3, 4, 5, 6)]  # 0, 1/3, 1/2, 2
 
 @st.composite
 def _chains(draw):
-    """A chain 1/r(1, w), r < 70 (the order-1 root as (1, 0)), and c, c' >= 2."""
+    """A chain 1/r(1, w), r < 70 (the order-1 root as (1, 0)), and c >= 2."""
     r = draw(st.integers(1, 69))
     w = draw(st.sampled_from([w for w in range(r) if math.gcd(w, r) == 1]))
-    return r, w, draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    return r, w, draw(st.integers(2, 5))
 
 
 def _value(r, w, psi):
@@ -237,33 +267,32 @@ def _value(r, w, psi):
 
 
 def test_skip_rule_lemmas_hold_against_the_oracle():
-    # (i) v(C) <= (p1 + r*p2)/R; (ii) v(C) <= v(N) when p2 = 0 or
-    # p1 <= p2*(R - r); (iii) the grandchild's slack is at least R - r
-    # (see certify._cyclic_forms), for N = 1/r(1, w), C = 1/R(1, r),
-    # R = c*r - w.
+    # v(C) <= min(v(N), (p1 + r*p2)/R) for N = 1/r(1, w), C = 1/R(1, r),
+    # R = c*r - w and every psi >= 0 (see certify._cyclic_forms). The
+    # draws reach both halves of its proof, p1 <= (R - r)*p2 and not,
+    # including psi with p2 > 0 in the second, which the rule once left out.
     reached = set()
 
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(_chains(), st.sampled_from(BOUNDARY_VALUES), st.sampled_from(BOUNDARY_VALUES))
     def check(chain, b1, b2):
-        r, w, c, c_next = chain
+        r, w, c = chain
         big_r = c * r - w
         p1, p2 = 1 - b1, 1 - b2
         psi = scaled_psi((b1.numerator, b1.denominator), (b2.numerator, b2.denominator))
         child = _value(big_r, r, psi)
         assert child <= (p1 + r * p2) / big_r
-        holds = p2 == 0 or p1 <= p2 * (big_r - r)
-        if holds:
-            assert child <= _value(r, w, psi)
-        grandchild = c_next * big_r - r
-        assert grandchild - big_r >= big_r - r
+        assert child <= _value(r, w, psi)
         cases = {
-            "p2 = 0": p2 == 0, "psi = 0": p1 == p2 == 0, "(ii) false": not holds, "root": r == 1
+            "p2 = 0": p2 == 0,
+            "psi = 0": p1 == p2 == 0,
+            "p1 > (R - r)*p2 > 0": p1 > (big_r - r) * p2 > 0,
+            "root": r == 1,
         }
         reached.update(name for name, hit in cases.items() if hit)
 
     check()
-    assert reached == {"p2 = 0", "psi = 0", "(ii) false", "root"}
+    assert reached == {"p2 = 0", "psi = 0", "p1 > (R - r)*p2 > 0", "root"}
 
 
 def test_sweep_does_lattice_work_once_per_lattice(monkeypatch, tmp_path):

@@ -1188,6 +1188,20 @@ def test_enumerate_include_not_tlc(capsys):
     )
 
 
+def test_enumerate_walks_no_chain_when_only_the_root_can_reach_t(capsys):
+    # At t = 2 and the zero boundary, Borisov's budget (2 - 2t)/t is -1:
+    # the walk yields the order-1 lattice, whose mld is 2, and pushes no
+    # child, however large the order bound.
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "enumerate", "--mode", "cyclic", "--r-max", "1000000000000", "--t", "2"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    [record] = [json.loads(line) for line in out.splitlines()]
+    assert (record["germ"]["type"], record["mld"]) == ([1, 0, 0], "2")
+
+
 def test_lawrence_sweep_verifies(capsys, tmp_path):
     # The index <= 10 sweep holds pair (equals_intersection) records; index <= 3 none.
     for index_max in (3, 10):
@@ -1274,7 +1288,8 @@ _CLASSIFY = (
 # taken before the lattice core moved to integers (the complement and
 # p/q = 2/5 entries: before the lawrence and complement checkers were
 # shared with `verify`; the cyclic sweeps without --include-not-tlc:
-# before they walked Hirzebruch-Jung chains; the unreduced complement
+# before they walked Hirzebruch-Jung chains, and the standard-set one
+# while the skip rule still asked p1 <= (R - r)*p2; the unreduced complement
 # ratios: when p/q was first reduced, equal to the --p 1 --q 3 record
 # but for p and q; the classify list: before the case analysis moved to
 # integers; the zero-psi mld: before `residues` listed the quotient by
@@ -1355,6 +1370,10 @@ PINNED_SWEEPS = [
         "8356cb7260b102f16a053684162f4445b9f8ba3a3e9d97011096450620abdc94",
     ),
     (
+        "enumerate --mode cyclic --r-max 150 --t 1/2 --boundary-set standard",
+        "67d690cd768f26df9f9fa72c7825db5d8be0bbef4607718cb11e7fdf1e94ea1f",
+    ),
+    (
         "classify --type 3,1,1 --t 2/3",
         "536d2e6916a384ac1f04d06d3c49bec05c8ecef73ece4a915de63ff43f3406c1",
     ),
@@ -1390,5 +1409,5 @@ def test_optimized_ci_step_checks_pinned_digests():
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     text = workflow.read_text(encoding="utf-8")
     digests = re.findall(r"\b[0-9a-f]{64}\b", text)
-    assert "python -O -m toricmld" in text and len(digests) == 9
+    assert "python -O -m toricmld" in text and len(digests) == 10
     assert set(digests) <= {digest for _, digest in PINNED_SWEEPS}
