@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Generator, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import VerificationFailure
 from .germs import (
@@ -462,6 +462,8 @@ def series_certificate_log(
 
 # The integer form (D, a, b, d) of a lattice, see `Lattice.hnf`.
 _Form = tuple[int, int, int, int]
+# (form, swap form, order) entries; a budgeted cyclic walk takes cuts by `send`.
+_Walk = Generator[tuple[_Form, _Form, int], Optional[int], None]
 
 
 class ClassifiedGerm(NamedTuple):
@@ -482,12 +484,7 @@ class ClassifiedGerm(NamedTuple):
         return Fraction(*self.value)
 
 
-def _cyclic_forms(
-    r_max: int,
-    budget: Optional[int] = None,
-    t: Optional[Ratio] = None,
-    outcomes: Optional[Callable[[], Iterable[tuple[Scaled, bool]]]] = None,
-) -> Iterator[tuple[_Form, _Form, int]]:
+def _cyclic_forms(r_max: int, budget: Optional[int] = None) -> _Walk:
     """(form, swap form, order) for each cyclic lattice 1/r(1, w), r <= r_max.
 
     The form of 1/r(1, w) is the integer basis (r, 1, w, r) of
@@ -521,16 +518,18 @@ def _cyclic_forms(
     the order above. Each entry c adds c - 2 to the excess, so only
     runs of 2s grow without limit.
 
-    With a budget, a threshold t = (tn, td) > 0 and `outcomes`, the walk
-    also skips every chain proven to lie below t at every boundary pair
-    of the sweep, with all the chains below it. `outcomes()` is called
-    once the germs of the chain last yielded are decided; it returns,
-    for each boundary pair (b1, b2) of the sweep, psi = (c1, c2)/s =
-    (p1, p2) = (1 - b1, 1 - b2) in that chain's coordinates and whether
-    the chain's germ at that pair has its minimum below t. Let
-    N = 1/r(1, w) be the chain, the order-1 root (1, 0) included, and
-    C = 1/R(1, r), R = c*r - w with c >= 2, its child, so R > r; for a
-    psi, v(L) is the least pairing over the open quadrant points of L.
+    With a budget, the walk also takes a cut from `send`: the value sent
+    after the chain 1/r(1, w) is yielded is an order R, and the walk
+    pushes none of that chain's children 1/R'(1, r), R' = c*r - w, with
+    R' >= R. Plain iteration sends None, which cuts nothing beyond the
+    budget; without a budget, sent values are ignored. `_germ_stream`
+    sends the cut of the skip rule below, which keeps every germ that
+    reaches t.
+
+    Let N = 1/r(1, w) be the chain, the order-1 root (1, 0) included,
+    and C = 1/R(1, r), R = c*r - w with c >= 2, its child, so R > r;
+    for psi = (p1, p2) = (1 - b1, 1 - b2), v(L) is the least pairing
+    over the open quadrant points of L.
     Lemma: v(C) <= min(v(N), (p1 + r*p2)/R) for every psi >= 0.
     Proof: (1, r)/R is an open quadrant point of C, which gives the
     second bound. The linear map T fixing (1, 0) with
@@ -547,13 +546,14 @@ def _cyclic_forms(
     Rule: skip C when, at every boundary pair of the sweep, N's germ is
     below t or p1 + r*p2 < t*R. Then C is below t at every pair by the
     lemma, and so, applying the lemma down the chains, is every chain
-    below C. The bound p1 + r*p2 < t*R holds for every R from some
-    least R on (cross-multiplied in integers: R > (c1 + r*c2)*td/(tn*s)),
-    and R grows with c, so the rule cuts each chain's list of children
-    at one entry. Only germs below t at every pair are skipped, so each
-    germ that reaches t at some pair is reached at the same place and
-    in the same order: if the swap of a chain is skipped, the chain's
-    own germs are below t too.
+    below C. With psi = (c1, c2)/s and t = tn/td, the bound
+    p1 + r*p2 < t*R holds exactly for R > (c1 + r*c2)*td/(tn*s), and R
+    grows with c, so the rule cuts each chain's list of children at one
+    order: the least R past that bound over the pairs where N's germ
+    reaches t, and 0 when there is none. Only germs below t at every
+    pair are skipped, so each germ that reaches t at some pair is
+    reached at the same place and in the same order: if the swap of a
+    chain is skipped, the chain's own germs are below t too.
     """
     if r_max < 1:
         raise ValueError(f"order bound must be a positive integer: {r_max}")
@@ -562,32 +562,23 @@ def _cyclic_forms(
         w_swap = pow(w, -1, r)
         return (r, 1, w, r), (r, 1, w_swap, r), (w > w_swap) - (w < w_swap)
 
-    def forms() -> Iterator[tuple[_Form, _Form, int]]:
+    def forms() -> _Walk:
         yield (1, 1, 0, 1), (1, 1, 0, 1), 0
         for r in range(2, r_max + 1):
             for w in range(1, r):
                 if math.gcd(w, r) == 1:
                     yield forms_of(r, w)
 
-    def failing_from(r: int) -> int:
-        # The least R from which the rule skips the children 1/R(1, r).
-        tn, td = t
-        least = 0
-        for (s, c1, c2), below in outcomes():
-            if not below:
-                least = max(least, (c1 + r * c2) * td // (tn * s) + 1)
-        return least
-
-    def chains(budget: int) -> Iterator[tuple[_Form, _Form, int]]:
+    def chains(budget: int) -> _Walk:
         # Entries (r, w, excess), the root (1, 0, 0) being the empty chain;
         # its forms are the order-1 ones, as pow(0, -1, 1) == 0.
         heap = [(1, 0, 0)]
         while heap:
             r, w, excess = heapq.heappop(heap)
-            yield forms_of(r, w)
+            cut = yield forms_of(r, w)
             c_max = min(budget - excess + 2, (r_max + w) // r)
-            if outcomes is not None:
-                c_max = min(c_max, (failing_from(r) - 1 + w) // r)
+            if cut is not None:
+                c_max = min(c_max, (cut - 1 + w) // r)
             for c in range(2, c_max + 1):
                 heapq.heappush(heap, (c * r - w, r, excess + c - 2))
 
@@ -596,7 +587,7 @@ def _cyclic_forms(
     return chains(budget)
 
 
-def _swap_forms(lattices: Iterable[Lattice]) -> Iterator[tuple[_Form, _Form, int]]:
+def _swap_forms(lattices: Iterable[Lattice]) -> _Walk:
     """(form, swap form, order) for each lattice: one `swapped_lattice` per lattice."""
     for lat in lattices:
         swap = swapped_lattice(lat)
@@ -670,30 +661,30 @@ def classify_germ_record(
 
 
 # One germ of `_germ_stream`: lattice, boundary pair, psi, minimum, below t.
-_StreamGerm = tuple[Lattice, tuple[Rational, Rational], Scaled, Optional[Minimum], bool]
+_StreamGerm = tuple[Lattice, tuple[Rational, Rational], Scaled, Minimum, bool]
 
 
 def _germ_stream(
     mode: str,
     bound: int,
     boundaries: Sequence[tuple[Rational, Rational]],
-    budget: Optional[int] = None,
-    t: Optional[Ratio] = None,
+    t: Ratio,
+    prune: bool,
 ) -> Iterator[_StreamGerm]:
     """`candidate_germs` as (lattice, boundary pair, psi, minimum, below) tuples.
 
     psi is built once per boundary pair, and one `Lattice` object, which
-    keeps its Klein sails, serves every germ of a form. With a threshold
-    t = (tn, td) > 0, each germ comes with its `sail_minimum` and
-    whether that is below t, and a cyclic walk with a budget skips the
-    chains that `_cyclic_forms` proves to lie below t at every pair;
-    without one, the minimum is None and `below` False. The mode, the
-    bound and each boundary pair are checked on the call.
+    keeps its Klein sails, serves every germ of a form. Each germ comes
+    with its `sail_minimum` and whether that is below t = (tn, td) > 0.
+    With `prune`, the stream prunes a cyclic sweep, and nothing else
+    does: it walks the chains within Borisov's budget of some boundary
+    pair, and after each chain's germs it sends the walk the least child
+    order that the skip rule cuts (both proved in `_cyclic_forms`). The
+    mode, the bound and each boundary pair are checked on the call, in
+    that order.
     """
     if mode == "cyclic":
-        # The walk reads the outcomes from `psis` and `below_t`, set below.
-        read = None if t is None else lambda: zip(psis, below_t)
-        forms = _cyclic_forms(bound, budget, t, read)
+        forms = _cyclic_forms(bound)  # checks the bound before the pairs
     elif mode == "all":
         forms = _swap_forms(superlattices(bound))
     else:
@@ -711,15 +702,18 @@ def _germ_stream(
         return ids[pair]
 
     plan = []
-    for i, (b1, b2) in enumerate(boundaries):
+    for b1, b2 in boundaries:
         pair = boundary_pair(_fraction(b1), _fraction(b2))
         swapped = pair[::-1]
-        plan.append((i, pair, *entry(pair), swapped, *entry(swapped), pair <= swapped))
+        plan.append((pair, *entry(pair), swapped, *entry(swapped), pair <= swapped))
 
-    # psi of each boundary pair, and whether the last form's germ there is below t.
-    psis = [row[3] for row in plan]
-    below_t = [False] * len(plan)
-    tn, td = (0, 1) if t is None else t  # tn = 0: no threshold
+    tn, td = t
+    pruning = prune and mode == "cyclic"
+    if pruning:
+        # Borisov's budget floor((p1 + p2 - 2t)/t), p1 + p2 = (c1 + c2)/s,
+        # at the pair that allows the most.
+        budgets = (((c1 + c2) * td - 2 * tn * s) // (s * tn) for _, _, (s, c1, c2), *_ in plan)
+        forms = _cyclic_forms(bound, max(budgets, default=-1))
 
     def stream() -> Iterator[_StreamGerm]:
         # Keys are (integer form of the canonical lattice, boundary id), and
@@ -733,32 +727,39 @@ def _germ_stream(
         # the next index begins.
         seen: dict[tuple[_Form, int], bool] = {}
         seen_index = 1
-        minimum = None
-        for form, swap, order in forms:
+        cut = None
+        while True:
+            try:
+                form, swap, order = forms.send(cut)
+            except StopIteration:
+                return
             denom, a, _, d = form
             n = (denom // a) * (denom // d)
             if n != seen_index:
                 seen, seen_index = {}, n
             canon = swap if order > 0 else form
             lat = None
-            for i, pair, own, psi, swapped, other, swapped_psi, least in plan:
+            # The skip rule's cut below this chain (`_cyclic_forms`): the
+            # least child order past (c1 + denom*c2)*td/(tn*s), with the
+            # pair's own psi = (c1, c2)/s, at each pair where the chain's
+            # germ reaches t, else 0.
+            cut = 0 if pruning else None
+            for pair, own, psi, swapped, other, swapped_psi, least in plan:
                 if order < 0 or (order == 0 and least):
-                    key = (canon, own)
+                    key, at, at_psi = (canon, own), pair, psi
                 else:
-                    key, pair, psi = (canon, other), swapped, swapped_psi
+                    key, at, at_psi = (canon, other), swapped, swapped_psi
                 below = seen.get(key)
                 if below is None:
                     if lat is None:
                         lat = Lattice(hnf=canon)
-                    if tn:
-                        minimum = sail_minimum(lat, psi)
-                        vn, vd = minimum.value
-                        below = vn * td < tn * vd
-                    else:
-                        below = False
-                    seen[key] = below
-                    yield lat, pair, psi, minimum, below
-                below_t[i] = below
+                    minimum = sail_minimum(lat, at_psi)
+                    vn, vd = minimum.value
+                    below = seen[key] = vn * td < tn * vd
+                    yield lat, at, at_psi, minimum, below
+                if pruning and not below:
+                    s, c1, c2 = psi
+                    cut = max(cut, (c1 + denom * c2) * td // (tn * s) + 1)
 
     return stream()
 
@@ -780,7 +781,7 @@ def candidate_germs(
     bound and each boundary pair are checked on the call, before the
     first germ.
     """
-    stream = _germ_stream(mode, bound, boundaries)
+    stream = _germ_stream(mode, bound, boundaries, (1, 1), prune=False)
     return (Germ(lat, *pair) for lat, pair, *_ in stream)
 
 
@@ -799,30 +800,22 @@ def enumerate_germs(
     drop. No per-germ step builds a rational: the threshold is reduced
     once, psi is built once per boundary pair, and the sails and the
     series list once per lattice (see `_germ_stream`). Most withheld
-    germs need not be classified at all: without include_not_tlc, a
-    cyclic sweep walks only the lattices within Borisov's excess bound
-    (2 - b1 - b2 - 2t)/t of some boundary pair, outside which no germ
-    reaches t, and skips each chain proven to lie below t at every pair
-    with all the chains below it, since a child chain's mld never
-    exceeds its parent's (proofs in `_cyclic_forms`). The threshold,
-    the mode and the boundary pairs are checked on the call, before the
-    first record; so is the size of the series lists
+    germs need not be classified at all: without include_not_tlc, the
+    stream prunes a cyclic sweep. It walks only the lattices within
+    Borisov's excess bound (2 - b1 - b2 - 2t)/t of some boundary pair,
+    outside which no germ reaches t, and skips each chain proven to lie
+    below t at every pair with all the chains below it, since a child
+    chain's mld never exceeds its parent's (`_germ_stream` decides
+    both, `_cyclic_forms` has the proofs). The threshold, the mode and
+    the boundary pairs are checked on the call, before the first
+    record; so is the size of the series lists
     (`series_membership_lattice`).
     """
     t = positive_threshold(Fraction(t))
     tn, td = ratio = t.numerator, t.denominator
     # The order-1 lattice, first in every stream, has the longest series list.
     _check_series_size(t, td // tn, 1, 1)
-    budget = None
-    if not include_not_tlc:
-        # floor((2 - b1 - b2 - 2t)/t) for b_i = n_i/d_i, over the common denominator.
-        budget = -1
-        for b1, b2 in boundaries:
-            b1, b2 = _fraction(b1), _fraction(b2)
-            (n1, d1), (n2, d2) = (b1.numerator, b1.denominator), (b2.numerator, b2.denominator)
-            room = (2 * d1 * d2 - n1 * d2 - n2 * d1) * td - 2 * tn * d1 * d2
-            budget = max(budget, room // (d1 * d2 * tn))
-    stream = _germ_stream(mode, bound, boundaries, budget, ratio)
+    stream = _germ_stream(mode, bound, boundaries, ratio, prune=not include_not_tlc)
 
     def records() -> Iterator[ClassifiedGerm]:
         # The series list of the last lattice that kept a germ.

@@ -9,11 +9,11 @@ same examples. The pruned cyclic sweep, which walks Hirzebruch-Jung
 chains under Borisov's excess bound and skips the chains below one
 proven to fail every boundary pair, is checked against the full
 stream: its lattices are those within the budget, in the same order,
-and its germs are those that reach the threshold. The lemma the skip
-rests on is checked against the oracle. A sweep does its lattice work
-once per lattice and builds psi once per boundary pair; it encodes
-each part of its records once, and `verify` parses each distinct
-literal once.
+and its germs are those that reach the threshold. The walk takes each
+chain's cut by `send`. The lemma the skip rests on is checked against
+the oracle. A sweep does its lattice work once per lattice and builds
+psi once per boundary pair; it encodes each part of its records once,
+and `verify` parses each distinct literal once.
 """
 
 import json
@@ -159,6 +159,71 @@ def test_chain_walk_prunes():
     # 18,218 chains of excess at most 2 (t = 1/2, zero boundary) plus
     # the order-1 lattice, out of 304,192 forms with r <= 1000.
     assert sum(1 for _ in _cyclic_forms(1000, budget=2)) == 18_219
+
+
+def _drive(walk, cut_after):
+    """The walk's forms, sending cut_after(form) after each form it yields."""
+    got = []
+    try:
+        entry = next(walk)
+        while True:
+            got.append(entry)
+            entry = walk.send(cut_after(entry[0]))
+    except StopIteration:
+        return got
+
+
+def _parent(r, w):
+    """(r', w') for the chain 1/r'(1, w') whose child is 1/r(1, w): r' = w, r = c*w - w'."""
+    return w, -(-r // w) * w - r
+
+
+def test_chain_walk_takes_its_cut_by_send():
+    full = list(_cyclic_forms(60, budget=6))
+    # Nothing sent is plain iteration.
+    assert _drive(_cyclic_forms(60, budget=6), lambda form: None) == full
+    # A cut of 0 after the root pushes none of its children.
+    assert _drive(_cyclic_forms(60, budget=6), lambda form: 0) == full[:1]
+    # A cut of 20 after 1/7(1, 3) drops its children 1/R(1, 7) with
+    # R >= 20, and every chain below them, and nothing else.
+    cut = _drive(_cyclic_forms(60, budget=6), lambda form: 20 if form == (7, 1, 3, 7) else None)
+
+    def below_a_cut_child(r, w):
+        while r > 1:
+            if _parent(r, w) == (7, 3):
+                return r >= 20
+            r, w = _parent(r, w)
+        return False
+
+    # The children are 1/R(1, 7) for R = 11, 18, ..., 46 within the
+    # budget; 1/43(1, 25) and 1/57(1, 32) are grandchildren.
+    dropped = [f for f in full if below_a_cut_child(f[0][0], f[0][2])]
+    assert [(f[0][0], f[0][2]) for f in dropped] == [
+        (25, 7), (32, 7), (39, 7), (43, 25), (46, 7), (57, 32)
+    ]
+    assert cut == [f for f in full if f not in dropped]
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "all"])
+@pytest.mark.parametrize("include_not_tlc", [False, True])
+def test_a_sweep_over_no_boundary_pair_yields_nothing(mode, include_not_tlc):
+    assert list(candidate_germs(mode, 10, [])) == []
+    assert list(enumerate_germs(mode, 10, Fraction(1, 2), [], include_not_tlc)) == []
+
+
+@pytest.mark.parametrize(
+    "mode, message", [("cyclic", "order bound"), ("all", "index bound")]
+)
+@pytest.mark.parametrize("include_not_tlc", [False, True])
+def test_a_bound_below_one_is_reported_before_a_pair_out_of_range(mode, message, include_not_tlc):
+    bad = [(Fraction(3, 2), Fraction(0))]
+    expected = f"{message} must be a positive integer: 0"
+    with pytest.raises(ValueError, match=expected):
+        candidate_germs(mode, 0, bad)
+    with pytest.raises(ValueError, match=expected):
+        enumerate_germs(mode, 0, Fraction(1, 2), bad, include_not_tlc)
+    with pytest.raises(ValueError, match=r"b1 must lie in \[0, 1\]: 3/2"):
+        enumerate_germs(mode, 1, Fraction(1, 2), bad, include_not_tlc)
 
 
 THRESHOLDS = [Fraction(1), Fraction(1, 2), Fraction(2, 5)] + [Fraction(1, n) for n in range(3, 7)]

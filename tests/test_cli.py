@@ -160,6 +160,14 @@ def test_enumerate_rejects_a_bad_boundary_file(capsys, tmp_path, pairs, flags, m
     assert out_path.read_text() == "kept\n"
 
 
+def test_enumerate_reports_a_bound_below_one_before_a_pair_out_of_range(capsys, tmp_path):
+    path = tmp_path / "pairs.json"
+    path.write_text('[["3/2","0"]]')
+    argv = ("enumerate", "--mode", "cyclic", "--r-max", "0", "--t", "1/2",
+            "--boundary-set", "file", "--boundary-file", str(path))
+    assert run_cli(capsys, *argv) == (1, "", "error: order bound must be a positive integer: 0\n")
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -1409,5 +1417,5 @@ def test_optimized_ci_step_checks_pinned_digests():
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     text = workflow.read_text(encoding="utf-8")
     digests = re.findall(r"\b[0-9a-f]{64}\b", text)
-    assert "python -O -m toricmld" in text and len(digests) == 10
+    assert "python -O -m toricmld" in text and len(digests) == 11
     assert set(digests) <= {digest for _, digest in PINNED_SWEEPS}
