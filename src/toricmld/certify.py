@@ -32,6 +32,7 @@ from .germs import (
     Germ,
     Minimum,
     _fraction,
+    best_covector_lattice,
     boundary_pair,
     case_analysis_lattice,
     germ_psi,
@@ -290,7 +291,9 @@ def lawrence(lat: Lattice, p: int, q: int) -> LawrenceResult:
     subgroup is contained in its integrality locus, with the box-maximal
     multiple reported) or by an exact presentation of the subgroup as a
     joint integrality locus with small weights. The ratio p/q is reduced
-    before any use; the result passes `verify_lawrence_result`.
+    before any use; the result passes `verify_lawrence_result`. The
+    containment needs only the best covector (`best_covector_lattice`);
+    the case analysis's split runs only for a pair, reusing it.
     """
     t = simplex_ratio(p, q)
     index(lat)  # raises ValueError unless the lattice contains the integer plane
@@ -303,17 +306,18 @@ def lawrence(lat: Lattice, p: int, q: int) -> LawrenceResult:
         x, y = minimum.first
         result: LawrenceResult = Hit(vec(Fraction(x, denom), Fraction(y, denom)))
     else:
-        data = case_analysis_lattice(lat, psi, minimum)
-        gn, gd = data.gamma
+        covector = best_covector_lattice(lat, psi, minimum)
+        (gn, gd), v1 = covector
         if gn * q >= p * gd:
-            result = Contained(box_maximal(vec(*data.v1), 1 / t))
+            result = Contained(box_maximal(vec(*v1), 1 / t))
         else:
+            data = case_analysis_lattice(lat, psi, minimum, covector)
             k1, k2 = pair_weights(lat, data, p, q)
             if p == 1 and q > 1 and k1 + k2 == 2 * q:
                 # Saturated weights only happen with offset 0 and scale 2q,
                 # where the plain average of the pair already lands in the box.
                 k1 = k2 = 1
-            result = EqualsIntersection(vec(*data.v1), vec(*data.v2), k1, k2)
+            result = EqualsIntersection(vec(*v1), vec(*data.v2), k1, k2)
     outcome = verify_lawrence_result(lat, p, q, result)
     _checker(lat)(outcome.ok, f"verify_lawrence_result ({outcome.reason})")
     return result
@@ -603,10 +607,12 @@ def _certificate(
 ) -> Certificate:
     """The certificate at t = tn/td > 0 and psi = (c1, c2)/s, checked by `verify_certificate_scaled`.
 
-    NotTLC, its point reduced, when the minimum is below t; otherwise
-    the covector certificate, from `data` or a case analysis computed
-    here on the dual sail that `lat` keeps. VerificationFailure, naming
-    the lattice and psi, if the certificate fails its own check.
+    NotTLC, its point reduced, when the minimum is below t. Otherwise
+    the best covector, from `data` or read off the dual sail that `lat`
+    keeps (`best_covector_lattice`): CaseA when its scale gamma reaches
+    t, else the pair from `data` or from a case analysis computed here,
+    which reuses that covector. VerificationFailure, naming the lattice
+    and psi, if the certificate fails its own check.
     """
     (vn, vd), (tn, td) = minimum.value, t
     if vn * td < tn * vd:
@@ -616,8 +622,16 @@ def _certificate(
         cert: Certificate = NotTLC((denom // g, x // g, y // g), minimum.value)
     else:
         if data is None:
-            data = case_analysis_lattice(lat, psi, minimum)
-        cert = certificate_from_case_data(lat, data, psi, t)
+            covector = best_covector_lattice(lat, psi, minimum)
+        else:
+            covector = data.gamma, data.v1
+        (gn, gd), (vx, vy) = covector
+        if gn * td >= tn * gd:
+            cert = CaseA((1, vx, vy))
+        else:
+            if data is None:
+                data = case_analysis_lattice(lat, psi, minimum, covector)
+            cert = certificate_from_case_data(lat, data, psi, t)
     outcome = verify_certificate_scaled(lat, psi, t, cert)
     if not outcome.ok:
         _checker(lat, psi)(False, f"verify_certificate_lattice ({outcome.reason})")
@@ -639,11 +653,13 @@ def classify_germ_record(
     `minimum`, `data`, `psi` and `series` are the germ's `sail_minimum`,
     case analysis, `germ_psi` and `series_membership_lattice` at t when
     the caller already has them; a sweep passes one series list to all
-    germs of a lattice. The case analysis is computed only when the
-    certificate needs it, on the sails the germ's lattice keeps. A
-    `Fraction` threshold is used as it is, so a sweep builds none per
-    germ. Raises ValueError for a threshold that is not positive,
-    VerificationFailure if the certificate fails its own check.
+    germs of a lattice. Without `data`, the certificate reads only the
+    best covector when its scale reaches t, and computes the case
+    analysis's split only for a pair certificate (see `_certificate`),
+    on the sails the germ's lattice keeps. A `Fraction` threshold is
+    used as it is, so a sweep builds none per germ. Raises ValueError
+    for a threshold that is not positive, VerificationFailure if the
+    certificate fails its own check.
     """
     if not isinstance(t, Fraction):
         t = Fraction(t)
@@ -692,20 +708,23 @@ def _germ_stream(
 
     # Each boundary pair and its swap, with a small integer id for the
     # dedupe keys and its psi, and whether the pair is the least of the two.
-    ids: dict[tuple[Rational, Rational], tuple[int, Scaled]] = {}
+    # Ids are keyed by the reduced integers (n1, d1, n2, d2), and the pair
+    # is the least when b1 <= b2, that is n1*d2 <= n2*d1: no `Fraction` is
+    # hashed or compared. The plan keeps the `Fraction`s for the records.
+    ids: dict[tuple[int, int, int, int], tuple[int, Scaled]] = {}
 
-    def entry(pair: tuple[Rational, Rational]) -> tuple[int, Scaled]:
-        if pair not in ids:
-            b1, b2 = pair
-            psi = scaled_psi((b1.numerator, b1.denominator), (b2.numerator, b2.denominator))
-            ids[pair] = (len(ids), psi)
-        return ids[pair]
+    def entry(n1: int, d1: int, n2: int, d2: int) -> tuple[int, Scaled]:
+        key = (n1, d1, n2, d2)
+        if key not in ids:
+            ids[key] = (len(ids), scaled_psi((n1, d1), (n2, d2)))
+        return ids[key]
 
     plan = []
     for b1, b2 in boundaries:
-        pair = boundary_pair(_fraction(b1), _fraction(b2))
-        swapped = pair[::-1]
-        plan.append((pair, *entry(pair), swapped, *entry(swapped), pair <= swapped))
+        pair = b1, b2 = boundary_pair(_fraction(b1), _fraction(b2))
+        n1, d1, n2, d2 = b1.numerator, b1.denominator, b2.numerator, b2.denominator
+        own, swapped = entry(n1, d1, n2, d2), entry(n2, d2, n1, d1)
+        plan.append((pair, *own, (b2, b1), *swapped, n1 * d2 <= n2 * d1))
 
     tn, td = t
     pruning = prune and mode == "cyclic"
@@ -797,19 +816,21 @@ def enumerate_germs(
     Records with value below t are withheld unless include_not_tlc is
     set (those carry a NotTLC certificate). A withheld germ costs its
     minimum and the check of its NotTLC certificate, which guards the
-    drop. No per-germ step builds a rational: the threshold is reduced
-    once, psi is built once per boundary pair, and the sails and the
-    series list once per lattice (see `_germ_stream`). Most withheld
-    germs need not be classified at all: without include_not_tlc, the
-    stream prunes a cyclic sweep. It walks only the lattices within
-    Borisov's excess bound (2 - b1 - b2 - 2t)/t of some boundary pair,
-    outside which no germ reaches t, and skips each chain proven to lie
-    below t at every pair with all the chains below it, since a child
-    chain's mld never exceeds its parent's (`_germ_stream` decides
-    both, `_cyclic_forms` has the proofs). The threshold, the mode and
-    the boundary pairs are checked on the call, before the first
-    record; so is the size of the series lists
-    (`series_membership_lattice`).
+    drop. A kept germ whose best covector scale reaches t gets its
+    single-covector certificate straight off the dual sail; only a pair
+    certificate runs the adapted-basis split (`_certificate`). No
+    per-germ step builds a rational: the threshold is reduced once, psi
+    is built once per boundary pair, and the sails and the series list
+    once per lattice (see `_germ_stream`). Most withheld germs need not
+    be classified at all: without include_not_tlc, the stream prunes a
+    cyclic sweep. It walks only the lattices within Borisov's excess
+    bound (2 - b1 - b2 - 2t)/t of some boundary pair, outside which no
+    germ reaches t, and skips each chain proven to lie below t at every
+    pair with all the chains below it, since a child chain's mld never
+    exceeds its parent's (`_germ_stream` decides both, `_cyclic_forms`
+    has the proofs). The threshold, the mode and the boundary pairs are
+    checked on the call, before the first record; so is the size of the
+    series lists (`series_membership_lattice`).
     """
     t = positive_threshold(Fraction(t))
     tn, td = ratio = t.numerator, t.denominator

@@ -27,6 +27,7 @@ from .certify import (
 )
 from .germs import (
     Germ,
+    best_covector_lattice,
     case_analysis_lattice,
     gamma_max_lattice,
     gamma_of,
@@ -182,14 +183,15 @@ def is_standard_coefficient(b: Rational) -> bool:
 def complement_standard(germ: Germ, p: int, q: int) -> Complement:
     """Level-controlled complement for standard boundary coefficients.
 
-    Requires the germ's value to reach p/q. When the best covector
-    scale already reaches p/q, level q works directly. Otherwise the
-    adapted pair is recombined with integer weights; standardness of
-    the coefficients makes the needed quantities integral, and the
-    level is q*s with s at most 2q/p. The ratio p/q is reduced before
-    any use, so the level bound holds for the reduced q. The result
-    passes `verify_complement` at target p/q. Every step, the check
-    included, walks Klein sails: O(log index).
+    Requires the germ's value to reach p/q. When the best covector scale
+    already reaches p/q, level q works directly, and the case analysis
+    stops at the covector (`best_covector_lattice`). Otherwise its split
+    gives the adapted pair, which is recombined with integer weights;
+    standardness of the coefficients makes the needed quantities
+    integral, and the level is q*s with s at most 2q/p. The ratio p/q is
+    reduced before any use, so the level bound holds for the reduced q.
+    The result passes `verify_complement` at target p/q. Every step, the
+    check included, walks Klein sails: O(log index).
     """
     t = simplex_ratio(p, q)
     p, q = t.numerator, t.denominator
@@ -200,14 +202,15 @@ def complement_standard(germ: Germ, p: int, q: int) -> Complement:
     vn, vd = minimum.value
     if vn * q < p * vd:
         raise ValueError("the germ's value is below the target ratio")
-    data = case_analysis_lattice(germ.lattice, psi, minimum)
+    covector = best_covector_lattice(germ.lattice, psi, minimum)
     check = _checker(germ.lattice, psi)
 
-    (gn, gd), (v1x, v1y) = data.gamma, data.v1
+    (gn, gd), (v1x, v1y) = covector
     if gn * q >= p * gd:
         n, s = q, 1
         wx, wy = p * v1x, p * v1y
     else:
+        data = case_analysis_lattice(germ.lattice, psi, minimum, covector)
         k1, k2 = pair_weights(germ.lattice, data, p, q)
         s, rest = divmod(k1 + k2, p)
         check(rest == 0, "k1 + k2 == p*s")

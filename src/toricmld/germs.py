@@ -11,22 +11,24 @@ The minimum and its minimizers come from the Klein sail of the lattice
 (the boundary of the convex hull of its points in the quadrant), walked
 in O(log index) integer steps with collinear runs kept as arithmetic
 progressions, once per `Lattice` object, which keeps it for its germs;
-psi on an axis reads them off the Hermite normal form instead. The best single covector v1 and the scale gamma it
-supports come from the sail of the dual lattice the same way. When psi
-is interior, an adapted lattice basis whose slice interval
-(alpha, beta) controls everything else completes the case analysis,
-which works in the same integers and returns them: rationals as
-reduced (num, den) pairs, covectors as integer pairs (the dual of a
-superlattice of the integer plane lies in it) and lattice points over
-the common denominator D of the Hermite normal form. `Fraction`s are
-built only by the library functions of a germ (`mld`, `mld_argmin`)
-and by the lattice forms (`mld_lattice`, `mld_argmin_lattice`,
-`gamma_max_lattice`). Every derived identity is checked on the spot
-against the sail minimum and raises VerificationFailure, naming the
-lattice and psi, when it breaks. No step enumerates the quotient
-except to return it: the minimizers of zero psi are all of the
-representatives, which `residues` lists column by column off the
-Hermite normal form, with no set and no sort.
+psi on an axis reads them off the Hermite normal form instead. The best
+single covector v1 and the scale gamma it supports come from the sail
+of the dual lattice the same way (`best_covector_lattice`), which is
+all a single-covector certificate needs. When psi is interior, an
+adapted lattice basis whose slice interval (alpha, beta) controls
+everything else completes the case analysis (`case_analysis_lattice`),
+which the pair certificates read. Both work in the same integers and
+return them: rationals as reduced (num, den) pairs, covectors as
+integer pairs (the dual of a superlattice of the integer plane lies in
+it) and lattice points over the common denominator D of the Hermite
+normal form. `Fraction`s are built only by the library functions of a
+germ (`mld`, `mld_argmin`) and by the lattice forms (`mld_lattice`,
+`mld_argmin_lattice`, `gamma_max_lattice`). Every derived identity is
+checked on the spot against the sail minimum and raises
+VerificationFailure, naming the lattice and psi, when it breaks. No
+step enumerates the quotient except to return it: the minimizers of
+zero psi are all of the representatives, which `residues` lists column
+by column off the Hermite normal form, with no set and no sort.
 """
 
 from __future__ import annotations
@@ -419,30 +421,24 @@ class CaseData(NamedTuple):
     c: Optional[Ratio] = None
 
 
-def case_analysis_lattice(
-    lat: Lattice,
-    psi: Scaled,
-    minimum: Optional[Minimum] = None,
-) -> CaseData:
-    """Closed-form discrepancy data for a superlattice of the integer plane.
+# The head of the case analysis, (gamma, v1): the best covector scale as a
+# reduced (num, den) pair and the covector as an integer pair (the dual of
+# a superlattice of the integer plane lies in it).
+Covector = tuple[Ratio, tuple[int, int]]
 
-    psi = (c1, c2)/s. `minimum` is `sail_minimum(lat, psi)` when the
-    caller already has it; the best covector comes from the Klein sail
-    of `dual(lat)`, which `lat` keeps, so the lattice's germs share one
-    walk. Every derived identity is checked against that minimum; a
-    failure raises VerificationFailure, because it means the closed
-    forms disagree with each other, which is a bug, not bad input.
 
-    The analysis runs in integers and returns them (see `CaseData`).
-    With the best covector v1 = (vx, vy) and gamma = gn/gd
-    (`_best_covector`), and the split e1p = (e1x, e1y)/D,
-    e2p = (e2x, e2y)/D (`_split_scaled`): psi_prime =
-    gd*(c1*e2x + c2*e2y)/(gn*s*D), because v1 pairs e2p to 0;
-    v2 = (-e1y, e1x)*D/det with det = e1x*e2y - e1y*e2x; and the
-    residual psi - gamma*v1 = (r1, r2)/(s*gd). The slice interval
-    (alpha, beta) is where e1p + t*e2p lies in the open quadrant: each
-    coordinate with a positive step bounds t below, a negative one
-    above, and e1p is then shifted by floor(alpha) steps.
+def best_covector_lattice(lat: Lattice, psi: Scaled, minimum: Optional[Minimum] = None) -> Covector:
+    """(gamma, v1): the best single covector and its scale, checked against the minimum.
+
+    psi = (c1, c2)/s, nonzero, in the closed dual quadrant; `minimum` is
+    `sail_minimum(lat, psi)` when the caller already has it. v1 comes
+    from the Klein sail of `dual(lat)`, which `lat` keeps, so the
+    lattice's germs share one walk (`_best_covector`). Checks
+    gamma <= lam <= 2*gamma against the minimum lam and, for psi on an
+    axis, lam*v1 == psi; a failure raises VerificationFailure.
+
+    This is all a single-covector certificate at t <= gamma reads; the
+    split (`case_analysis_lattice`) is needed only for gamma < t.
     """
     s, c1, c2 = psi
     if c1 < 0 or c2 < 0:
@@ -458,16 +454,54 @@ def case_analysis_lattice(
     lam = ln, ld = minimum.value
     gn, gd, vx, vy, _ = _best_covector(dual_sail, s, c1, c2, lam, check)
     check(gn * ld <= ln * gd <= 2 * gn * ld, "gamma <= lam <= 2*gamma")
-    gamma = reduced(gn, gd)
-
     if not (c1 and c2):
         # Boundary psi: the best covector realizes psi exactly.
         check(
             ln * gd == gn * ld and vx * gn * s == c1 * gd and vy * gn * s == c2 * gd,
             "lam*v1 == psi",
         )
+    return reduced(gn, gd), (vx, vy)
+
+
+def case_analysis_lattice(
+    lat: Lattice,
+    psi: Scaled,
+    minimum: Optional[Minimum] = None,
+    covector: Optional[Covector] = None,
+) -> CaseData:
+    """Closed-form discrepancy data for a superlattice of the integer plane.
+
+    psi = (c1, c2)/s. `minimum` is `sail_minimum(lat, psi)` and
+    `covector` is `best_covector_lattice(lat, psi, minimum)` when the
+    caller already has them; a caller that needs the split only when
+    gamma < t reads the covector first and passes it on, so no sail is
+    scanned twice. Every derived identity is checked against the
+    minimum; a failure raises VerificationFailure, because it means the
+    closed forms disagree with each other, which is a bug, not bad input.
+
+    The analysis runs in integers and returns them (see `CaseData`).
+    With the best covector v1 = (vx, vy) and gamma = gn/gd, and the
+    split e1p = (e1x, e1y)/D, e2p = (e2x, e2y)/D (`_split_scaled`):
+    psi_prime = gd*(c1*e2x + c2*e2y)/(gn*s*D), because v1 pairs e2p to
+    0; v2 = (-e1y, e1x)*D/det with det = e1x*e2y - e1y*e2x; and the
+    residual psi - gamma*v1 = (r1, r2)/(s*gd). The slice interval
+    (alpha, beta) is where e1p + t*e2p lies in the open quadrant: each
+    coordinate with a positive step bounds t below, a negative one
+    above, and e1p is then shifted by floor(alpha) steps. For psi on an
+    axis the covector is the whole answer (BOUNDARY_PSI).
+    """
+    if minimum is None:
+        minimum = sail_minimum(lat, psi)
+    if covector is None:
+        covector = best_covector_lattice(lat, psi, minimum)
+    gamma, (vx, vy) = covector
+    s, c1, c2 = psi
+    ln, ld = minimum.value
+    if not (c1 and c2):
         return CaseData(CaseTag.BOUNDARY_PSI, gamma, (vx, vy), reduced(ln, ld))
 
+    check = _checker(lat, psi)
+    gn, gd = gamma
     denom = lat.hnf[0]
     e1x, e1y, e2x, e2y = _split_scaled(lat, 1, vx, vy)
     pn = c1 * e2x + c2 * e2y

@@ -29,15 +29,24 @@ from hypothesis import strategies as st
 import toricmld.certify
 import toricmld.germs
 import toricmld.records
-from toricmld.certify import ClassifiedGerm, _cyclic_forms, candidate_germs, enumerate_germs
+from toricmld.certify import (
+    ClassifiedGerm,
+    NotTLC,
+    _cyclic_forms,
+    candidate_germs,
+    certificate_from_case_data,
+    enumerate_germs,
+    lawrence,
+)
 from toricmld.cli import STANDARD_BOUNDARY_VALUES, main
-from toricmld.germs import germ_psi, sail_minimum, scaled_psi
+from toricmld.germs import case_analysis_lattice, germ_psi, sail_minimum, scaled_psi
 from toricmld.lattices import (
     E1,
     E2,
     Lattice,
     lattice_from_generators,
     sublattices_of_standard,
+    superlattices,
     swapped_lattice,
 )
 from toricmld.oracle import mld_oracle_scaled
@@ -292,6 +301,62 @@ def test_cyclic_sweep_classifies_few_germs_below_the_threshold(monkeypatch):
     # The standard set's 36 pairs: 20,223 germs classified while the rule
     # also asked p1 <= (R - r)*p2 at every pair, 12,348 without.
     assert _minima(monkeypatch, 150, half, STANDARD) == (12348, 659)
+
+
+def _splits(monkeypatch, run):
+    """(case_analysis_lattice calls, len(run())): how many certificates needed the split."""
+    calls = []
+    real = toricmld.certify.case_analysis_lattice
+
+    def counting(*call):
+        calls.append(call)
+        return real(*call)
+
+    monkeypatch.setattr(toricmld.certify, "case_analysis_lattice", counting)
+    size = len(run())
+    monkeypatch.undo()
+    return len(calls), size
+
+
+def test_only_pair_certificates_run_the_split(monkeypatch):
+    # A single-covector certificate comes straight off the dual sail; the
+    # adapted-basis split runs once per pair certificate, not once per
+    # classified germ (70, 1,750 and 314 on the three sweeps below).
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+
+    def mixed():
+        return list(enumerate_germs("all", 5, quarter, STANDARD, include_not_tlc=True))
+
+    assert _splits(monkeypatch, lambda: list(enumerate_germs("cyclic", 40, half))) == (1, 70)
+    assert _splits(monkeypatch, lambda: list(enumerate_germs("cyclic", 1000, half))) == (1, 1750)
+    assert _splits(monkeypatch, mixed) == (50, 546)
+    # lawrence at 1/2 splits only for its equals_intersection results, not
+    # for its 463 containments.
+    results = _splits(monkeypatch, lambda: [lawrence(lat, 1, 2) for lat in superlattices(60)])
+    assert results == (15, 3014)
+
+
+SPLIT_SWEEPS = [
+    ("all", 16, Fraction(1, 2), STANDARD, True),
+    ("all", 16, Fraction(1, 4), STANDARD, True),
+    ("cyclic", 200, Fraction(1, 2), ZERO, False),
+]
+
+
+@pytest.mark.parametrize("sweep", SPLIT_SWEEPS, ids=["all-16-half", "all-16-quarter", "cyclic-200"])
+def test_sweep_certificates_agree_with_the_full_case_analysis(sweep):
+    # Every covector certificate of the sweep is the one the full case
+    # analysis gives, so each split identity still runs on these germs.
+    checked = 0
+    for record in enumerate_germs(*sweep):
+        if isinstance(record.certificate, NotTLC):
+            continue
+        lat, psi, t = record.germ.lattice, germ_psi(record.germ), record.t
+        data = case_analysis_lattice(lat, psi, sail_minimum(lat, psi))
+        full = certificate_from_case_data(lat, data, psi, (t.numerator, t.denominator))
+        assert record.certificate == full, record.germ
+        checked += 1
+    assert checked
 
 
 def _peak(germs):

@@ -217,12 +217,26 @@ def test_lawrence_result_rejections(result, reason):
 
 def test_classify_tlc_lattice_checks_its_certificate(monkeypatch):
     # A forged covector certificate is caught by the same checker as the
-    # sweep's: VerificationFailure naming the lattice and psi.
-    monkeypatch.setattr(certify, "certificate_from_case_data", lambda *args: CaseA((1, 0, 0)))
+    # sweep's: VerificationFailure naming the lattice and psi. At t = 1/3
+    # = gamma the single covector comes straight off the covector step.
+    monkeypatch.setattr(certify, "best_covector_lattice", lambda *args: ((1, 3), (0, 0)))
     with pytest.raises(VerificationFailure) as failure:
         classify_tlc_lattice(FIFTH_GERM.lattice, vec(1, 1), Fraction(1, 3))
     assert str(failure.value) == (
         "verify_certificate_lattice (witness covector is zero)"
+        " fails for Lattice[(1/5,1/5), (0,1)] at psi (1,1)"
+    )
+
+
+def test_classify_tlc_lattice_checks_its_pair_certificate(monkeypatch):
+    # The twin for a pair: at gamma = 1/3 < t = 2/5 = mld the certificate
+    # comes from the split, and a forged dependent pair is caught the same way.
+    forged = CaseB((1, 2, 3), (1, 4, 6), (1, 5), (1, 5))
+    monkeypatch.setattr(certify, "certificate_from_case_data", lambda *args: forged)
+    with pytest.raises(VerificationFailure) as failure:
+        classify_tlc_lattice(FIFTH_GERM.lattice, vec(1, 1), Fraction(2, 5))
+    assert str(failure.value) == (
+        "verify_certificate_lattice (pair covectors are linearly dependent)"
         " fails for Lattice[(1/5,1/5), (0,1)] at psi (1,1)"
     )
 

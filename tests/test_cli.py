@@ -1304,9 +1304,10 @@ _CLASSIFY = (
 # its columns; the order-801 bounded complement: before its level and
 # covector were read off the dual sail; the order 10^12 + 39 bounded
 # complement: when its checker still ran the oracle, from the same
-# construction, which then refused it). Commands joined by "; " are
-# hashed as one concatenated stdout. A change to any record, its field
-# order or its formatting shows up here.
+# construction, which then refused it; the index <= 12 lawrence sweep at
+# 2/5: while every result still ran the case analysis's split). Commands
+# joined by "; " are hashed as one concatenated stdout. A change to any
+# record, its field order or its formatting shows up here.
 PINNED_SWEEPS = [
     (
         "enumerate --mode cyclic --r-max 60 --t 1/2 --boundary-set file --include-not-tlc",
@@ -1336,6 +1337,10 @@ PINNED_SWEEPS = [
     (
         "lawrence --index-max 12 --p 1 --q 2",
         "f12e0e708dd3cfa03cdd259b839a46979503a62f51787863cbe3d156c882ce9d",
+    ),
+    (
+        "lawrence --index-max 12 --p 2 --q 5",
+        "fb7f6b8a5fc1c45cfcd54f525cf5cf6e54594cd53b0d12b9fa242c028ee75492",
     ),
     (
         "lawrence --index-max 20 --p 2 --q 5",
@@ -1417,5 +1422,5 @@ def test_optimized_ci_step_checks_pinned_digests():
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     text = workflow.read_text(encoding="utf-8")
     digests = re.findall(r"\b[0-9a-f]{64}\b", text)
-    assert "python -O -m toricmld" in text and len(digests) == 11
+    assert "python -O -m toricmld" in text and len(digests) == 12
     assert set(digests) <= {digest for _, digest in PINNED_SWEEPS}

@@ -3,8 +3,10 @@
 Hypothesis runs derandomized, so every run draws the same germs. Each
 returned `CaseData` is checked from scratch: the minimum against the
 oracle, the covector and the split by membership and pairings, the
-certificate by its decomposition of psi. The negative controls feed the
-case analysis a wrong minimum and expect the identity it breaks by name.
+certificate by its decomposition of psi. The callers that read the best
+covector first and split only for a pair give what they gave when every
+germ ran the whole case analysis. The negative controls feed the case
+analysis a wrong minimum and expect the identity it breaks by name.
 """
 
 import math
@@ -16,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricmld
-from toricmld import CaseB, Lattice, VerificationFailure
+from toricmld import CaseB, Germ, Lattice, VerificationFailure, lawrence
 from toricmld.certify import classify_tlc_lattice
-from toricmld.cli import main
-from toricmld.germs import CaseTag, case_analysis_lattice, gamma_of, sail_minimum
+from toricmld.cli import STANDARD_BOUNDARY_VALUES, main
+from toricmld.geometry import complement_standard
+from toricmld.germs import CaseTag, case_analysis_lattice, gamma_of, mld, sail_minimum
 from toricmld.lattices import (
     _scaled_covector,
     contains,
@@ -102,6 +105,65 @@ def test_draws_reach_every_shape_of_the_case_analysis():
         "boundary psi", "unbounded", "bounded", "alpha = 0", "alpha > 0",
         "psi_prime = 0", "psi_prime > 0", "case b", "case a at mld",
     }
+
+
+def _at_most(p, q, value):
+    """(p, q), or the reduced value when p/q exceeds it."""
+    return (p, q) if Fraction(p, q) <= value else (value.numerator, value.denominator)
+
+
+def _full_analysis(call):
+    """`call()` with the covector step replaced by the whole case analysis.
+
+    The reference runs every split identity on every germ and reads
+    gamma and v1 from its `CaseData`; a pair's split is computed from
+    them again.
+    """
+
+    def full(lat, psi, minimum=None):
+        data = case_analysis_lattice(lat, psi, minimum)
+        return data.gamma, data.v1
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (toricmld.certify, toricmld.geometry):
+            patch.setattr(module, "best_covector_lattice", full)
+        return call()
+
+
+@PROPERTIES
+@given(
+    st.one_of(cyclic_lattices(), general_lattices()), psis, st.integers(1, 6), st.integers(1, 12)
+)
+def test_classify_agrees_with_the_full_analysis(lat, pair, p, q):
+    psi = vec(*pair)
+    t = Fraction(*_at_most(p, q, mld_oracle_lattice(lat, psi)[0]))
+    got = classify_tlc_lattice(lat, psi, t)
+    assert got == _full_analysis(lambda: classify_tlc_lattice(lat, psi, t))
+
+
+@PROPERTIES
+@given(st.one_of(cyclic_lattices(), general_lattices()), st.integers(1, 6), st.integers(1, 12))
+def test_lawrence_agrees_with_the_full_analysis(lat, p, q):
+    # Drawn ratios above the value become the value, so pairs are reached.
+    p, q = _at_most(p, q, Fraction(*sail_minimum(lat, (1, 1, 1)).value))
+    assert lawrence(lat, p, q) == _full_analysis(lambda: lawrence(lat, p, q))
+
+
+standard_coefficients = st.sampled_from(STANDARD_BOUNDARY_VALUES)
+
+
+@PROPERTIES
+@given(
+    cyclic_lattices(),
+    st.tuples(standard_coefficients, standard_coefficients).filter(lambda b: b != (1, 1)),
+    st.integers(1, 6),
+    st.integers(1, 12),
+)
+def test_complement_standard_agrees_with_the_full_analysis(lat, boundary, p, q):
+    germ = Germ(lat, *boundary)
+    p, q = _at_most(p, q, mld(germ))
+    got = complement_standard(germ, p, q)
+    assert got == _full_analysis(lambda: complement_standard(germ, p, q))
 
 
 FIFTH = lattice_from_quotient_type(5, 1, 1)
